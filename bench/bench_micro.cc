@@ -15,7 +15,6 @@
 #include "solver/fd.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 #include "synth/mdp.h"
 #include "synth/synthesizer.h"
@@ -284,31 +283,6 @@ void BM_SatPigeonHole(benchmark::State& state) {
 }
 BENCHMARK(BM_SatPigeonHole)->Arg(5)->Arg(7);
 
-void BM_IngestParallel(benchmark::State& state) {
-  // The sharded-ingest headline number: ToFacts on a document-family
-  // instance at 1 vs 4 ingest workers (ISSUE 9). Output is bit-identical
-  // across worker counts, so the pair isolates pure ingest scaling; CI
-  // gates on the 1-vs-4 ratio when the runner has >= 4 cores (see
-  // .github/workflows/ci.yml).
-  const auto& family = workload::GetFamily("Yelp");
-  RecordForest forest = family.generate(1, 2000);
-  const size_t workers = static_cast<size_t>(state.range(0));
-  ThreadPool pool(workers - 1);
-  IngestOptions options;
-  if (workers > 1) {
-    options.pool_provider = [&pool]() { return &pool; };
-  }
-  size_t facts = 0;
-  for (auto _ : state) {
-    uint64_t next_id = 1;
-    auto db = ToFacts(forest, family.schema, &next_id, nullptr, options);
-    facts = db.ValueOrDie().TotalFacts();
-    benchmark::DoNotOptimize(db);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(facts));
-}
-BENCHMARK(BM_IngestParallel)->Arg(1)->Arg(4);
-
 void BM_ProbeVectorized(benchmark::State& state) {
   // Vectorized matcher: a two-way string join at probe_block_rows = 1 (the
   // exact scalar path) vs 1024 (the default block size). Bit-identical
@@ -447,19 +421,13 @@ void BM_EndToEndSynthesisMotivating(benchmark::State& state) {
 BENCHMARK(BM_EndToEndSynthesisMotivating)->Unit(benchmark::kMillisecond);
 
 void BM_SynthesizeEndToEnd(benchmark::State& state) {
-  // The synthesis-portfolio headline number (ISSUE 7): enumeration at
-  // synth_threads = 1 vs 4 on a workload where candidate *evaluation* — the
-  // part the portfolio parallelizes — dominates the per-iteration SAT
-  // solve. One target table whose golden rule is the Yelp-1 two-atom join,
-  // over a migration-scale instance: every candidate runs a real join on
-  // thousands of facts (and the two-atom body gives shared-prefix
-  // memoization its batch structure), while the sketch's SAT queries stay
-  // microseconds. Enum mode makes the scout's prediction exact, and
-  // max_iterations caps the run so the measurement is a fixed count of
-  // enumeration steps ending in a deterministic kEvalBudget — bit-identical
-  // at any thread count, so the pair isolates pure portfolio scaling. CI
-  // gates on the 1-vs-4 ratio when the runner has >= 4 cores (see
-  // .github/workflows/ci.yml).
+  // The enumeration loop on a workload where candidate *evaluation*
+  // dominates the per-iteration SAT solve. One target table whose golden
+  // rule is the Yelp-1 two-atom join, over a migration-scale instance:
+  // every candidate runs a real join on thousands of facts, while the
+  // sketch's SAT queries stay microseconds. Enum mode plus max_iterations
+  // makes the measurement a fixed count of enumeration steps ending in a
+  // deterministic kEvalBudget.
   const auto* bench = workload::FindBenchmark("Yelp-1");
   Schema tgt = RelationalSchemaBuilder()
                    .AddTable("ReviewT", {{"rt_id", PrimitiveType::kInt},
@@ -477,10 +445,9 @@ void BM_SynthesizeEndToEnd(benchmark::State& state) {
   example.output = Migrator(bench->source, tgt).Migrate(golden, example.input).ValueOrDie();
 
   SynthesisOptions options;
-  options.use_analysis = false;  // Dynamite-Enum: deterministic scout replay
+  options.use_analysis = false;  // Dynamite-Enum: one candidate per iteration
   options.use_mdp = false;
   options.max_iterations = 192;
-  options.synth_threads = static_cast<size_t>(state.range(0));
   for (auto _ : state) {
     Synthesizer synth(bench->source, tgt, options);
     auto result = synth.Synthesize(example);
@@ -495,7 +462,7 @@ void BM_SynthesizeEndToEnd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(options.max_iterations));
 }
-BENCHMARK(BM_SynthesizeEndToEnd)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SynthesizeEndToEnd)->Unit(benchmark::kMillisecond);
 
 /// Console reporter that additionally records every run into a JsonWriter,
 /// so the perf trajectory lands in BENCH_micro.json (satellite of ISSUE 1).

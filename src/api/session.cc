@@ -63,7 +63,9 @@ Session::Session(Schema source, Schema target, SessionOptions options)
   // The synthesis stage owns its per-candidate evaluation engine; the
   // migration engine below is the one shared across Migrate calls and
   // interactive probes. The legacy timeout knob is neutralized — budgets
-  // come from RunContext deadlines (see Bounded()).
+  // come from RunContext deadlines (see Bounded()). These options are
+  // resolved here once; SynthesizeInteractive reuses them through
+  // synthesizer_->options().
   SynthesisOptions synth = options_.synthesis;
   synth.timeout_seconds = 0;
   // One thread-count knob for both engines; the stage-level options stay
@@ -72,13 +74,6 @@ Session::Session(Schema source, Schema target, SessionOptions options)
   if (options_.num_threads != 0) {
     engine.num_threads = options_.num_threads;
     synth.eval_num_threads = options_.num_threads;
-  }
-  // Enumeration portfolio width: the explicit knob wins, else it follows
-  // the session-wide thread count (one knob scales the whole pipeline).
-  if (options_.synth_threads != 0) {
-    synth.synth_threads = options_.synth_threads;
-  } else if (options_.num_threads != 0) {
-    synth.synth_threads = options_.num_threads;
   }
   migrator_ = std::make_unique<Migrator>(source_, target_, engine);
   synthesizer_ = std::make_unique<Synthesizer>(source_, target_, synth);
@@ -147,15 +142,8 @@ Result<InteractiveResult> Session::SynthesizeInteractive(const Example& example,
       CheckAgainstSchema(example.output, target_, "example output vs target schema"));
   DYNAMITE_RETURN_NOT_OK(
       CheckAgainstSchema(validation_pool, source_, "validation pool vs source schema"));
-  SynthesisOptions synth = options_.synthesis;
-  synth.timeout_seconds = 0;
-  if (options_.num_threads != 0) synth.eval_num_threads = options_.num_threads;
-  if (options_.synth_threads != 0) {
-    synth.synth_threads = options_.synth_threads;
-  } else if (options_.num_threads != 0) {
-    synth.synth_threads = options_.num_threads;
-  }
-  InteractiveSynthesizer interactive(source_, target_, synth, options_.interactive);
+  InteractiveSynthesizer interactive(source_, target_, synthesizer_->options(),
+                                     options_.interactive);
   MemoryBudget local_budget(options_.max_memory_bytes);
   RunContext bounded =
       WithBudget(Bounded(ctx), &local_budget, options_.max_memory_bytes);

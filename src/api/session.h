@@ -78,16 +78,6 @@ struct SessionOptions {
   /// internally and their results are bit-identical at any thread count,
   /// so this is purely a throughput knob.
   size_t num_threads = 0;
-  /// Portfolio threads for synthesis candidate *enumeration* (see
-  /// SynthesisOptions::synth_threads — the control plane; num_threads above
-  /// is the data plane within one Datalog evaluation). 0 (default) follows
-  /// num_threads when that is set, else defers to the synthesis-level knob
-  /// (whose own default is "auto": DYNAMITE_NUM_THREADS or sequential); 1
-  /// forces the exact sequential enumeration; > 1 fans candidate
-  /// evaluation across a worker portfolio. The synthesized program, stats,
-  /// and error codes are identical at any value, so like num_threads this
-  /// is purely a throughput knob.
-  size_t synth_threads = 0;
   /// When true, SynthesizeInteractive fails with kAmbiguous if the
   /// validation pool cannot distinguish the remaining candidates (instead
   /// of silently accepting the first). The cheap Synthesize call is
@@ -95,8 +85,8 @@ struct SessionOptions {
   bool fail_on_ambiguity = false;
   /// Per-call byte budget covering every pipeline stage (fact conversion,
   /// evaluation — relation growth, join indexes, interned strings, parallel
-  /// emit buffers — and forest reconstruction); exceeding it fails the call
-  /// with kResourceExhausted instead of OOM-killing the process. 0 (the
+  /// fixpoint buffers — and forest reconstruction); exceeding it fails the
+  /// call with kResourceExhausted instead of OOM-killing the process. 0 (the
   /// default) disables the check. A budget already carried by the call's
   /// RunContext (ctx.memory) wins — one budget per run, never one per
   /// stage. Independent of the engine's tuple-count cap (kEvalBudget) and
@@ -160,10 +150,11 @@ class Session {
   DatalogEngine::Stats engine_stats() const { return migrator_->engine_stats(); }
 
   /// Snapshot of the process-wide metrics registry (util/metrics.h):
-  /// counters like "engine.plan_refreshes" / "synth.prefix_memo_hits" /
-  /// "ingest.fallbacks", plus gauges and histograms. Process-wide — spans
-  /// every Session and engine in the process, cumulative since start; the
-  /// per-object stats() structs remain the per-run source of truth.
+  /// counters like "engine.plan_refreshes" / "engine.parallel_fallbacks" /
+  /// "ingest.child_index_lookups", plus gauges and histograms.
+  /// Process-wide — spans every Session and engine in the process,
+  /// cumulative since start; the per-object stats() structs remain the
+  /// per-run source of truth.
   metrics::MetricsSnapshot Metrics() const { return metrics::Snapshot(); }
 
   /// Dumps every trace span recorded since arming (trace::Arm() or

@@ -98,31 +98,6 @@ struct RawAtom {
 /// of plausible size when ordering joins.
 constexpr size_t kIdbCardinality = size_t{1} << 40;
 
-/// Read view over the base EDB plus an optional overlay of extra
-/// extensional relations (EvalWithOverlay — the synthesizer publishes a
-/// shared-prefix join result as an overlay relation). The overlay wins on
-/// name collisions, so a candidate's residual rule always sees the prefix
-/// relation it was built against.
-struct EdbView {
-  const FactDatabase* base = nullptr;
-  const FactDatabase* extra = nullptr;
-
-  Result<const Relation*> Find(const std::string& name) const {
-    if (extra != nullptr) {
-      auto rel = extra->Find(name);
-      if (rel.ok()) return rel;
-    }
-    return base->Find(name);
-  }
-
-  /// True when `name` resolves to the overlay. Overlay relations are
-  /// transient (one batch), so their indexes must stay in the engine's
-  /// private cache rather than a shared frozen-EDB cache.
-  bool IsExtra(const std::string& name) const {
-    return extra != nullptr && extra->Has(name);
-  }
-};
-
 /// Builds the PlanAtom sequence for the given atom order. Key, check, and
 /// bind positions depend on which variables earlier atoms bound, so they are
 /// recomputed per order; slot numbering is shared across plans.
@@ -207,7 +182,7 @@ std::vector<size_t> IdentityOrder(size_t n) {
 /// fixpoint) to replace the kIdbCardinality guess when ordering joins; the
 /// sizes used are recorded in the result's idb_stats for later drift checks.
 Result<CompiledRule> CompileRule(const Rule& rule, const std::set<std::string>& idb,
-                                 const EdbView& edb, bool reorder,
+                                 const FactDatabase& edb, bool reorder,
                                  const std::map<std::string, size_t>* idb_sizes = nullptr) {
   CompiledRule out;
   std::map<std::string, int> var_slot;
@@ -357,7 +332,7 @@ bool CardinalityDrifted(size_t planned, size_t current) {
 
 /// A cached plan is stale when any EDB body relation's cardinality has
 /// drifted ≥4x from the size seen when the join order was chosen.
-bool PlanIsStale(const CompiledRule& rule, const EdbView& edb) {
+bool PlanIsStale(const CompiledRule& rule, const FactDatabase& edb) {
   for (const auto& [name, planned] : rule.edb_stats) {
     auto rel = edb.Find(name);
     size_t current = rel.ok() ? rel.ValueOrDie()->size() : 0;
@@ -391,12 +366,10 @@ class Evaluator {
   /// charge target. `parallel_fallbacks` counts plan evaluations retried
   /// sequentially after a pool-path worker failure.
   Evaluator(const DatalogEngine::Options& options, IndexCache* edb_indexes,
-            SharedIndexCache* shared_edb_indexes, const RunContext* ctx,
-            std::function<ThreadPool*()> pool_provider, MemoryBudget* budget,
-            size_t* parallel_fallbacks)
+            const RunContext* ctx, std::function<ThreadPool*()> pool_provider,
+            MemoryBudget* budget, size_t* parallel_fallbacks)
       : options_(options),
         edb_indexes_(edb_indexes),
-        shared_edb_indexes_(shared_edb_indexes),
         deadline_(Deadline::Earliest(
             Deadline::AfterOrInfinite(options.timeout_seconds),
             ctx != nullptr ? ctx->deadline : Deadline::Infinite())),
@@ -407,7 +380,7 @@ class Evaluator {
         block_rows_(options.probe_block_rows == 0 ? kDefaultProbeBlockRows
                                                   : options.probe_block_rows) {}
 
-  Status Run(std::vector<std::shared_ptr<CompiledRule>>& rules, const EdbView& edb,
+  Status Run(std::vector<std::shared_ptr<CompiledRule>>& rules, const FactDatabase& edb,
              const std::map<std::string, std::vector<std::string>>& idb_sigs,
              FactDatabase* out, const IdbRefreshFn& refresh_idb) {
     for (const auto& [name, attrs] : idb_sigs) {
@@ -1035,7 +1008,7 @@ class Evaluator {
 
   Status EvalPlan(const CompiledRule& rule, const JoinPlan& plan,
                   const std::map<std::string, std::pair<size_t, size_t>>& delta,
-                  const EdbView& edb, FactDatabase* out) {
+                  const FactDatabase& edb, FactDatabase* out) {
     DYNAMITE_FAILPOINT("engine.plan.entry");
     DYNAMITE_TRACE_SPAN("engine.plan");
     // Resolve views and refresh indexes up front: no index is ever built
@@ -1063,20 +1036,12 @@ class Evaluator {
         // Refreshes over a large unindexed suffix hash their keys on the
         // worker pool (JoinIndex::Refresh gates on the suffix size and the
         // index comes out bit-identical); the gate here just avoids
-        // spawning the pool for plans that could never profit. The shared
-        // frozen-EDB cache stays sequential — its relations are already
-        // indexed once for the whole portfolio.
+        // spawning the pool for plans that could never profit.
         ThreadPool* pool = v.rel->size() >= JoinIndex::kParallelHashMinRows
                                ? AcquirePool()
                                : nullptr;
         if (pa.is_idb) {
           v.index = idb_indexes_.Get(*v.rel, pa.key_positions, pool);
-        } else if (shared_edb_indexes_ != nullptr && !edb.IsExtra(pa.relation)) {
-          // Base-EDB index shared with sibling engines (portfolio mode):
-          // the relation is frozen, so the index is built at most once
-          // across all of them. Overlay relations are per-batch — they go
-          // through the engine's own cache below.
-          v.index = shared_edb_indexes_->Get(*v.rel, pa.key_positions);
         } else {
           v.index = edb_indexes_->Get(*v.rel, pa.key_positions, pool);
         }
@@ -1231,7 +1196,6 @@ class Evaluator {
 
   DatalogEngine::Options options_;
   IndexCache* edb_indexes_;   // persistent across Eval calls (engine-owned)
-  SharedIndexCache* shared_edb_indexes_;  // frozen-EDB cache shared across engines (may be null)
   IndexCache idb_indexes_;    // per-Eval: IDB relations are fresh each run
   Deadline deadline_;         // options timeout composed with RunContext
   CancelToken cancel_;
@@ -1253,9 +1217,6 @@ class Evaluator {
 /// across Eval calls (see header comment on staleness trade-offs).
 struct DatalogEngine::Caches {
   IndexCache edb_indexes;
-  /// Frozen-EDB index cache shared with sibling engines (the synthesis
-  /// portfolio); null for a standalone engine. See ShareEdbIndexes.
-  std::shared_ptr<SharedIndexCache> shared_edb_indexes;
   /// Entries are mutable (non-const CompiledRule) so a rule's idb_stats can
   /// be recorded after round 0 of its first Eval; the engine is externally
   /// single-threaded, so no locking is needed.
@@ -1306,19 +1267,8 @@ DatalogEngine::~DatalogEngine() = default;
 DatalogEngine::DatalogEngine(DatalogEngine&&) noexcept = default;
 DatalogEngine& DatalogEngine::operator=(DatalogEngine&&) noexcept = default;
 
-void DatalogEngine::ShareEdbIndexes(std::shared_ptr<SharedIndexCache> cache) {
-  caches_->shared_edb_indexes = std::move(cache);
-}
-
 Result<FactDatabase> DatalogEngine::Eval(
     const Program& program, const FactDatabase& edb,
-    const std::map<std::string, std::vector<std::string>>& idb_signatures,
-    const RunContext* ctx) const {
-  return EvalWithOverlay(program, edb, /*extra_edb=*/nullptr, idb_signatures, ctx);
-}
-
-Result<FactDatabase> DatalogEngine::EvalWithOverlay(
-    const Program& program, const FactDatabase& edb, const FactDatabase* extra_edb,
     const std::map<std::string, std::vector<std::string>>& idb_signatures,
     const RunContext* ctx) const {
   // One byte budget per run: the RunContext's if the caller installed one
@@ -1337,18 +1287,17 @@ Result<FactDatabase> DatalogEngine::EvalWithOverlay(
   // from a throwing failpoint site anywhere below becomes a typed Status.
   return failpoint::GuardExceptions(
       "datalog evaluation", [&]() -> Result<FactDatabase> {
-        return EvalImpl(program, edb, extra_edb, idb_signatures, ctx, budget);
+        return EvalImpl(program, edb, idb_signatures, ctx, budget);
       });
 }
 
 Result<FactDatabase> DatalogEngine::EvalImpl(
-    const Program& program, const FactDatabase& edb, const FactDatabase* extra_edb,
+    const Program& program, const FactDatabase& edb,
     const std::map<std::string, std::vector<std::string>>& idb_signatures,
     const RunContext* ctx, MemoryBudget* budget) const {
   DYNAMITE_FAILPOINT("engine.compile");
   DYNAMITE_TRACE_SPAN("engine.eval");
   trace::Span compile_span("engine.compile");
-  const EdbView view{&edb, extra_edb};
   std::set<std::string> idb;
   std::string idb_key;
   for (const auto& [name, attrs] : idb_signatures) {
@@ -1377,7 +1326,7 @@ Result<FactDatabase> DatalogEngine::EvalImpl(
                                          b.relation);
         }
       } else {
-        DYNAMITE_ASSIGN_OR_RETURN(const Relation* rel, view.Find(b.relation));
+        DYNAMITE_ASSIGN_OR_RETURN(const Relation* rel, edb.Find(b.relation));
         if (rel->arity() != b.terms.size()) {
           return Status::InvalidArgument("arity mismatch for body relation " + b.relation +
                                          " (expected " + std::to_string(rel->arity()) +
@@ -1402,9 +1351,9 @@ Result<FactDatabase> DatalogEngine::EvalImpl(
         // off (the plan would come out identical). The IDB half of the
         // check has to wait for round-0 sizes — see Evaluator::Run and the
         // refresh_idb callback below.
-        if (options_.reorder_joins && PlanIsStale(*it->second, view)) {
+        if (options_.reorder_joins && PlanIsStale(*it->second, edb)) {
           DYNAMITE_ASSIGN_OR_RETURN(CompiledRule cr,
-                                    CompileRule(rule, idb, view, options_.reorder_joins));
+                                    CompileRule(rule, idb, edb, options_.reorder_joins));
           it->second = std::make_shared<CompiledRule>(std::move(cr));
           ++caches_->plan_refreshes;
           DYNAMITE_METRIC_INC("engine.plan_refreshes");
@@ -1413,14 +1362,14 @@ Result<FactDatabase> DatalogEngine::EvalImpl(
         continue;
       }
       DYNAMITE_ASSIGN_OR_RETURN(CompiledRule cr,
-                                CompileRule(rule, idb, view, options_.reorder_joins));
+                                CompileRule(rule, idb, edb, options_.reorder_joins));
       if (caches_->rules.size() >= Caches::kMaxRules) caches_->rules.clear();
       auto shared = std::make_shared<CompiledRule>(std::move(cr));
       caches_->rules.emplace(std::move(key), shared);
       rules.push_back(std::move(shared));
     } else {
       DYNAMITE_ASSIGN_OR_RETURN(CompiledRule cr,
-                                CompileRule(rule, idb, view, options_.reorder_joins));
+                                CompileRule(rule, idb, edb, options_.reorder_joins));
       rules.push_back(std::make_shared<CompiledRule>(std::move(cr)));
     }
   }
@@ -1433,12 +1382,12 @@ Result<FactDatabase> DatalogEngine::EvalImpl(
   // drift against).
   IdbRefreshFn refresh_idb;
   if (options_.cache_compiled_rules && options_.reorder_joins) {
-    refresh_idb = [this, &program, &idb, view, &idb_key](
+    refresh_idb = [this, &program, &idb, &edb, &idb_key](
                       size_t rule_index, const std::map<std::string, size_t>& idb_sizes)
         -> Result<std::shared_ptr<CompiledRule>> {
       const Rule& rule = program.rules[rule_index];
       DYNAMITE_ASSIGN_OR_RETURN(
-          CompiledRule cr, CompileRule(rule, idb, view, /*reorder=*/true, &idb_sizes));
+          CompiledRule cr, CompileRule(rule, idb, edb, /*reorder=*/true, &idb_sizes));
       auto shared = std::make_shared<CompiledRule>(std::move(cr));
       auto it = caches_->rules.find(RuleCacheKey(rule, idb_key));
       if (it != caches_->rules.end()) it->second = shared;
@@ -1460,11 +1409,9 @@ Result<FactDatabase> DatalogEngine::EvalImpl(
       return caches_->pool.get();
     };
   }
-  Evaluator evaluator(options_, &caches_->edb_indexes,
-                      caches_->shared_edb_indexes.get(), ctx,
-                      std::move(pool_provider), budget,
-                      &caches_->parallel_fallbacks);
-  DYNAMITE_RETURN_NOT_OK(evaluator.Run(rules, view, idb_signatures, &out, refresh_idb));
+  Evaluator evaluator(options_, &caches_->edb_indexes, ctx, std::move(pool_provider),
+                      budget, &caches_->parallel_fallbacks);
+  DYNAMITE_RETURN_NOT_OK(evaluator.Run(rules, edb, idb_signatures, &out, refresh_idb));
   return out;
 }
 

@@ -49,8 +49,6 @@
 
 namespace dynamite {
 
-class SharedIndexCache;
-
 /// Bottom-up Datalog evaluator.
 class DatalogEngine {
  public:
@@ -142,52 +140,21 @@ class DatalogEngine {
       const std::map<std::string, std::vector<std::string>>& idb_signatures,
       const RunContext* ctx = nullptr) const;
 
-  /// Like Eval, but body atoms may also resolve against `extra_edb`, an
-  /// overlay of additional extensional relations checked *before* `edb`
-  /// (name collisions resolve to the overlay). The synthesizer's partial-
-  /// plan entry point: a shared-prefix join result is published as an
-  /// overlay relation and each candidate's residual rule joins against it
-  /// (see src/synth/README.md). `extra_edb` may be null (== Eval).
-  ///
-  /// Overlay relations are indexed in this engine's own cache (keyed by
-  /// relation uid — transient overlays must use fresh relations, which
-  /// FactDatabase guarantees), never in a shared cache (see below).
-  Result<FactDatabase> EvalWithOverlay(
-      const Program& program, const FactDatabase& edb, const FactDatabase* extra_edb,
-      const std::map<std::string, std::vector<std::string>>& idb_signatures,
-      const RunContext* ctx = nullptr) const;
-
   /// Like Eval, but derives signatures automatically (attributes named
   /// "c0", "c1", ...).
   Result<FactDatabase> EvalAutoSignatures(const Program& program,
                                           const FactDatabase& edb,
                                           const RunContext* ctx = nullptr) const;
 
-  /// Attaches a thread-safe cache of JoinIndexes over a *frozen* EDB,
-  /// shared with other engines (the synthesis portfolio: one cache, many
-  /// worker engines, one example instance). While attached, every base-EDB
-  /// index this engine needs is resolved through the shared cache; IDB and
-  /// overlay relations keep using the engine's private caches. The caller
-  /// owns the freeze contract (see SharedIndexCache in index.h): no
-  /// relation evaluated against through this engine may grow while the
-  /// cache is attached. Pass nullptr to detach.
-  void ShareEdbIndexes(std::shared_ptr<SharedIndexCache> cache);
-
   /// Snapshot of the engine's cumulative counters (see Stats).
   Stats stats() const;
-
-  /// The *resolved* worker-thread count: Options::num_threads after the
-  /// constructor applied the "0 = auto" rule (DYNAMITE_NUM_THREADS, else
-  /// sequential). Always >= 1. Lets co-operating components (the migrator's
-  /// sharded ingest) size their parallelism to match the engine's.
-  size_t num_threads() const { return options_.num_threads; }
 
  private:
   /// Eval minus the crash-free boundary: Eval resolves the run's
   /// MemoryBudget, installs it, and wraps this in an exception guard that
   /// maps bad_alloc / injected faults to typed Statuses.
   Result<FactDatabase> EvalImpl(
-      const Program& program, const FactDatabase& edb, const FactDatabase* extra_edb,
+      const Program& program, const FactDatabase& edb,
       const std::map<std::string, std::vector<std::string>>& idb_signatures,
       const RunContext* ctx, MemoryBudget* budget) const;
 

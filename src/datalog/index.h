@@ -41,7 +41,6 @@
 
 #include "util/failpoint.h"
 #include "util/mem_budget.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 #include "value/relation.h"
 
@@ -246,17 +245,6 @@ class IndexCache {
     return it->second.get();
   }
 
-  /// The index for (rel, key_positions) iff it exists AND already covers
-  /// every row of `rel`; nullptr otherwise (missing, or in need of a
-  /// Refresh). Const: this is SharedIndexCache's reader-path probe, safe
-  /// under a shared lock concurrently with other readers.
-  const JoinIndex* FindReady(const Relation& rel,
-                             const std::vector<size_t>& key_positions) const {
-    auto it = entries_.find(Key{rel.uid(), key_positions});
-    if (it == entries_.end()) return nullptr;
-    return it->second->indexed_upto() == rel.size() ? it->second.get() : nullptr;
-  }
-
   /// Bounds memory across long synthesizer sessions: a stale uid (destroyed
   /// relation) can never be queried again, so wholesale clearing is safe —
   /// but only between evaluations, when no JoinIndex pointers are live.
@@ -287,60 +275,6 @@ class IndexCache {
   };
 
   std::unordered_map<Key, std::unique_ptr<JoinIndex>, KeyHash> entries_;
-};
-
-/// Thread-safe IndexCache wrapper for *frozen* EDB relations shared across
-/// several engines — the synthesis portfolio's worker engines all evaluate
-/// candidates against the same example instance, so the indexes over it are
-/// built once here instead of once per engine (ISSUE 7).
-///
-/// Freeze contract: every relation resolved through this cache must not be
-/// appended to while any sharing engine may call Get. Get serializes
-/// create/Refresh under the writer half of a reader/writer lock (concurrent
-/// getters of a not-yet-built index block until it is complete); getters of
-/// an already-built index take only the shared half. The returned
-/// JoinIndex* supports concurrent Lookup from any thread afterwards,
-/// because a frozen relation means Refresh is a no-op for the cache's
-/// remaining lifetime — which is also what makes the read-only contract
-/// annotatable: the cache is DYNAMITE_GUARDED_BY the lock, and everything
-/// handed out past it is const.
-///
-/// Unlike IndexCache there is no eviction: sharing engines hold the
-/// returned pointers across whole plan evaluations with no quiescent point
-/// visible here. The owner (one synthesis call) bounds the lifetime
-/// instead — the cache holds indexes over exactly one example's EDB and is
-/// dropped with the portfolio runtime.
-class SharedIndexCache {
- public:
-  /// Thread-safe IndexCache::Get over a frozen relation. Steady state — the
-  /// index is already built and covers the (frozen) relation — is a shared
-  /// lock plus one const map probe, so concurrent portfolio workers never
-  /// serialize against each other once warm; only the first getter of each
-  /// index takes the exclusive lock to build it.
-  const JoinIndex* Get(const Relation& rel,
-                       const std::vector<size_t>& key_positions) {
-    {
-      SharedMutexLock read_lock(mu_);
-      if (const JoinIndex* ready = cache_.FindReady(rel, key_positions)) {
-        return ready;
-      }
-    }
-    // Not built yet: build under the writer lock. Re-entering Get (rather
-    // than probing again) is correct because IndexCache::Get is idempotent;
-    // concurrent getters of the same index serialize here and all but the
-    // first see Refresh no-op.
-    SharedMutexExclusiveLock write_lock(mu_);
-    return cache_.Get(rel, key_positions);
-  }
-
-  size_t size() const {
-    SharedMutexLock lock(mu_);
-    return cache_.size();
-  }
-
- private:
-  mutable SharedMutex mu_;
-  IndexCache cache_ DYNAMITE_GUARDED_BY(mu_);
 };
 
 }  // namespace dynamite

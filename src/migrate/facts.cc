@@ -1,15 +1,11 @@
 #include "migrate/facts.h"
 
 #include <algorithm>
-#include <atomic>
 #include <unordered_map>
 
 #include "datalog/index.h"
-#include "util/check.h"
 #include "util/failpoint.h"
-#include "util/mem_budget.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace dynamite {
@@ -35,26 +31,22 @@ namespace {
 
 /// Per-record-type conversion state, resolved once per ToFacts call: the
 /// target relation, the (stable) schema attribute list, and per-attribute
-/// primitive/record classification. The old emitter re-resolved the
-/// relation by name and re-classified every attribute per record — on wide
-/// schemas that name-lookup churn dominated ingest (ISSUE 9 satellite).
+/// primitive/record classification. Resolving these per record instead
+/// makes name lookups dominate ingest on wide schemas.
 struct TypeInfo {
   Relation* rel = nullptr;
   const std::vector<std::string>* attrs = nullptr;  // Schema::AttrsOf, stable
   std::vector<bool> is_prim;         // parallel to *attrs
   std::vector<size_t> record_attrs;  // indices into *attrs of record attrs
   size_t arity = 0;
-  size_t type_index = 0;  // dense, schema RecordNames() order
 };
 
 using TypeInfoMap = std::unordered_map<std::string, TypeInfo>;
 
-/// Declares one relation per record type — in schema RecordNames() order,
-/// single-threaded even under sharded ingest, so relation uids come out in
-/// the same sequence as the sequential path — and resolves each TypeInfo.
+/// Declares one relation per record type, in schema RecordNames() order,
+/// and resolves each TypeInfo.
 Result<TypeInfoMap> DeclareRelations(const Schema& schema, FactDatabase* db) {
   TypeInfoMap types;
-  size_t type_index = 0;
   for (const std::string& rec : schema.RecordNames()) {
     DYNAMITE_ASSIGN_OR_RETURN(Relation * rel,
                               db->DeclareRelation(rec, FactSignature(schema, rec)));
@@ -62,7 +54,6 @@ Result<TypeInfoMap> DeclareRelations(const Schema& schema, FactDatabase* db) {
     info.rel = rel;
     info.attrs = &schema.AttrsOf(rec);
     info.arity = rel->arity();
-    info.type_index = type_index++;
     info.is_prim.reserve(info.attrs->size());
     for (size_t i = 0; i < info.attrs->size(); ++i) {
       bool prim = schema.IsPrimitive((*info.attrs)[i]);
@@ -74,29 +65,9 @@ Result<TypeInfoMap> DeclareRelations(const Schema& schema, FactDatabase* db) {
   return types;
 }
 
-/// Builds one record's fact row into `row_buf` (cleared first); returns the
-/// TypeInfo used, or an error for an unknown type / arity mismatch.
-Result<const TypeInfo*> FillRow(const TypeInfoMap& types, const RecordNode& node,
-                                const Value* parent_id, const Value& my_id,
-                                std::vector<Value>* row_buf) {
-  auto it = types.find(node.type);
-  if (it == types.end()) return Status::NotFound("no relation named " + node.type);
-  const TypeInfo& info = it->second;
-  row_buf->clear();
-  if (parent_id != nullptr) row_buf->push_back(*parent_id);
-  const std::vector<std::string>& attrs = *info.attrs;
-  for (size_t i = 0; i < attrs.size(); ++i) {
-    row_buf->push_back(info.is_prim[i] ? node.Prim(attrs[i]) : my_id);
-  }
-  if (row_buf->size() != info.arity) {
-    return Status::InvalidArgument("arity mismatch adding fact to " + node.type);
-  }
-  return &info;
-}
-
-/// Sequential columnar fact emission: rows are appended straight into the
-/// relations through one reused value buffer — no per-record Tuple, no
-/// per-record name lookup beyond the single TypeInfo probe.
+/// Columnar fact emission: rows are appended straight into the relations
+/// through one reused value buffer — no per-record Tuple, no per-record name
+/// lookup beyond the single TypeInfo probe.
 struct FactsEmitter {
   const TypeInfoMap& types;
   uint64_t* next_id;
@@ -104,12 +75,21 @@ struct FactsEmitter {
 
   Status Emit(const RecordNode& node, const Value* parent_id) {
     Value my_id = Value::Id((*next_id)++);
-    DYNAMITE_ASSIGN_OR_RETURN(const TypeInfo* info,
-                              FillRow(types, node, parent_id, my_id, &row_buf));
-    info->rel->InsertRow(row_buf.data(), row_buf.size());
+    auto it = types.find(node.type);
+    if (it == types.end()) return Status::NotFound("no relation named " + node.type);
+    const TypeInfo& info = it->second;
+    const std::vector<std::string>& attrs = *info.attrs;
+    row_buf.clear();
+    if (parent_id != nullptr) row_buf.push_back(*parent_id);
+    for (size_t i = 0; i < attrs.size(); ++i) {
+      row_buf.push_back(info.is_prim[i] ? node.Prim(attrs[i]) : my_id);
+    }
+    if (row_buf.size() != info.arity) {
+      return Status::InvalidArgument("arity mismatch adding fact to " + node.type);
+    }
+    info.rel->InsertRow(row_buf.data(), row_buf.size());
     // row_buf is free to reuse below: the row was appended column-wise.
-    const std::vector<std::string>& attrs = *info->attrs;
-    for (size_t ai : info->record_attrs) {
+    for (size_t ai : info.record_attrs) {
       for (const RecordNode& child : node.Children(attrs[ai])) {
         DYNAMITE_RETURN_NOT_OK(Emit(child, &my_id));
       }
@@ -118,10 +98,14 @@ struct FactsEmitter {
   }
 };
 
-/// Sequential emission over the whole forest (also the sharded path's
-/// degradation target: it produces the canonical output by definition).
-Status EmitSequential(const RecordForest& forest, const TypeInfoMap& types,
-                      uint64_t* next_id, const RunContext* ctx) {
+}  // namespace
+
+Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
+                             uint64_t* next_id, const RunContext* ctx) {
+  DYNAMITE_TRACE_SPAN("ingest.to_facts");
+  DYNAMITE_RETURN_NOT_OK(ValidateForest(forest, schema));
+  FactDatabase db;
+  DYNAMITE_ASSIGN_OR_RETURN(TypeInfoMap types, DeclareRelations(schema, &db));
   FactsEmitter emitter{types, next_id, {}};
   size_t ticks = 0;
   for (const RecordNode& root : forest.roots) {
@@ -131,226 +115,6 @@ Status EmitSequential(const RecordForest& forest, const TypeInfoMap& types,
     }
     DYNAMITE_RETURN_NOT_OK(emitter.Emit(root, nullptr));
   }
-  return Status::OK();
-}
-
-/// Records a chunk's emissions for one relation: flat row-major values plus
-/// per-row hashes, so the single-threaded merge never hashes (the same
-/// recipe as the engine's parallel fixpoint buffers). No local dedup — the
-/// merge replays rows through the relations' own dedup tables in exactly
-/// the sequential order, folding duplicates identically.
-struct ShardBuffer {
-  std::vector<Value> values;
-  std::vector<size_t> hashes;
-};
-
-/// The number of fact rows Emit would produce for this subtree (one per
-/// record reached through schema record attributes). Drives the identifier
-/// prefix sums, so it must mirror FactsEmitter::Emit's traversal exactly;
-/// an unknown type counts as the one identifier the emitter would have
-/// consumed before erroring (the error itself surfaces in the emission
-/// pass, and identifiers past the first error are never observable).
-size_t CountEmitted(const RecordNode& node, const TypeInfoMap& types) {
-  auto it = types.find(node.type);
-  if (it == types.end()) return 1;
-  const TypeInfo& info = it->second;
-  size_t n = 1;
-  const std::vector<std::string>& attrs = *info.attrs;
-  for (size_t ai : info.record_attrs) {
-    for (const RecordNode& child : node.Children(attrs[ai])) {
-      n += CountEmitted(child, types);
-    }
-  }
-  return n;
-}
-
-/// Per-chunk emitter: identical traversal to FactsEmitter, but identifiers
-/// come from the chunk's preassigned block and rows land in per-relation
-/// buffers instead of the shared FactDatabase.
-struct ChunkEmitter {
-  const TypeInfoMap& types;
-  uint64_t next_id;               // seeded from the chunk's prefix sum
-  std::vector<ShardBuffer>* bufs;  // indexed by TypeInfo::type_index
-  std::vector<Value> row_buf;
-
-  Status Emit(const RecordNode& node, const Value* parent_id) {
-    Value my_id = Value::Id(next_id++);
-    DYNAMITE_ASSIGN_OR_RETURN(const TypeInfo* info,
-                              FillRow(types, node, parent_id, my_id, &row_buf));
-    ShardBuffer& sb = (*bufs)[info->type_index];
-    MemoryBudget::ChargeCurrent(row_buf.size() * sizeof(Value) + sizeof(size_t));
-    sb.values.insert(sb.values.end(), row_buf.begin(), row_buf.end());
-    sb.hashes.push_back(HashValueRange(row_buf.data(), row_buf.size()));
-    const std::vector<std::string>& attrs = *info->attrs;
-    for (size_t ai : info->record_attrs) {
-      for (const RecordNode& child : node.Children(attrs[ai])) {
-        DYNAMITE_RETURN_NOT_OK(Emit(child, &my_id));
-      }
-    }
-    return Status::OK();
-  }
-};
-
-/// Forests below this many roots ingest sequentially even with a pool:
-/// chunk dispatch plus the extra counting pass would cost more than the
-/// emission they parallelize.
-constexpr size_t kMinRootsForParallelIngest = 128;
-
-/// Sharded parallel emission. Returns OK/error like EmitSequential;
-/// `*degraded` is set instead when the attempt must be abandoned with the
-/// database untouched (ingest.shard fault or pool-level worker failure) —
-/// the caller then reruns EmitSequential for an identical result.
-Status EmitSharded(const RecordForest& forest, const TypeInfoMap& types,
-                   uint64_t* next_id, const RunContext* ctx, ThreadPool* pool,
-                   IngestStats* stats, bool* degraded) {
-  const size_t num_roots = forest.roots.size();
-  const size_t workers = pool->num_workers();
-  // Same chunking recipe as the parallel fixpoint: enough chunks for
-  // claim-based load balancing, boundaries a pure function of the sizes.
-  const size_t num_chunks =
-      std::min(workers * 4, std::max<size_t>(1, num_roots / 32));
-  auto chunk_lo = [&](size_t c) { return num_roots * c / num_chunks; };
-
-  MemoryBudget* budget = ctx != nullptr ? ctx->memory : nullptr;
-
-  // Pass 1: count each chunk's records (identifier demand) in parallel.
-  std::vector<uint64_t> chunk_records(num_chunks, 0);
-  std::atomic<size_t> next_count{0};
-  Status count_pool_status = pool->Run([&](size_t) {
-    for (;;) {
-      size_t c = next_count.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) break;
-      DYNAMITE_TRACE_SPAN("ingest.count");
-      uint64_t n = 0;
-      for (size_t r = chunk_lo(c); r < chunk_lo(c + 1); ++r) {
-        n += CountEmitted(forest.roots[r], types);
-      }
-      chunk_records[c] = n;
-    }
-  });
-  if (!count_pool_status.ok()) {
-    *degraded = true;
-    return Status::OK();
-  }
-
-  // Prefix sums seed each chunk's identifier block at exactly the value the
-  // sequential depth-first walk reaches when it enters the chunk's first
-  // root.
-  std::vector<uint64_t> chunk_base(num_chunks, 0);
-  uint64_t total = 0;
-  for (size_t c = 0; c < num_chunks; ++c) {
-    chunk_base[c] = *next_id + total;
-    total += chunk_records[c];
-  }
-
-  // Pass 2: emit each chunk into its own buffers. Chunk-level failures
-  // split two ways: an `ingest.shard` fault (or anything a worker throws,
-  // caught by the pool's trampoline) marks the attempt degraded; errors
-  // from the emission itself — content errors, ctx interruption, the
-  // `facts.emit` failpoint — are typed per chunk and propagate below.
-  std::vector<std::vector<ShardBuffer>> chunk_bufs(num_chunks);
-  std::vector<Status> chunk_status(num_chunks, Status::OK());
-  std::atomic<bool> shard_fault{false};
-  std::atomic<size_t> next_emit{0};
-  Status emit_pool_status = pool->Run([&](size_t) {
-    MemoryBudgetScope mem_scope(budget);
-    for (;;) {
-      size_t c = next_emit.fetch_add(1, std::memory_order_relaxed);
-      if (c >= num_chunks) break;
-      DYNAMITE_TRACE_SPAN("ingest.shard");
-      Status injected = DYNAMITE_FAILPOINT_STATUS("ingest.shard");
-      if (!injected.ok()) {
-        shard_fault.store(true, std::memory_order_relaxed);
-        break;
-      }
-      chunk_status[c] = failpoint::GuardExceptions("sharded ingest", [&]() -> Status {
-        std::vector<ShardBuffer>& bufs = chunk_bufs[c];
-        bufs.resize(types.size());
-        ChunkEmitter emitter{types, chunk_base[c], &bufs, {}};
-        size_t ticks = 0;
-        for (size_t r = chunk_lo(c); r < chunk_lo(c + 1); ++r) {
-          Status fp = DYNAMITE_FAILPOINT_STATUS("facts.emit");
-          if (!fp.ok()) return fp;
-          if (ctx != nullptr && (++ticks & 0xff) == 0) {
-            DYNAMITE_RETURN_NOT_OK(ctx->Check("facts conversion"));
-          }
-          DYNAMITE_RETURN_NOT_OK(emitter.Emit(forest.roots[r], nullptr));
-        }
-        // The counting pass must agree with emission or identifiers would
-        // collide across chunks.
-        DYNAMITE_CHECK(emitter.next_id == chunk_base[c] + chunk_records[c],
-                       "sharded ingest count/emission mismatch");
-        return Status::OK();
-      });
-    }
-  });
-  if (shard_fault.load(std::memory_order_relaxed) || !emit_pool_status.ok()) {
-    *degraded = true;
-    return Status::OK();
-  }
-  // Lowest-chunk error == the first error of the sequential depth-first
-  // walk (each chunk emits sequentially, so its recorded error is the
-  // chunk's first): deterministic error codes at any worker count.
-  for (size_t c = 0; c < num_chunks; ++c) {
-    if (!chunk_status[c].ok()) return chunk_status[c];
-  }
-
-  // Single-threaded merge. Per relation, the concatenation of chunk
-  // buffers in ascending chunk order is exactly the sequential emission
-  // order, and InsertRowPrehashed applies the same dedup the sequential
-  // InsertRow would — bit-identical contents and row order. (The merge
-  // revisits one relation at a time rather than interleaving types the way
-  // the depth-first walk does; per-relation order is what dedup and row
-  // order depend on, and that is preserved.)
-  DYNAMITE_TRACE_SPAN("ingest.merge");
-  for (const auto& [rec, info] : types) {
-    (void)rec;
-    for (size_t c = 0; c < num_chunks; ++c) {
-      if (chunk_bufs[c].empty()) continue;  // chunk emitted nothing
-      const ShardBuffer& sb = chunk_bufs[c][info.type_index];
-      for (size_t r = 0; r < sb.hashes.size(); ++r) {
-        info.rel->InsertRowPrehashed(sb.values.data() + r * info.arity,
-                                     info.arity, sb.hashes[r]);
-      }
-    }
-  }
-  *next_id += total;
-  if (stats != nullptr) stats->parallel_chunks += num_chunks;
-  DYNAMITE_METRIC_ADD("ingest.parallel_chunks", num_chunks);
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
-                             uint64_t* next_id, const RunContext* ctx) {
-  return ToFacts(forest, schema, next_id, ctx, IngestOptions{});
-}
-
-Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
-                             uint64_t* next_id, const RunContext* ctx,
-                             const IngestOptions& options) {
-  DYNAMITE_TRACE_SPAN("ingest.to_facts");
-  DYNAMITE_RETURN_NOT_OK(ValidateForest(forest, schema));
-  FactDatabase db;
-  DYNAMITE_ASSIGN_OR_RETURN(TypeInfoMap types, DeclareRelations(schema, &db));
-
-  if (options.pool_provider && forest.roots.size() >= kMinRootsForParallelIngest) {
-    ThreadPool* pool = options.pool_provider();
-    if (pool != nullptr && pool->num_workers() > 1) {
-      bool degraded = false;
-      DYNAMITE_RETURN_NOT_OK(EmitSharded(forest, types, next_id, ctx, pool,
-                                         options.stats, &degraded));
-      if (!degraded) return db;
-      // Degradation: nothing reached the relations (buffers were the only
-      // state), so the sequential rerun below starts clean and produces the
-      // identical database.
-      if (options.stats != nullptr) ++options.stats->ingest_fallbacks;
-      DYNAMITE_METRIC_INC("ingest.fallbacks");
-    }
-  }
-
-  DYNAMITE_RETURN_NOT_OK(EmitSequential(forest, types, next_id, ctx));
   return db;
 }
 

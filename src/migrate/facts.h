@@ -14,7 +14,7 @@
 #ifndef DYNAMITE_MIGRATE_FACTS_H_
 #define DYNAMITE_MIGRATE_FACTS_H_
 
-#include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -26,37 +26,14 @@
 
 namespace dynamite {
 
-class ThreadPool;
-
-/// Observability counters for the ingest path (ToFacts / BuildForest).
-/// Accumulated, never reset by the conversion functions. All counters are
-/// diagnostics: parallel_chunks depends on the worker count, so it is
-/// deliberately NOT part of the bit-identity contract (relation contents,
-/// row order, identifiers, and error codes are).
+/// Observability counters for forest reconstruction (BuildForest).
+/// Accumulated, never reset by the conversion functions.
 struct IngestStats {
-  /// ToFacts: root-range chunks emitted through the sharded parallel path
-  /// (0 when the sequential path ran).
-  size_t parallel_chunks = 0;
-  /// ToFacts: sharded attempts degraded to the sequential path (an
-  /// `ingest.shard` fault or a pool-level worker failure). Graceful
-  /// degradation — the output is identical either way.
-  size_t ingest_fallbacks = 0;
-  /// BuildForest: child posting-list indexes built (once per child
-  /// relation, on first use).
+  /// Child posting-list indexes built (once per child relation, on first
+  /// use).
   size_t child_index_builds = 0;
-  /// BuildForest: child-index lookups (one per record-typed cell chased).
+  /// Child-index lookups (one per record-typed cell chased).
   size_t child_index_lookups = 0;
-};
-
-/// Tuning for ToFacts' sharded parallel ingest. Default-constructed options
-/// select the sequential path.
-struct IngestOptions {
-  /// Lazily resolves the worker pool for sharded emission; called at most
-  /// once, and only when the forest is large enough to shard. Empty (or
-  /// returning nullptr) keeps ToFacts sequential.
-  std::function<ThreadPool*()> pool_provider;
-  /// Optional counters sink (see IngestStats); may be null.
-  IngestStats* stats = nullptr;
 };
 
 /// Name of the parent-identifier column of a nested record's relation.
@@ -76,25 +53,6 @@ std::map<std::string, std::vector<std::string>> FactSignatures(const Schema& sch
 /// top-level records: cancellation/deadline aborts the conversion.
 Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
                              uint64_t* next_id, const RunContext* ctx = nullptr);
-
-/// ToFacts with sharded parallel ingest (ISSUE 9). With a pool and a large
-/// enough forest, the root range is partitioned into chunks: a parallel
-/// counting pass sizes each chunk's identifier block (prefix sums seed each
-/// chunk at exactly the value the sequential depth-first walk would have
-/// reached), workers emit into per-chunk, per-relation buffers (rows
-/// pre-hashed, memory budget charged per shard), and a single-threaded
-/// merge replays the buffers in ascending chunk order through the
-/// relations' dedup tables. The concatenation of per-chunk emissions in
-/// chunk order IS the sequential depth-first emission sequence, so the
-/// resulting FactDatabase — relation contents, row insertion order,
-/// identifiers, and deterministic error codes — is bit-identical at any
-/// worker count, including the sequential path. An `ingest.shard` fault or
-/// a pool failure degrades to the sequential path with identical output
-/// (IngestStats::ingest_fallbacks). On error, `*next_id` is unchanged by
-/// the sharded path; its value after a failed conversion is unspecified.
-Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
-                             uint64_t* next_id, const RunContext* ctx,
-                             const IngestOptions& options);
 
 /// Inverse of ToFacts: reconstructs a record forest from fact relations
 /// (the paper's BuildRecord procedure, applied to every top-level record).

@@ -51,25 +51,12 @@ Result<RecordForest> Migrator::MigrateImpl(const Program& program,
   // fails by the end of that stage at the latest.
   Timer timer;
   uint64_t next_id = 1;
-  IngestOptions ingest_options;
-  ingest_options.stats = &local.ingest;
-  if (engine_.num_threads() > 1) {
-    // Deferred: the pool is only instantiated when ToFacts decides the
-    // forest is large enough to shard, so small migrations never pay for
-    // thread spawn. num_threads counts the calling thread as worker 0.
-    ingest_options.pool_provider = [this]() {
-      if (ingest_pool_ == nullptr) {
-        ingest_pool_ = std::make_unique<ThreadPool>(engine_.num_threads() - 1);
-      }
-      return ingest_pool_.get();
-    };
-  }
   // Stage spans closed explicitly (Span::End) rather than scoped: the
   // stage results must stay live for the rest of the function. An early
   // error return closes the open span via its destructor.
   trace::Span facts_span("migrate.facts");
   DYNAMITE_ASSIGN_OR_RETURN(
-      FactDatabase edb, ToFacts(source, source_schema_, &next_id, &ctx, ingest_options));
+      FactDatabase edb, ToFacts(source, source_schema_, &next_id, &ctx));
   DYNAMITE_RETURN_NOT_OK(ctx.Check("facts conversion"));
   local.source_facts = edb.TotalFacts();
   local.to_facts_seconds = timer.ElapsedSeconds();

@@ -5,8 +5,6 @@
 #ifndef DYNAMITE_MIGRATE_MIGRATOR_H_
 #define DYNAMITE_MIGRATE_MIGRATOR_H_
 
-#include <memory>
-
 #include "api/run_context.h"
 #include "datalog/ast.h"
 #include "datalog/engine.h"
@@ -14,7 +12,6 @@
 #include "migrate/facts.h"
 #include "schema/schema.h"
 #include "util/result.h"
-#include "util/thread_pool.h"
 
 namespace dynamite {
 
@@ -27,9 +24,7 @@ struct MigrationStats {
   double to_facts_seconds = 0;
   double eval_seconds = 0;
   double build_seconds = 0;
-  /// Ingest diagnostics (see IngestStats). parallel_chunks depends on the
-  /// worker count and is NOT part of the cross-thread bit-identity contract;
-  /// everything else in this struct except the timings is.
+  /// Forest-reconstruction diagnostics (see IngestStats).
   IngestStats ingest;
   double TotalSeconds() const { return to_facts_seconds + eval_seconds + build_seconds; }
 };
@@ -76,12 +71,6 @@ class Migrator {
   Schema source_schema_;
   Schema target_schema_;
   DatalogEngine engine_;
-  /// Worker pool for sharded ingest (ToFacts), sized to match the engine's
-  /// resolved thread count. Created lazily on the first migration large
-  /// enough to shard; never created when the engine is sequential. Mutable
-  /// for the same reason as the engine's caches: pool reuse is evaluation
-  /// state behind const Migrate, and the public API stays single-threaded.
-  mutable std::unique_ptr<ThreadPool> ingest_pool_;
 };
 
 }  // namespace dynamite

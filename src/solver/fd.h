@@ -80,16 +80,10 @@ class FdSolver {
   FdSolver() = default;
   FdSolver(FdSolver&&) = default;
   FdSolver& operator=(FdSolver&&) = default;
-
-  /// Deep copy of the solver's entire state: variables, the x = y literal
-  /// cache, and the SAT core including learnt clauses, activities, and
-  /// saved phases. The clone solves independently of the original, and —
-  /// because the solver is deterministic — an identical sequence of
-  /// AddConstraint/Solve calls on both produces the identical model
-  /// sequence. This is what the synthesis portfolio's speculative scout
-  /// relies on (src/synth/synthesizer.cc): the scout predicts the models
-  /// the canonical enumeration will visit next.
-  FdSolver Clone() const { return FdSolver(*this); }
+  /// Not copyable: a copy of a solver with thousands of learnt clauses
+  /// would be an expensive silent bug.
+  FdSolver(const FdSolver&) = delete;
+  FdSolver& operator=(const FdSolver&) = delete;
 
   /// Creates a variable over the given (distinct, non-empty) domain values.
   FdVar NewVar(std::string name, std::vector<int64_t> domain);
@@ -118,12 +112,6 @@ class FdSolver {
   size_t num_clauses() const { return sat_.NumClauses(); }
 
  private:
-  /// Copying is exposed only through Clone(): an accidental pass-by-value
-  /// of a solver with thousands of learnt clauses would be an expensive
-  /// silent bug.
-  FdSolver(const FdSolver&) = default;
-  FdSolver& operator=(const FdSolver&) = default;
-
   struct VarInfo {
     std::string name;
     std::vector<int64_t> domain;

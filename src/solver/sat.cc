@@ -370,11 +370,5 @@ SatSolver::Outcome SatSolver::Solve(int64_t conflict_budget) {
   }
 }
 
-void SatSolver::ReduceDb() {
-  // Learnt-clause garbage collection is intentionally not implemented: the
-  // sketch-completion workload adds at most a few thousand clauses, far
-  // below the point where DB reduction pays off.
-}
-
 }  // namespace sat
 }  // namespace dynamite

@@ -103,7 +103,6 @@ class SatSolver {
   void BumpClause(int ci);
   void DecayActivities();
   void AttachClause(int ci);
-  void ReduceDb();
   int DecisionLevel() const { return static_cast<int>(trail_lim_.size()); }
   static int64_t Luby(int64_t i);
 

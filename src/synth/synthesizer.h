@@ -14,7 +14,6 @@
 #ifndef DYNAMITE_SYNTH_SYNTHESIZER_H_
 #define DYNAMITE_SYNTH_SYNTHESIZER_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,8 +28,6 @@
 #include "util/result.h"
 
 namespace dynamite {
-
-class ThreadPool;
 
 /// Knobs for the synthesis loop.
 struct SynthesisOptions {
@@ -58,38 +55,6 @@ struct SynthesisOptions {
   /// results are bit-identical at any value). Set from
   /// SessionOptions::num_threads by the Session API.
   size_t eval_num_threads = 0;
-  /// Portfolio threads for candidate *enumeration* — the control plane,
-  /// independent of eval_num_threads (the data plane within one
-  /// evaluation). 0 = auto: DYNAMITE_NUM_THREADS if set, else sequential;
-  /// 1 = the exact sequential enumeration loop, never overridden; > 1 =
-  /// speculative portfolio search (workers pre-evaluate upcoming
-  /// candidates on private engine/solver clones while the canonical loop
-  /// replays the sequential enumeration order). The synthesized program,
-  /// every stat except SynthesisResult::portfolio, and all error codes are
-  /// identical at any value — see src/synth/README.md for why.
-  size_t synth_threads = 0;
-  /// Shared-prefix memoization inside the portfolio (candidates in one
-  /// speculation batch that differ only in a hole suffix share one prefix
-  /// join). Results are bit-identical with it on or off; the knob exists
-  /// for ablation and the memo-off identity test.
-  bool prefix_memo = true;
-};
-
-/// Portfolio-search counters (synth_threads > 1; all zero otherwise).
-/// Unlike `iterations` these are advisory and may vary with thread count
-/// or timing — speculative work the canonical enumeration never consumed
-/// is invisible in every other stat.
-struct SynthPortfolioStats {
-  /// Candidate evaluations answered by extending a batch-shared prefix
-  /// join instead of running the full plan.
-  size_t prefix_memo_hits = 0;
-  /// Candidate evaluations answered from the speculation memo (includes
-  /// prefix_memo_hits).
-  size_t speculative_hits = 0;
-  /// Speculation batches abandoned after a worker fault; the enumeration
-  /// degrades to the sequential path with identical results (the synthesis
-  /// analogue of DatalogEngine::Stats::parallel_fallbacks).
-  size_t parallel_fallbacks = 0;
 };
 
 /// Per-rule synthesis statistics.
@@ -110,9 +75,6 @@ struct SynthesisResult {
   double seconds = 0;
   std::vector<RuleStats> rule_stats;
   AttributeMapping psi;
-  /// Portfolio-search counters; zero when synth_threads <= 1.
-  SynthPortfolioStats portfolio;
-  const SynthPortfolioStats& stats() const { return portfolio; }
 };
 
 /// Programming-by-example synthesizer for schema-mapping Datalog programs.
@@ -127,9 +89,6 @@ class Synthesizer {
  public:
   Synthesizer(Schema source, Schema target,
               SynthesisOptions options = SynthesisOptions());
-  ~Synthesizer();
-  Synthesizer(Synthesizer&&) noexcept;
-  Synthesizer& operator=(Synthesizer&&) noexcept;
 
   /// Synthesizes a program P with ⟦P⟧(E.input) = E.output, or
   /// kSynthesisFailure / kTimeout.
@@ -164,16 +123,9 @@ class Synthesizer {
   Result<std::vector<Program>> SynthesizeDistinctImpl(const Example& example, size_t limit,
                                                       const RunContext& ctx) const;
 
-  /// The portfolio worker pool (synth_threads - 1 spawned threads; the
-  /// calling thread participates), created lazily on the first portfolio
-  /// call and reused across calls, like the engine's fixpoint pool.
-  /// Nullptr when synthesis resolves to sequential.
-  ThreadPool* PortfolioPool(size_t synth_threads) const;
-
   Schema source_;
   Schema target_;
   SynthesisOptions options_;
-  mutable std::unique_ptr<ThreadPool> portfolio_pool_;
 };
 
 }  // namespace dynamite

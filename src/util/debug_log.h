@@ -1,8 +1,8 @@
 // Mutex-guarded stderr output: debug tracing (Logf, gated on the
 // DYNAMITE_DEBUG environment variable) and unconditional diagnostics
 // (Errorf, the abort/fatal channel). Debug traces used to go straight to
-// fprintf(stderr, ...); with the synthesis portfolio (and the parallel
-// fixpoint) several threads can trace at once, and raw fprintf lines
+// fprintf(stderr, ...); with the parallel fixpoint several threads can
+// trace at once, and raw fprintf lines
 // interleave mid-line — and the unsynchronized stream access shows up under
 // TSan. All stderr output goes through this header instead: one
 // process-wide mutex serializes whole lines, shared by both channels so a

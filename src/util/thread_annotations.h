@@ -1,10 +1,9 @@
 // Compile-time concurrency contracts: Clang thread-safety attributes and the
 // annotated synchronization primitives every component in this tree uses.
 //
-// The parallel fixpoint (engine.cc) and the synthesis portfolio
-// (synthesizer.cc) promise bit-identical results at any thread count. That
-// guarantee rests on a locking protocol spread across a dozen files, and
-// until this header it was checked only dynamically — TSan on whatever
+// The parallel fixpoint (engine.cc) promises bit-identical results at any
+// thread count. That guarantee rests on a locking protocol spread across
+// several files, and until this header it was checked only dynamically — TSan on whatever
 // interleavings CI happened to hit. Clang's -Wthread-safety analysis turns
 // the protocol into a compile-time contract: a field declared
 // DYNAMITE_GUARDED_BY(mu) read or written without `mu` held is a hard build
@@ -29,8 +28,6 @@
 //     reverse (TryIntern holds its shard while taking the append lock).
 //   * ThreadPool: mu_ (dispatch) and fail_mu_ (failure capture) are never
 //     held together.
-//   * SharedIndexCache::mu_ is a leaf lock: nothing else is acquired while
-//     it is held (IndexCache/JoinIndex take no locks).
 //
 // See src/util/README.md ("Static analysis & concurrency contracts") for
 // how to run the analysis locally and the suppression policy.
@@ -40,7 +37,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 // ---------------------------------------------------------------- macros ---
 // Attribute spellings follow the Clang thread-safety documentation (and
@@ -65,24 +61,17 @@
 /// held (the pointer itself is unguarded).
 #define DYNAMITE_PT_GUARDED_BY(x) DYNAMITE_THREAD_ANNOTATION(pt_guarded_by(x))
 
-/// Function acquires the capability (exclusively / shared) and holds it on
-/// return.
+/// Function acquires the capability and holds it on return.
 #define DYNAMITE_ACQUIRE(...) \
   DYNAMITE_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define DYNAMITE_ACQUIRE_SHARED(...) \
-  DYNAMITE_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 
 /// Function releases the capability (which must be held on entry).
 #define DYNAMITE_RELEASE(...) \
   DYNAMITE_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define DYNAMITE_RELEASE_SHARED(...) \
-  DYNAMITE_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
 
-/// Caller must hold the capability (exclusively / shared) across the call.
+/// Caller must hold the capability across the call.
 #define DYNAMITE_REQUIRES(...) \
   DYNAMITE_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define DYNAMITE_REQUIRES_SHARED(...) \
-  DYNAMITE_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 
 /// Caller must NOT hold the capability (deadlock guard for self-locking
 /// entry points).
@@ -143,56 +132,6 @@ class DYNAMITE_SCOPED_CAPABILITY MutexLock {
  private:
   friend class CondVar;
   Mutex& mu_;
-};
-
-/// std::shared_mutex carrying the capability attribute: one writer or many
-/// readers. Used where the read path is the steady state (SharedIndexCache:
-/// after portfolio warm-up every Get is a lookup of an already-built index).
-class DYNAMITE_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void lock() DYNAMITE_ACQUIRE() { mu_.lock(); }
-  void unlock() DYNAMITE_RELEASE() { mu_.unlock(); }
-  void lock_shared() DYNAMITE_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void unlock_shared() DYNAMITE_RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
-};
-
-/// RAII *shared* (reader) lock over SharedMutex.
-class DYNAMITE_SCOPED_CAPABILITY SharedMutexLock {
- public:
-  explicit SharedMutexLock(SharedMutex& mu) DYNAMITE_ACQUIRE_SHARED(mu)
-      : mu_(mu) {
-    mu_.lock_shared();
-  }
-  ~SharedMutexLock() DYNAMITE_RELEASE() { mu_.unlock_shared(); }
-
-  SharedMutexLock(const SharedMutexLock&) = delete;
-  SharedMutexLock& operator=(const SharedMutexLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII *exclusive* (writer) lock over SharedMutex.
-class DYNAMITE_SCOPED_CAPABILITY SharedMutexExclusiveLock {
- public:
-  explicit SharedMutexExclusiveLock(SharedMutex& mu) DYNAMITE_ACQUIRE(mu)
-      : mu_(mu) {
-    mu_.lock();
-  }
-  ~SharedMutexExclusiveLock() DYNAMITE_RELEASE() { mu_.unlock(); }
-
-  SharedMutexExclusiveLock(const SharedMutexExclusiveLock&) = delete;
-  SharedMutexExclusiveLock& operator=(const SharedMutexExclusiveLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable paired with dynamite::Mutex.

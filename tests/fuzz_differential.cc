@@ -215,9 +215,7 @@ void FinishFlatCase(FuzzCase* fc, const std::vector<workload::FlatColumn>& src_c
 /// every cell from small Zipf-skewed pools — duplicate-heavy rows and hash
 /// groups with giant posting lists. Adversarial for the vectorized matcher
 /// (selection vectors that are nearly all-pass or nearly empty) and for
-/// sharded ingest (dedup folding must replay identically from shard
-/// buffers). Instance sized past both the engine's parallel threshold and
-/// the ingest sharding threshold.
+/// ingest dedup. Instance sized past the engine's parallel threshold.
 FuzzCase MakeSkewedCase(Rng* rng) {
   FuzzCase fc;
   fc.synthesized = true;
@@ -238,8 +236,7 @@ FuzzCase MakeSkewedCase(Rng* rng) {
 }
 
 /// Wide-row case: 24-40 columns. Every row touches many column vectors, so
-/// columnar filter/gather layout bugs that narrow tables hide surface here;
-/// sharded ingest moves wide rows through its flat shard buffers.
+/// columnar filter/gather layout bugs that narrow tables hide surface here.
 FuzzCase MakeWideRowCase(Rng* rng) {
   FuzzCase fc;
   fc.synthesized = true;
@@ -276,14 +273,10 @@ FuzzCase MakeWorkloadCase(Rng* rng) {
   return fc;
 }
 
-/// `synth_threads` = 0 follows `threads` (the Session default: one knob
-/// scales the whole pipeline, so threads > 1 also turns on the enumeration
-/// portfolio); pass 1 to pin the exact sequential enumeration loop.
 Session MakeSession(const FuzzCase& fc, size_t threads, size_t max_memory_bytes = 0,
-                    size_t synth_threads = 0, size_t probe_block_rows = 0) {
+                    size_t probe_block_rows = 0) {
   SessionOptions so;
   so.num_threads = threads;
-  so.synth_threads = synth_threads;
   so.max_memory_bytes = max_memory_bytes;
   so.engine.probe_block_rows = probe_block_rows;
   auto session = Session::Create(fc.source, fc.target, so);
@@ -376,7 +369,7 @@ void RunDifferentialIteration(Rng* rng, size_t threads) {
               fc.label.c_str(), threads);
   // Vectorized vs scalar matcher: probe_block_rows=1 pins the exact
   // row-at-a-time path; the default (1024) must migrate identically.
-  Session scalar = MakeSession(fc, threads, 0, 0, /*probe_block_rows=*/1);
+  Session scalar = MakeSession(fc, threads, 0, /*probe_block_rows=*/1);
   Program scalar_program;
   RecordForest scalar_out;
   st = RunPipeline(scalar, fc, &scalar_program, &scalar_out);
@@ -526,14 +519,7 @@ int RunSmoke(const CliOptions& cli) {
       Status armed = failpoint::ArmFromString(site, spec);
       FUZZ_ASSERT(armed.ok(), "ArmFromString(%s, %s): %s", site.c_str(), spec.c_str(),
                   armed.ToString().c_str());
-      // Sequential enumeration (synth_threads=1): with the speculation
-      // portfolio on, a worker thread could consume a hit_1 trigger inside
-      // a speculative candidate evaluation whose outcome is then discarded
-      // (by design — non-deterministic outcomes never enter the memo), and
-      // the must-fire assertion below would see a clean pipeline. The
-      // portfolio's own fault path gets a dedicated deterministic section
-      // after this matrix.
-      Session session = MakeSession(fc, 4, 0, /*synth_threads=*/1);
+      Session session = MakeSession(fc, 4);
       Program program;
       RecordForest output;
       Status st = RunPipeline(session, fc, &program, &output);
@@ -573,13 +559,8 @@ int RunSmoke(const CliOptions& cli) {
       // A first-hit injection of the default kind must be *observable*: the
       // pipeline executes every site, so the run either fails typed or the
       // fault was absorbed by design (a worker-thread fault falls back to
-      // the sequential path and succeeds). synth.worker only executes in
-      // portfolio runs (synth_threads > 1), which this matrix pins off —
-      // its degradation contract is asserted in the dedicated section below,
-      // as is ingest.shard's (absorbed by design: a shard fault degrades
-      // ToFacts to the sequential path with identical output).
-      if (std::strcmp(kind, "resource") == 0 && site != "thread_pool.worker" &&
-          site != "synth.worker" && site != "ingest.shard") {
+      // the sequential path and succeeds).
+      if (std::strcmp(kind, "resource") == 0 && site != "thread_pool.worker") {
         FUZZ_ASSERT(!st.ok(), "%s:%s did not fire (pipeline came back OK)", site.c_str(),
                     spec.c_str());
       }
@@ -588,72 +569,6 @@ int RunSmoke(const CliOptions& cli) {
     }
   }
   failpoint::DisarmAll();
-
-  // Portfolio degradation: a worker fault of any kind inside the synthesis
-  // portfolio (site synth.worker, which the matrix above pins off) must
-  // degrade to sequential enumeration and synthesize the *identical*
-  // program — never surface an error, never change the result.
-  {
-    Rng rng(cli.seed ^ 0x5717f011);
-    FuzzCase fc = MakeProjectionCase(&rng);
-    Session clean = MakeSession(fc, 4);
-    Program clean_program;
-    RecordForest clean_out;
-    Status st = RunPipeline(clean, fc, &clean_program, &clean_out);
-    FUZZ_ASSERT(st.ok(), "portfolio clean baseline failed: %s", st.ToString().c_str());
-    for (const char* kind : kKinds) {
-      failpoint::DisarmAll();
-      std::string spec = std::string("hit_1:") + kind;
-      Status armed = failpoint::ArmFromString("synth.worker", spec);
-      FUZZ_ASSERT(armed.ok(), "ArmFromString(synth.worker, %s): %s", spec.c_str(),
-                  armed.ToString().c_str());
-      Session session = MakeSession(fc, 4);
-      Program program;
-      RecordForest output;
-      st = RunPipeline(session, fc, &program, &output);
-      FUZZ_ASSERT(st.ok(), "synth.worker:%s did not degrade gracefully: %s", spec.c_str(),
-                  st.ToString().c_str());
-      FUZZ_ASSERT(program == clean_program,
-                  "synth.worker:%s degraded run synthesized a different program:\n%s\nvs\n%s",
-                  spec.c_str(), program.ToString().c_str(), clean_program.ToString().c_str());
-      FUZZ_ASSERT(ForestEquals(output, clean_out),
-                  "synth.worker:%s degraded run migrated a different output", spec.c_str());
-      std::printf("  synth.worker %-8s -> OK (degraded, identical program)\n", kind);
-    }
-    failpoint::DisarmAll();
-  }
-
-  // Sharded-ingest degradation: an ingest.shard fault of any kind must
-  // degrade ToFacts to the sequential path and migrate the *identical*
-  // instance — never surface an error. The instance must cross the ingest
-  // sharding threshold (128 roots) so the sharded path actually runs.
-  {
-    Rng rng(cli.seed ^ 0x16e57a2d);
-    FuzzCase fc = MakeProjectionCase(&rng);
-    while (fc.instance.roots.size() < 300) {
-      fc = MakeProjectionCase(&rng);
-    }
-    Session clean = MakeSession(fc, 4);
-    Program clean_program;
-    RecordForest clean_out;
-    Status st = RunPipeline(clean, fc, &clean_program, &clean_out);
-    FUZZ_ASSERT(st.ok(), "ingest clean baseline failed: %s", st.ToString().c_str());
-    for (const char* kind : kKinds) {
-      failpoint::DisarmAll();
-      std::string spec = std::string("hit_1:") + kind;
-      Status armed = failpoint::ArmFromString("ingest.shard", spec);
-      FUZZ_ASSERT(armed.ok(), "ArmFromString(ingest.shard, %s): %s", spec.c_str(),
-                  armed.ToString().c_str());
-      Session session = MakeSession(fc, 4);
-      auto migrated = session.Migrate(clean_program, fc.instance);
-      FUZZ_ASSERT(migrated.ok(), "ingest.shard:%s did not degrade gracefully: %s",
-                  spec.c_str(), migrated.status().ToString().c_str());
-      FUZZ_ASSERT(ForestEquals(migrated.ValueOrDie(), clean_out),
-                  "ingest.shard:%s degraded run migrated a different output", spec.c_str());
-      std::printf("  ingest.shard %-8s -> OK (degraded, identical output)\n", kind);
-    }
-    failpoint::DisarmAll();
-  }
 
   std::printf("PASS: smoke matrix, %zu sites x %zu kinds\n", sites.size(),
               sizeof(kKinds) / sizeof(kKinds[0]));

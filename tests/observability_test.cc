@@ -20,11 +20,9 @@
 #include "api/session.h"
 #include "datalog/engine.h"
 #include "migrate/facts.h"
-#include "synth/synthesizer.h"
 #include "testing.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 #include "value/database.h"
 #include "workload/families.h"
@@ -249,66 +247,24 @@ TEST_F(ObservabilityTest, FixpointRoundsHistogramObservesEvals) {
   EXPECT_GT(after->sum, 0u);
 }
 
-TEST_F(ObservabilityTest, SynthPortfolioMetricsMatchStats) {
-  // PR-8 portfolio determinism workload (motivating example, 4-way
-  // speculation): registry deltas must equal the per-call portfolio stats.
-  metrics::MetricsSnapshot before = metrics::Snapshot();
-  SynthesisOptions options;
-  options.synth_threads = 4;
-  Synthesizer synth(testing::UnivSchema(), testing::AdmissionSchema(), options);
-  ASSERT_OK_AND_ASSIGN(SynthesisResult result,
-                       synth.Synthesize(testing::MotivatingExample()));
-  metrics::MetricsSnapshot after = metrics::Snapshot();
-
-  EXPECT_EQ(after.counter("synth.speculative_hits") -
-                before.counter("synth.speculative_hits"),
-            result.portfolio.speculative_hits);
-  EXPECT_EQ(after.counter("synth.prefix_memo_hits") -
-                before.counter("synth.prefix_memo_hits"),
-            result.portfolio.prefix_memo_hits);
-  EXPECT_EQ(after.counter("synth.parallel_fallbacks") -
-                before.counter("synth.parallel_fallbacks"),
-            result.portfolio.parallel_fallbacks);
-}
-
-TEST_F(ObservabilityTest, IngestMetricsMatchStatsAcrossWorkerCounts) {
+TEST_F(ObservabilityTest, IngestMetricsMatchStats) {
   const auto& family = workload::GetFamily("Yelp");
   RecordForest forest = family.generate(1, 400);
-  for (size_t workers : {1u, 4u}) {
-    ThreadPool pool(workers - 1);
-    IngestStats stats;
-    IngestOptions options;
-    options.stats = &stats;
-    if (workers > 1) {
-      options.pool_provider = [&pool]() { return &pool; };
-    }
-    metrics::MetricsSnapshot before = metrics::Snapshot();
-    uint64_t next_id = 1;
-    ASSERT_OK_AND_ASSIGN(
-        FactDatabase db,
-        ToFacts(forest, family.schema, &next_id, nullptr, options));
-    ASSERT_OK_AND_ASSIGN(RecordForest back,
-                         BuildForest(db, family.schema, nullptr, &stats));
-    EXPECT_EQ(back.TotalRecords(), forest.TotalRecords());
-    metrics::MetricsSnapshot after = metrics::Snapshot();
+  uint64_t next_id = 1;
+  ASSERT_OK_AND_ASSIGN(FactDatabase db, ToFacts(forest, family.schema, &next_id));
+  IngestStats stats;
+  metrics::MetricsSnapshot before = metrics::Snapshot();
+  ASSERT_OK_AND_ASSIGN(RecordForest back, BuildForest(db, family.schema, nullptr, &stats));
+  EXPECT_EQ(back.TotalRecords(), forest.TotalRecords());
+  metrics::MetricsSnapshot after = metrics::Snapshot();
 
-    EXPECT_EQ(after.counter("ingest.parallel_chunks") -
-                  before.counter("ingest.parallel_chunks"),
-              stats.parallel_chunks)
-        << "workers " << workers;
-    EXPECT_EQ(after.counter("ingest.fallbacks") -
-                  before.counter("ingest.fallbacks"),
-              stats.ingest_fallbacks)
-        << "workers " << workers;
-    EXPECT_EQ(after.counter("ingest.child_index_builds") -
-                  before.counter("ingest.child_index_builds"),
-              stats.child_index_builds)
-        << "workers " << workers;
-    EXPECT_EQ(after.counter("ingest.child_index_lookups") -
-                  before.counter("ingest.child_index_lookups"),
-              stats.child_index_lookups)
-        << "workers " << workers;
-  }
+  EXPECT_GT(stats.child_index_lookups, 0u);
+  EXPECT_EQ(after.counter("ingest.child_index_builds") -
+                before.counter("ingest.child_index_builds"),
+            stats.child_index_builds);
+  EXPECT_EQ(after.counter("ingest.child_index_lookups") -
+                before.counter("ingest.child_index_lookups"),
+            stats.child_index_lookups);
 }
 
 // ------------------------------------------------------------ disarmed path

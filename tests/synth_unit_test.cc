@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "api/run_context.h"
 #include "datalog/simplify.h"
 #include "migrate/facts.h"
 #include "solver/fd.h"
@@ -306,6 +311,154 @@ TEST(SynthesizeDistinct, FindsAmbiguityOfExample10) {
   Synthesizer synth(src, tgt);
   ASSERT_OK_AND_ASSIGN(std::vector<Program> programs, synth.SynthesizeDistinct(e, 3));
   EXPECT_GE(programs.size(), 2u) << "expected ambiguity with a single-record example";
+}
+
+// ---------------------------------------------------------- progress events --
+
+/// Example 10's join (unambiguous two-employee variant): SynthesizeDistinct
+/// still finds alternatives, so it re-enters the rule enumerator.
+struct RelationalFixture {
+  Schema src = RelationalSchemaBuilder()
+                   .AddTable("Employee", {{"ename", PrimitiveType::kString},
+                                          {"edept", PrimitiveType::kInt}})
+                   .AddTable("Department", {{"did", PrimitiveType::kInt},
+                                            {"dname", PrimitiveType::kString}})
+                   .Build()
+                   .ValueOrDie();
+  Schema tgt = RelationalSchemaBuilder()
+                   .AddTable("WorksIn", {{"w_name", PrimitiveType::kString},
+                                         {"w_dept", PrimitiveType::kString}})
+                   .Build()
+                   .ValueOrDie();
+  Program golden = Program::Parse(
+                       "WorksIn(n, d) :- Employee(n, x), Department(x, d).")
+                       .ValueOrDie();
+
+  static RecordNode Emp(const char* n, int d) {
+    return testing::FlatRecord(
+        "Employee", {{"ename", Value::String(n)}, {"edept", Value::Int(d)}});
+  }
+  static RecordNode Dept(int i, const char* n) {
+    return testing::FlatRecord("Department",
+                               {{"did", Value::Int(i)}, {"dname", Value::String(n)}});
+  }
+
+  Example MakeExample() const {
+    Example e;
+    e.input.roots = {Emp("Alice", 11), Emp("Bob", 12), Dept(11, "CS"), Dept(12, "EE")};
+    Migrator migrator(src, tgt);
+    e.output = migrator.Migrate(golden, e.input).ValueOrDie();
+    return e;
+  }
+};
+
+/// An example whose output is unreachable and whose hole domains are
+/// maximal (every column of every table stores the same value set), so
+/// with analysis disabled the enumeration runs until its iteration budget.
+struct AdversarialFixture {
+  Schema src;
+  Schema tgt;
+  Example example;
+
+  AdversarialFixture() {
+    RelationalSchemaBuilder sb;
+    for (int t = 0; t < 3; ++t) {
+      std::vector<AttrDecl> cols;
+      for (int c = 0; c < 3; ++c) {
+        cols.push_back({"t" + std::to_string(t) + "c" + std::to_string(c),
+                        PrimitiveType::kString});
+      }
+      sb.AddTable("T" + std::to_string(t), std::move(cols));
+    }
+    src = sb.Build().ValueOrDie();
+    tgt = RelationalSchemaBuilder()
+              .AddTable("Out", {{"o0", PrimitiveType::kString},
+                                {"o1", PrimitiveType::kString},
+                                {"o2", PrimitiveType::kString}})
+              .Build()
+              .ValueOrDie();
+    for (int t = 0; t < 3; ++t) {
+      for (int r = 0; r < 3; ++r) {
+        std::vector<std::pair<std::string, Value>> prims;
+        for (int c = 0; c < 3; ++c) {
+          prims.push_back({"t" + std::to_string(t) + "c" + std::to_string(c),
+                           Value::String("v_" + std::to_string(r))});
+        }
+        example.input.roots.push_back(
+            testing::FlatRecord("T" + std::to_string(t), std::move(prims)));
+      }
+    }
+    example.output.roots = {testing::FlatRecord("Out", {{"o0", Value::String("v_0")},
+                                                        {"o1", Value::String("v_1")},
+                                                        {"o2", Value::String("v_2")}})};
+  }
+};
+
+TEST(SynthProgress, IterationsMonotoneAcrossRulesAndCoverageBounded) {
+  // Document example: multiple target records, so the run crosses rule
+  // boundaries (where done_iterations folds in completed rules).
+  Synthesizer synth(testing::UnivSchema(), testing::AdmissionSchema());
+  std::vector<ProgressEvent> events;
+  RunContext ctx;
+  ctx.observer = [&](const ProgressEvent& e) { events.push_back(e); };
+  ASSERT_OK(synth.Synthesize(testing::MotivatingExample(), ctx).status());
+  ASSERT_FALSE(events.empty());
+  size_t last = 0;
+  for (const ProgressEvent& e : events) {
+    EXPECT_GE(e.iterations, last);
+    last = e.iterations;
+    EXPECT_GE(e.coverage, 0.0);
+    EXPECT_LE(e.coverage, 1.0);
+  }
+}
+
+TEST(SynthProgress, SingleRuleCoverageMonotone) {
+  // One target table = one rule = fixed search space: coverage (not just
+  // iterations) must be non-decreasing. Enum mode makes the run long
+  // enough to emit several kSearch events (stride 64).
+  AdversarialFixture fixture;
+  SynthesisOptions options;
+  options.use_analysis = false;
+  options.use_mdp = false;
+  options.max_iterations = 300;  // a few stride-64 batches, then kEvalBudget
+  Synthesizer synth(fixture.src, fixture.tgt, options);
+  std::vector<ProgressEvent> events;
+  RunContext ctx;
+  ctx.observer = [&](const ProgressEvent& e) { events.push_back(e); };
+  auto result = synth.Synthesize(fixture.example, ctx);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kEvalBudget);
+
+  size_t search_events = 0;
+  size_t last_iterations = 0;
+  double last_coverage = 0;
+  for (const ProgressEvent& e : events) {
+    EXPECT_GE(e.iterations, last_iterations);
+    last_iterations = e.iterations;
+    if (e.phase == Phase::kSearch) {
+      ++search_events;
+      EXPECT_GE(e.coverage, last_coverage);
+      last_coverage = e.coverage;
+    }
+  }
+  EXPECT_GT(search_events, 2u);
+}
+
+TEST(SynthProgress, DistinctEnumerationKeepsIterationsMonotone) {
+  // SynthesizeDistinct re-enters per-rule enumerators with a rebased
+  // iteration baseline; the tracker's monotone floor must keep observed
+  // totals non-decreasing through the reset.
+  RelationalFixture fixture;
+  Synthesizer synth(fixture.src, fixture.tgt);
+  std::vector<ProgressEvent> events;
+  RunContext ctx;
+  ctx.observer = [&](const ProgressEvent& e) { events.push_back(e); };
+  ASSERT_OK(synth.SynthesizeDistinct(fixture.MakeExample(), 3, ctx).status());
+  size_t last = 0;
+  for (const ProgressEvent& e : events) {
+    EXPECT_GE(e.iterations, last);
+    last = e.iterations;
+  }
 }
 
 }  // namespace

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "synth/attr_map.h"
+#include "util/rng.h"
 #include "testing.h"
 #include "workload/benchmarks.h"
+#include "workload/datagen.h"
 #include "workload/families.h"
 #include "migrate/facts.h"
 
@@ -111,6 +115,35 @@ TEST(Benchmarks, SchemaStatisticsRoughlyMatchTable2Shape) {
     EXPECT_GE(b.source.RecordNames().size(), 2u) << b.name;
     EXPECT_GE(b.source.PrimAttrbs().size(), 5u) << b.name;
     EXPECT_GE(b.target.RecordNames().size(), 1u) << b.name;
+  }
+}
+
+// ------------------------------------------------ datagen sanity ----------
+
+TEST(Datagen, ZipfDistIsDeterministicAndSkewed) {
+  workload::ZipfDist zipf(100, 1.0);
+  Rng a(42), b(42);
+  size_t head = 0;
+  for (int i = 0; i < 2000; ++i) {
+    size_t sa = zipf.Sample(&a);
+    ASSERT_EQ(sa, zipf.Sample(&b));
+    ASSERT_LT(sa, 100u);
+    if (sa == 0) ++head;
+  }
+  // Zipf(1.0) over 100 ranks puts ~19% of the mass on rank 0; uniform would
+  // put 1%. Anything above 10% demonstrates the skew without flaking.
+  EXPECT_GT(head, 200u);
+}
+
+TEST(Datagen, ZipfFlatInstanceShapes) {
+  std::vector<workload::FlatColumn> cols = workload::WideColumns(30, 8);
+  ASSERT_EQ(cols.size(), 30u);
+  Rng rng(5);
+  RecordForest forest = workload::ZipfFlatInstance("W", cols, 200, 0.9, &rng);
+  ASSERT_EQ(forest.roots.size(), 200u);
+  for (const RecordNode& rec : forest.roots) {
+    ASSERT_EQ(rec.type, "W");
+    ASSERT_EQ(rec.prims.size(), 30u);
   }
 }
 

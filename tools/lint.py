@@ -77,7 +77,7 @@ RULES = [
             r"scoped_lock|shared_lock)(?![A-Za-z0-9_])"
         ),
         "unannotated std synchronization is invisible to -Wthread-safety; "
-        "use dynamite::Mutex / MutexLock / SharedMutex / CondVar "
+        "use dynamite::Mutex / MutexLock / CondVar "
         "(util/thread_annotations.h)",
         {"src/util/thread_annotations.h"},
     ),
