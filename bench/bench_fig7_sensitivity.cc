@@ -6,7 +6,7 @@
 // instance (within a timeout).
 //
 // Usage: bench_fig7_sensitivity [--all] [trials]   (default: 4 headline
-// benchmarks, 10 trials per point)
+// benchmarks, 5 trials per point)
 
 #include <cstdio>
 #include <cstring>
@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--all") == 0) {
       all = true;
     } else {
-      trials = static_cast<size_t>(std::atoi(argv[i]));
+      trials = bench::ParsePositiveOrExit<size_t>(argv[i],
+                                                  "bench_fig7_sensitivity [--all] [trials]");
     }
   }
 

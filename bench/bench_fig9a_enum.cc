@@ -26,7 +26,10 @@ int main(int argc, char** argv) {
   using namespace dynamite;
   using namespace dynamite::workload;
 
-  double timeout = argc > 1 ? std::atof(argv[1]) : 30.0;  // paper used 1h
+  // The paper used a 1 h timeout.
+  double timeout =
+      argc > 1 ? bench::ParsePositiveOrExit<double>(argv[1], "bench_fig9a_enum [timeout_seconds]")
+               : 30.0;
   std::printf("Figure 9(a): sketch completion vs enumerative baseline "
               "(timeout %.0fs per benchmark)\n\n",
               timeout);

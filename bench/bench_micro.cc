@@ -283,28 +283,6 @@ void BM_SatPigeonHole(benchmark::State& state) {
 }
 BENCHMARK(BM_SatPigeonHole)->Arg(5)->Arg(7);
 
-void BM_ProbeVectorized(benchmark::State& state) {
-  // Vectorized matcher: a two-way string join at probe_block_rows = 1 (the
-  // exact scalar path) vs 1024 (the default block size). Bit-identical
-  // output, so the pair isolates the selection-vector filter + batched
-  // index probes.
-  FactDatabase db = StringPeople(20000);
-  Program p =
-      Program::Parse("lives(n, c) :- person(n, t), city(t, c).").ValueOrDie();
-  DatalogEngine::Options opts;
-  opts.num_threads = 1;
-  opts.probe_block_rows = static_cast<size_t>(state.range(0));
-  DatalogEngine engine(opts);
-  size_t derived = 0;
-  for (auto _ : state) {
-    auto out = engine.EvalAutoSignatures(p, db);
-    derived = out.ValueOrDie().TotalFacts();
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(derived));
-}
-BENCHMARK(BM_ProbeVectorized)->Arg(1)->Arg(1024);
-
 void BM_FactsRoundTrip(benchmark::State& state) {
   const auto& family = workload::GetFamily("Yelp");
   RecordForest forest = family.generate(1, static_cast<size_t>(state.range(0)));

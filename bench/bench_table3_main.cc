@@ -14,8 +14,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-
 #include <string>
 
 #include "api/session.h"
@@ -28,7 +26,8 @@ int main(int argc, char** argv) {
   using namespace dynamite;
   using namespace dynamite::workload;
 
-  size_t migration_scale = argc > 1 ? static_cast<size_t>(std::atoi(argv[1])) : 200;
+  size_t migration_scale =
+      argc > 1 ? bench::ParsePositiveOrExit<size_t>(argv[1], "bench_table3_main [scale]") : 200;
 
   std::printf("Table 3: Main results (migration scale = %zu primary entities)\n\n",
               migration_scale);

@@ -3,14 +3,41 @@
 #ifndef DYNAMITE_BENCH_BENCH_UTIL_H_
 #define DYNAMITE_BENCH_BENCH_UTIL_H_
 
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 namespace dynamite {
 namespace bench {
+
+/// Parses a harness argument as a strictly positive number of type T, or
+/// prints `usage` to stderr and exits with status 2. The whole argument must
+/// parse and be finite; integral T additionally requires a whole number that
+/// fits. A negative count therefore never wraps to a huge size_t, and a typo
+/// never silently becomes 0.
+template <typename T>
+T ParsePositiveOrExit(const char* arg, const char* usage) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(arg, &end);
+  bool ok = end != arg && *end == '\0' && errno != ERANGE && std::isfinite(v) && v > 0;
+  if (ok && std::is_integral<T>::value) {
+    // Strict `<`: max() rounds up to a power of two as a double for 64-bit T.
+    ok = std::floor(v) == v && v < static_cast<double>(std::numeric_limits<T>::max());
+  }
+  if (!ok) {
+    std::fprintf(stderr, "invalid argument '%s'\nusage: %s\n", arg, usage);
+    std::exit(2);
+  }
+  return static_cast<T>(v);
+}
 
 /// Fixed-width table printer.
 class TablePrinter {

@@ -43,14 +43,6 @@ struct PlanAtom {
   // Positions to verify after a candidate tuple is fetched (repeated
   // variables within this atom).
   std::vector<size_t> check_positions;
-  // Parallel to check_positions: the position *within this atom* whose bind
-  // established the variable being checked. A checked variable is always
-  // bound in the same atom (one bound by an earlier atom would have made
-  // this position a key instead), so every check is equivalent to the
-  // column-vs-column predicate cell(r, check) == cell(r, partner) — which is
-  // what lets the vectorized matcher evaluate checks as columnar filters
-  // without materializing an environment per row.
-  std::vector<size_t> check_partners;
   // Positions that bind a fresh variable.
   std::vector<size_t> bind_positions;
 };
@@ -112,21 +104,20 @@ JoinPlan MakePlan(const std::vector<RawAtom>& raws, const std::vector<size_t>& o
     pa.is_idb = raw.is_idb;
     pa.is_delta = static_cast<int>(ai) == delta_atom;
     pa.slots = raw.slots;
-    std::map<int, size_t> bound_here;  // var -> the position that bound it
+    std::set<int> bound_here;
     for (size_t i = 0; i < pa.slots.size(); ++i) {
       const Slot& s = pa.slots[i];
       if (s.is_wildcard) continue;
       if (s.is_const || bound.count(s.var) > 0) {
         pa.key_positions.push_back(i);
-      } else if (auto it = bound_here.find(s.var); it != bound_here.end()) {
+      } else if (bound_here.count(s.var) > 0) {
         pa.check_positions.push_back(i);
-        pa.check_partners.push_back(it->second);
       } else {
         pa.bind_positions.push_back(i);
-        bound_here.emplace(s.var, i);
+        bound_here.insert(s.var);
       }
     }
-    for (const auto& [var, pos] : bound_here) bound.insert(var);
+    bound.insert(bound_here.begin(), bound_here.end());
     plan.atoms.push_back(std::move(pa));
   }
   return plan;
@@ -376,9 +367,7 @@ class Evaluator {
         cancel_(ctx != nullptr ? ctx->cancel : CancelToken()),
         pool_provider_(std::move(pool_provider)),
         budget_(budget),
-        parallel_fallbacks_(parallel_fallbacks),
-        block_rows_(options.probe_block_rows == 0 ? kDefaultProbeBlockRows
-                                                  : options.probe_block_rows) {}
+        parallel_fallbacks_(parallel_fallbacks) {}
 
   Status Run(std::vector<std::shared_ptr<CompiledRule>>& rules, const FactDatabase& edb,
              const std::map<std::string, std::vector<std::string>>& idb_sigs,
@@ -494,9 +483,6 @@ class Evaluator {
   static constexpr size_t kChunksPerWorker = 4;
   static constexpr size_t kMinRowsPerChunk = 64;
 
-  /// Resolved block size for Options::probe_block_rows == 0 ("auto").
-  static constexpr size_t kDefaultProbeBlockRows = 1024;
-
   /// Fixed-stride interruption poll: counts every join candidate and head
   /// emission, probing the cancel token and deadline every 1024 ticks
   /// regardless of how many tuples are derived (the old check keyed off the
@@ -504,14 +490,8 @@ class Evaluator {
   /// interruption fills `*out` — kCancelled beats kTimeout — and returns
   /// true. Sequential path only; parallel workers poll through
   /// SharedInterrupt on per-worker strides.
-  bool Interrupted(Status* out) { return InterruptedN(1, out); }
-
-  /// Interrupted for `n` candidates at once — the vectorized matcher ticks
-  /// once per block instead of once per row, keeping the total tick count
-  /// (and hence interruption latency) the same as the scalar path.
-  bool InterruptedN(size_t n, Status* out) {
-    ticks_ += n;
-    if (ticks_ < 1024) return false;
+  bool Interrupted(Status* out) {
+    if (++ticks_ < 1024) return false;
     ticks_ = 0;
     if (cancel_.cancelled()) {
       *out = Status::Cancelled("evaluation cancelled");
@@ -635,27 +615,14 @@ class Evaluator {
     std::vector<uint32_t> head_seq;
   };
 
-  /// Per-block scratch for the vectorized matcher: the selection vector of
-  /// surviving first-atom rows, the row-major gathered probe keys for the
-  /// second atom, and the batch-probe outputs. Reused across blocks, plans,
-  /// and Eval calls so a steady-state block allocates nothing.
-  struct BlockScratch {
-    std::vector<uint32_t> sel;
-    std::vector<Value> probe_keys;
-    std::vector<size_t> probe_hashes;
-    std::vector<const std::vector<uint32_t>*> postings;
-  };
-
   /// Per-worker scratch reused across chunks and plan evaluations: variable
-  /// environment, probe-key buffers, head-row buffer, vectorized-matcher
-  /// block scratch, and the worker's own interruption tick counter
-  /// (satellite of ISSUE 4: a single shared counter would make cancel
-  /// latency scale with the worker count).
+  /// environment, probe-key buffers, head-row buffer, and the worker's own
+  /// interruption tick counter (satellite of ISSUE 4: a single shared
+  /// counter would make cancel latency scale with the worker count).
   struct WorkerScratch {
     std::vector<Value> env;
     std::vector<std::vector<Value>> key_bufs;
     std::vector<Value> head_buf;
-    BlockScratch block;
     size_t ticks = 0;
 
     void Prepare(const CompiledRule& rule, const JoinPlan& plan) {
@@ -676,7 +643,6 @@ class Evaluator {
 
     bool Stopped() const { return !status.ok(); }
     bool OnCandidate() { return ev->Interrupted(&status); }
-    bool OnCandidates(size_t n) { return ev->InterruptedN(n, &status); }
 
     void OnMatch(const std::vector<Value>& env) {
       for (size_t h = 0; h < rule->heads.size(); ++h) {
@@ -719,11 +685,8 @@ class Evaluator {
 
     bool Stopped() const { return stopped; }
 
-    bool OnCandidate() { return OnCandidates(1); }
-
-    bool OnCandidates(size_t n) {
-      scratch->ticks += n;
-      if (scratch->ticks < 1024) return false;
+    bool OnCandidate() {
+      if (++scratch->ticks < 1024) return false;
       scratch->ticks = 0;
       if (shared->ShouldStop()) stopped = true;
       return stopped;
@@ -756,46 +719,10 @@ class Evaluator {
   /// first atom's scan restricted to [lo0, hi0) — the unit of parallel
   /// partitioning. Shared verbatim by the sequential and parallel paths via
   /// the Sink parameter, so the two cannot drift apart semantically.
-  ///
-  /// With block_rows > 1, the first atom is driven block-at-a-time
-  /// (Options::probe_block_rows): candidates are collected into a selection
-  /// vector, repeated-variable checks are evaluated as columnar
-  /// column==column filters (see PlanAtom::check_partners), and — when the
-  /// second atom is indexed — survivors' join keys are gathered from the
-  /// first atom's columns and batch-probed via JoinIndex::LookupBatch.
-  /// Survivors then descend through the identical scalar recursion, in
-  /// ascending row order, so the emission sequence (and therefore every
-  /// output, at any thread count) is bit-identical to block_rows == 1; only
-  /// the memory-access pattern changes.
   template <typename Sink>
   static void MatchPlan(const JoinPlan& plan, const std::vector<AtomView>& views,
                         size_t lo0, size_t hi0, std::vector<Value>& env,
-                        std::vector<std::vector<Value>>& key_bufs,
-                        size_t block_rows, BlockScratch& block, Sink& sink) {
-    // Inspects row `ti` of atom `atom_idx`, reading only the bind/check
-    // columns (columnar storage: the other columns are never touched).
-    // cell() re-fetches column storage on every read: the sequential sink
-    // appends to IDB relations mid-scan, which can reallocate the column
-    // vectors (the pre-rewrite engine held references across the append
-    // and crashed on recursive programs at bench scale). The parallel
-    // path never appends mid-scan — relations are frozen until the merge
-    // — which is what makes concurrent chunk evaluation safe.
-    // `self` is the `match` recursion below (passed in so the blocked
-    // driver can enter the scalar path at atom 1).
-    auto try_row_at = [&](auto&& self, size_t atom_idx, size_t ti) -> void {
-      const PlanAtom& pa = plan.atoms[atom_idx];
-      const AtomView& v = views[atom_idx];
-      if (sink.Stopped()) return;
-      if (sink.OnCandidate()) return;
-      for (size_t p : pa.bind_positions) {
-        env[static_cast<size_t>(pa.slots[p].var)] = v.rel->cell(ti, p);
-      }
-      for (size_t p : pa.check_positions) {
-        if (v.rel->cell(ti, p) != env[static_cast<size_t>(pa.slots[p].var)]) return;
-      }
-      self(self, atom_idx + 1);
-    };
-
+                        std::vector<std::vector<Value>>& key_bufs, Sink& sink) {
     auto match = [&](auto&& self, size_t atom_idx) -> void {
       if (sink.Stopped()) return;
       if (atom_idx == plan.atoms.size()) {
@@ -807,10 +734,28 @@ class Evaluator {
       size_t lo = atom_idx == 0 ? lo0 : v.lo;
       size_t hi = atom_idx == 0 ? hi0 : v.hi;
 
-      if (v.index == nullptr) {
-        for (size_t ti = lo; ti < hi && !sink.Stopped(); ++ti) {
-          try_row_at(self, atom_idx, ti);
+      // Inspects row `ti` of this atom, reading only the bind/check columns
+      // (columnar storage: the other columns are never touched).
+      // cell() re-fetches column storage on every read: the sequential sink
+      // appends to IDB relations mid-scan, which can reallocate the column
+      // vectors (the pre-rewrite engine held references across the append
+      // and crashed on recursive programs at bench scale). The parallel
+      // path never appends mid-scan — relations are frozen until the merge
+      // — which is what makes concurrent chunk evaluation safe.
+      auto try_row_at = [&](size_t ti) {
+        if (sink.Stopped()) return;
+        if (sink.OnCandidate()) return;
+        for (size_t p : pa.bind_positions) {
+          env[static_cast<size_t>(pa.slots[p].var)] = v.rel->cell(ti, p);
         }
+        for (size_t p : pa.check_positions) {
+          if (v.rel->cell(ti, p) != env[static_cast<size_t>(pa.slots[p].var)]) return;
+        }
+        self(self, atom_idx + 1);
+      };
+
+      if (v.index == nullptr) {
+        for (size_t ti = lo; ti < hi && !sink.Stopped(); ++ti) try_row_at(ti);
       } else {
         std::vector<Value>& key_vals = key_bufs[atom_idx];
         key_vals.clear();
@@ -824,175 +769,10 @@ class Evaluator {
         // Posting lists are sorted ascending; restrict to [lo, hi).
         auto it = std::lower_bound(matches->begin(), matches->end(),
                                    static_cast<uint32_t>(lo));
-        for (; it != matches->end() && *it < hi && !sink.Stopped(); ++it) {
-          try_row_at(self, atom_idx, *it);
-        }
+        for (; it != matches->end() && *it < hi && !sink.Stopped(); ++it) try_row_at(*it);
       }
     };
-
-    if (block_rows <= 1 || plan.atoms.empty()) {
-      match(match, 0);
-      return;
-    }
-
-    // ---- Blocked (vectorized) drive of atom 0. ----
-    //
-    // Raw column pointers (column_data) are read only in the filter and
-    // gather steps, which complete before any survivor descends: descents
-    // may emit, and a sequential emit into the scanned relation (recursive
-    // rules) can reallocate its columns. Per-survivor binds go through
-    // cell(), which re-fetches storage. Posting-list pointers from the
-    // batch probe stay valid across emits — indexes are refreshed at plan
-    // entry, never mid-plan — and a Lookup after an append returns exactly
-    // what it returned before, so pre-probing cannot change results.
-    const PlanAtom& pa0 = plan.atoms[0];
-    const AtomView& v0 = views[0];
-
-    // Atom-1 multi-probe plumbing: applicable when atom 1 exists, is
-    // indexed, and every one of its key positions is a constant or a
-    // variable bound by an atom-0 bind position (true for any indexed
-    // second atom — only atom 0 precedes it; the fallback below keeps
-    // degenerate shapes on the per-survivor scalar path, which is exactly
-    // equivalent).
-    struct KeySrc {
-      bool is_const;
-      Value constant;
-      size_t bind_col;
-    };
-    std::vector<KeySrc> key_src;
-    bool multiprobe = plan.atoms.size() >= 2 && views[1].index != nullptr;
-    if (multiprobe) {
-      const PlanAtom& pa1 = plan.atoms[1];
-      key_src.reserve(pa1.key_positions.size());
-      for (size_t p : pa1.key_positions) {
-        const Slot& s = pa1.slots[p];
-        KeySrc src{s.is_const, s.constant, 0};
-        if (!s.is_const) {
-          bool found = false;
-          for (size_t q : pa0.bind_positions) {
-            if (pa0.slots[q].var == s.var) {
-              src.bind_col = q;
-              found = true;
-              break;
-            }
-          }
-          if (!found) {
-            multiprobe = false;
-            break;
-          }
-        }
-        key_src.push_back(src);
-      }
-    }
-    const size_t key_arity1 = multiprobe ? plan.atoms[1].key_positions.size() : 0;
-
-    // Binds one surviving atom-0 row's fresh variables (its checks already
-    // passed the columnar filter) and recurses into the rest of the plan.
-    auto descend = [&](size_t r0) {
-      for (size_t p : pa0.bind_positions) {
-        env[static_cast<size_t>(pa0.slots[p].var)] = v0.rel->cell(r0, p);
-      }
-      match(match, 1);
-    };
-
-    // Multi-probe descent: atom 1's posting list is already in hand, so the
-    // scalar key gather + Lookup at depth 1 is skipped; each posting row
-    // goes through the identical per-row tick/bind/check/recurse.
-    auto descend_with_postings = [&](size_t r0, const std::vector<uint32_t>* rows) {
-      for (size_t p : pa0.bind_positions) {
-        env[static_cast<size_t>(pa0.slots[p].var)] = v0.rel->cell(r0, p);
-      }
-      auto it = std::lower_bound(rows->begin(), rows->end(),
-                                 static_cast<uint32_t>(views[1].lo));
-      for (; it != rows->end() && *it < views[1].hi && !sink.Stopped(); ++it) {
-        try_row_at(match, 1, *it);
-      }
-    };
-
-    // Atom-0 candidate source: a posting list when atom 0 is indexed (its
-    // keys are constants — nothing is bound before the first atom), else
-    // the positional range [lo0, hi0).
-    const std::vector<uint32_t>* postings0 = nullptr;
-    size_t pos0 = 0, pos0_end = 0;
-    size_t next_row = lo0;
-    if (v0.index != nullptr) {
-      std::vector<Value>& key_vals = key_bufs[0];
-      key_vals.clear();
-      for (size_t p : pa0.key_positions) {
-        const Slot& s = pa0.slots[p];
-        key_vals.push_back(s.is_const ? s.constant : env[static_cast<size_t>(s.var)]);
-      }
-      postings0 = v0.index->Lookup(*v0.rel, key_vals.data(), key_vals.size());
-      if (postings0 == nullptr) return;
-      pos0 = static_cast<size_t>(
-          std::lower_bound(postings0->begin(), postings0->end(),
-                           static_cast<uint32_t>(lo0)) -
-          postings0->begin());
-      pos0_end = static_cast<size_t>(
-          std::lower_bound(postings0->begin() + pos0, postings0->end(),
-                           static_cast<uint32_t>(hi0)) -
-          postings0->begin());
-    }
-
-    for (;;) {
-      if (sink.Stopped()) return;
-      std::vector<uint32_t>& sel = block.sel;
-      sel.clear();
-      if (postings0 != nullptr) {
-        if (pos0 >= pos0_end) break;
-        size_t bn = std::min(block_rows, pos0_end - pos0);
-        sel.assign(postings0->begin() + pos0, postings0->begin() + pos0 + bn);
-        pos0 += bn;
-      } else {
-        if (next_row >= hi0) break;
-        size_t bn = std::min(block_rows, hi0 - next_row);
-        sel.resize(bn);
-        for (size_t i = 0; i < bn; ++i) sel[i] = static_cast<uint32_t>(next_row + i);
-        next_row += bn;
-      }
-      // One tick per candidate row — the same total as the scalar path, so
-      // interruption latency does not depend on the block size.
-      if (sink.OnCandidates(sel.size())) return;
-      // Columnar check filter: keep rows whose repeated-variable columns
-      // agree — exactly the scalar bind-then-check predicate (the scalar
-      // path's binds for failing rows are dead writes: every later read is
-      // preceded by a rebind).
-      for (size_t ci = 0; ci < pa0.check_positions.size() && !sel.empty(); ++ci) {
-        const Value* cp = v0.rel->column_data(pa0.check_positions[ci]);
-        const Value* qp = v0.rel->column_data(pa0.check_partners[ci]);
-        size_t kept = 0;
-        for (size_t i = 0; i < sel.size(); ++i) {
-          uint32_t r = sel[i];
-          if (cp[r] == qp[r]) sel[kept++] = r;
-        }
-        sel.resize(kept);
-      }
-      if (sel.empty()) continue;
-      if (multiprobe) {
-        // Gather each survivor's atom-1 key straight from atom-0 columns
-        // (identical values to the env the scalar path would have built),
-        // then resolve the whole block against the index in one batch.
-        std::vector<Value>& keys = block.probe_keys;
-        keys.clear();
-        for (uint32_t r : sel) {
-          for (const KeySrc& src : key_src) {
-            keys.push_back(src.is_const ? src.constant
-                                        : v0.rel->column_data(src.bind_col)[r]);
-          }
-        }
-        block.probe_hashes.resize(sel.size());
-        block.postings.resize(sel.size());
-        views[1].index->LookupBatch(*views[1].rel, keys.data(), key_arity1,
-                                    sel.size(), block.probe_hashes.data(),
-                                    block.postings.data());
-        for (size_t i = 0; i < sel.size() && !sink.Stopped(); ++i) {
-          if (block.postings[i] == nullptr) continue;
-          descend_with_postings(sel[i], block.postings[i]);
-        }
-      } else {
-        for (size_t i = 0; i < sel.size() && !sink.Stopped(); ++i) descend(sel[i]);
-      }
-    }
+    match(match, 0);
   }
 
   /// Resolves (and on first use creates) the worker pool; nullptr means
@@ -1078,7 +858,7 @@ class Evaluator {
     DirectSink sink{this, &rule, &head_rels, {}, Status::OK()};
     size_t lo0 = plan.atoms.empty() ? 0 : views[0].lo;
     size_t hi0 = plan.atoms.empty() ? 0 : views[0].hi;
-    MatchPlan(plan, views, lo0, hi0, env, key_bufs, block_rows_, seq_block_, sink);
+    MatchPlan(plan, views, lo0, hi0, env, key_bufs, sink);
     return sink.status;
   }
 
@@ -1139,8 +919,7 @@ class Evaluator {
         size_t clo = lo0 + range * c / num_chunks;
         size_t chi = lo0 + range * (c + 1) / num_chunks;
         BufferSink sink{&rule, &buffers[c], &shared, &scratch, buffered_limit};
-        MatchPlan(plan, views, clo, chi, scratch.env, scratch.key_bufs,
-                  block_rows_, scratch.block, sink);
+        MatchPlan(plan, views, clo, chi, scratch.env, scratch.key_bufs, sink);
       }
     });
 
@@ -1205,8 +984,6 @@ class Evaluator {
   std::vector<WorkerScratch> worker_scratch_;
   MemoryBudget* budget_ = nullptr;   // run-wide byte budget (may be null)
   size_t* parallel_fallbacks_ = nullptr;  // engine counter (Caches-owned)
-  size_t block_rows_ = 1;            // resolved Options::probe_block_rows
-  BlockScratch seq_block_;           // sequential path's block scratch
   size_t derived_ = 0;
   size_t ticks_ = 0;
 };

@@ -12,6 +12,9 @@
 //     estimated selectivity (bound-position count, then relation
 //     cardinality); each plan step is a hash-index lookup on the positions
 //     bound by constants or earlier atoms.
+//   * One matcher evaluates every plan: a left-to-right recursion over the
+//     plan's atoms, one candidate row at a time, shared by the sequential
+//     and parallel paths.
 //   * Join indexes are persistent and incremental (src/datalog/index.h).
 //     EDB indexes survive across Eval calls on the same engine — the
 //     synthesizer evaluates thousands of candidate programs against one
@@ -49,7 +52,9 @@
 
 namespace dynamite {
 
-/// Bottom-up Datalog evaluator.
+/// Bottom-up Datalog evaluator: compiles rules to join plans, matches each
+/// plan with one row-at-a-time recursive matcher, and iterates recursive
+/// programs to a semi-naive fixpoint.
 class DatalogEngine {
  public:
   struct Options {
@@ -93,16 +98,6 @@ class DatalogEngine {
     /// MemoryBudget (a Session run), that budget is charged instead and
     /// this knob is ignored — one budget per run, not per stage.
     size_t max_memory_bytes = 0;
-    /// Block size (rows) for the vectorized matcher: the first-atom scan is
-    /// processed in blocks of this many rows — constant/bound columns are
-    /// filtered over whole column slices into a selection vector, key
-    /// columns of the next atom are gathered and batch-probed against its
-    /// join index (JoinIndex::LookupBatch) — before candidates flow through
-    /// the scalar emit path. 0 (the default) means "auto" (currently 1024).
-    /// 1 selects the exact row-at-a-time scalar path. Results are
-    /// bit-identical for every value: blocking changes memory-access order,
-    /// never candidate visit order.
-    size_t probe_block_rows = 0;
   };
 
   /// Counters accumulated across Eval calls on this engine. Deterministic:

@@ -213,9 +213,10 @@ void FinishFlatCase(FuzzCase* fc, const std::vector<workload::FlatColumn>& src_c
 
 /// Zipf-skewed case: projection schema, but the migration instance draws
 /// every cell from small Zipf-skewed pools — duplicate-heavy rows and hash
-/// groups with giant posting lists. Adversarial for the vectorized matcher
-/// (selection vectors that are nearly all-pass or nearly empty) and for
-/// ingest dedup. Instance sized past the engine's parallel threshold.
+/// groups with giant posting lists. Adversarial for the matcher (a few
+/// first-atom rows fan out into most of the output, so parallel chunks carry
+/// very uneven work) and for ingest dedup. Instance sized past the engine's
+/// parallel threshold.
 FuzzCase MakeSkewedCase(Rng* rng) {
   FuzzCase fc;
   fc.synthesized = true;
@@ -273,12 +274,10 @@ FuzzCase MakeWorkloadCase(Rng* rng) {
   return fc;
 }
 
-Session MakeSession(const FuzzCase& fc, size_t threads, size_t max_memory_bytes = 0,
-                    size_t probe_block_rows = 0) {
+Session MakeSession(const FuzzCase& fc, size_t threads, size_t max_memory_bytes = 0) {
   SessionOptions so;
   so.num_threads = threads;
   so.max_memory_bytes = max_memory_bytes;
-  so.engine.probe_block_rows = probe_block_rows;
   auto session = Session::Create(fc.source, fc.target, so);
   FUZZ_ASSERT(session.ok(), "Session::Create(%s): %s", fc.label.c_str(),
               session.status().ToString().c_str());
@@ -350,8 +349,7 @@ void RunDifferentialIteration(Rng* rng, size_t threads) {
       break;
   }
 
-  // --- invariant 1: parity across thread counts, the scalar (block=1)
-  // matcher, and the legacy shim ------------------------------------------
+  // --- invariant 1: parity across thread counts and the legacy shim ------
   Session seq = MakeSession(fc, 1);
   Session par = MakeSession(fc, threads);
   Program seq_program, par_program;
@@ -367,16 +365,6 @@ void RunDifferentialIteration(Rng* rng, size_t threads) {
               par_program.ToString().c_str());
   FUZZ_ASSERT(ForestEquals(seq_out, par_out), "[%s] threads=1 vs threads=%zu outputs diverge",
               fc.label.c_str(), threads);
-  // Vectorized vs scalar matcher: probe_block_rows=1 pins the exact
-  // row-at-a-time path; the default (1024) must migrate identically.
-  Session scalar = MakeSession(fc, threads, 0, /*probe_block_rows=*/1);
-  Program scalar_program;
-  RecordForest scalar_out;
-  st = RunPipeline(scalar, fc, &scalar_program, &scalar_out);
-  FUZZ_ASSERT(st.ok(), "[%s] probe_block_rows=1 run failed: %s", fc.label.c_str(),
-              st.ToString().c_str());
-  FUZZ_ASSERT(scalar_program == seq_program && ForestEquals(scalar_out, seq_out),
-              "[%s] scalar (block=1) vs vectorized outputs diverge", fc.label.c_str());
   Migrator shim(fc.source, fc.target);
   auto shim_out = shim.Migrate(seq_program, fc.instance);
   FUZZ_ASSERT(shim_out.ok(), "[%s] legacy Migrator failed: %s", fc.label.c_str(),

@@ -236,12 +236,15 @@ TEST_F(ObservabilityTest, EngineFallbackMetricMatchesStats) {
 }
 
 TEST_F(ObservabilityTest, FixpointRoundsHistogramObservesEvals) {
+  // histogram() points into its snapshot: keep each snapshot alive.
+  const metrics::MetricsSnapshot before_all = metrics::Snapshot();
   const metrics::HistogramSnapshot* before_snap =
-      metrics::Snapshot().histogram("engine.fixpoint.rounds_per_eval");
+      before_all.histogram("engine.fixpoint.rounds_per_eval");
   const uint64_t before = before_snap != nullptr ? before_snap->count : 0;
   ASSERT_OK(MakeEngine(1).EvalAutoSignatures(TcProgram(), IntEdges(60)).status());
+  const metrics::MetricsSnapshot after_all = metrics::Snapshot();
   const metrics::HistogramSnapshot* after =
-      metrics::Snapshot().histogram("engine.fixpoint.rounds_per_eval");
+      after_all.histogram("engine.fixpoint.rounds_per_eval");
   ASSERT_NE(after, nullptr);
   EXPECT_GT(after->count, before);
   EXPECT_GT(after->sum, 0u);
@@ -289,7 +292,7 @@ TEST_F(ObservabilityTest, DisarmedSpanCostIsNanoseconds) {
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < kIterations; ++i) {
     DYNAMITE_TRACE_SPAN("test.disarmed");
-    sink = sink + i;
+    sink = sink ^ i;  // xor, not +: the running sum would overflow int
   }
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

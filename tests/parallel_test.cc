@@ -19,9 +19,11 @@
 #include "datalog/engine.h"
 #include "testing.h"
 #include "util/cancel.h"
+#include "util/rng.h"
 #include "value/database.h"
 #include "value/string_pool.h"
 #include "workload/benchmarks.h"
+#include "workload/datagen.h"
 
 namespace dynamite {
 namespace {
@@ -49,6 +51,22 @@ FactDatabase StringEdges(int n) {
   for (int i = 0; i < n; ++i) {
     db.AddFact("edge", Tuple({Value::String(name(i)), Value::String(name((i + 1) % n))}));
     db.AddFact("edge", Tuple({Value::String(name(i)), Value::String(name((i * 7 + 3) % n))}));
+  }
+  return db;
+}
+
+/// Skewed int edge relation: Zipf-distributed targets give hash groups with
+/// giant posting lists, so a few first-atom rows fan out into most of the
+/// join output and chunks carry very uneven work.
+FactDatabase SkewedEdges(int n) {
+  FactDatabase db;
+  db.DeclareRelation("edge", {"s", "t"}).ValueOrDie();
+  Rng rng(99);
+  workload::ZipfDist zipf(n, 1.1);
+  for (int i = 0; i < n; ++i) {
+    db.AddFact("edge", Tuple({Value::Int(i), Value::Int(static_cast<int64_t>(
+                                                 zipf.Sample(&rng)))}));
+    db.AddFact("edge", Tuple({Value::Int(i), Value::Int((i * 7 + 3) % n)}));
   }
   return db;
 }
@@ -85,17 +103,23 @@ void ExpectBitIdentical(const Relation& a, const Relation& b) {
 // ------------------------------------------------- determinism (tentpole) --
 
 TEST(ParallelFixpoint, IntClosureBitIdenticalAcrossThreadCounts) {
-  FactDatabase db = IntEdges(150);
   Program p = TcProgram();
-  auto baseline = MakeEngine(1).EvalAutoSignatures(p, db);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  const Relation* tc1 = baseline.ValueOrDie().Find("tc").ValueOrDie();
-  EXPECT_EQ(tc1->size(), 150u * 150u);  // fan-out 2 over a cycle: all pairs
+  // Uniform fan-out 2 over a cycle (closure is all pairs), and the skewed
+  // variant whose giant posting lists concentrate work in a few chunks.
+  for (bool skewed : {false, true}) {
+    FactDatabase db = skewed ? SkewedEdges(150) : IntEdges(150);
+    auto baseline = MakeEngine(1).EvalAutoSignatures(p, db);
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+    const Relation* tc1 = baseline.ValueOrDie().Find("tc").ValueOrDie();
+    if (!skewed) {
+      EXPECT_EQ(tc1->size(), 150u * 150u);
+    }
 
-  for (size_t threads : {2u, 8u}) {
-    auto parallel = MakeEngine(threads).EvalAutoSignatures(p, db);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    ExpectBitIdentical(*tc1, *parallel.ValueOrDie().Find("tc").ValueOrDie());
+    for (size_t threads : {2u, 8u}) {
+      auto parallel = MakeEngine(threads).EvalAutoSignatures(p, db);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      ExpectBitIdentical(*tc1, *parallel.ValueOrDie().Find("tc").ValueOrDie());
+    }
   }
 }
 
@@ -115,17 +139,21 @@ TEST(ParallelFixpoint, StringClosureBitIdenticalAcrossThreadCounts) {
 
 TEST(ParallelFixpoint, NonRecursivePassZeroBitIdentical) {
   // Pass-0 full plans take the same chunked path as delta plans; a plain
-  // two-way join covers the non-recursive synthesizer workload.
-  FactDatabase db = IntEdges(400);
+  // two-way join covers the non-recursive synthesizer workload, over both
+  // uniform and Zipf-skewed join keys.
   Program p = Program::Parse("j(x, z) :- edge(x, y), edge(y, z).").ValueOrDie();
-  auto baseline = MakeEngine(1).EvalAutoSignatures(p, db);
-  ASSERT_TRUE(baseline.ok());
-  const Relation* j1 = baseline.ValueOrDie().Find("j").ValueOrDie();
+  for (bool skewed : {false, true}) {
+    FactDatabase db = skewed ? SkewedEdges(600) : IntEdges(400);
+    auto baseline = MakeEngine(1).EvalAutoSignatures(p, db);
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+    const Relation* j1 = baseline.ValueOrDie().Find("j").ValueOrDie();
+    ASSERT_GT(j1->size(), 0u);
 
-  for (size_t threads : {2u, 8u}) {
-    auto parallel = MakeEngine(threads).EvalAutoSignatures(p, db);
-    ASSERT_TRUE(parallel.ok());
-    ExpectBitIdentical(*j1, *parallel.ValueOrDie().Find("j").ValueOrDie());
+    for (size_t threads : {2u, 8u}) {
+      auto parallel = MakeEngine(threads).EvalAutoSignatures(p, db);
+      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+      ExpectBitIdentical(*j1, *parallel.ValueOrDie().Find("j").ValueOrDie());
+    }
   }
 }
 

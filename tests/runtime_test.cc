@@ -1,7 +1,6 @@
 // Tests for the interned-value runtime and the incremental-index engine
 // (ISSUE 1): string pool identity, memoized tuple hashes, single-storage
-// relations, incremental join indexes, join-order invariance, and the
-// vectorized matcher's bit-identity across probe block sizes.
+// relations, incremental join indexes, and join-order invariance.
 
 #include <gtest/gtest.h>
 
@@ -12,12 +11,10 @@
 
 #include "datalog/engine.h"
 #include "datalog/index.h"
-#include "util/rng.h"
 #include "value/database.h"
 #include "value/relation.h"
 #include "value/string_pool.h"
 #include "value/value.h"
-#include "workload/datagen.h"
 
 namespace dynamite {
 namespace {
@@ -406,80 +403,6 @@ TEST(JoinReordering, RecursiveProgramIdenticalFixpoints) {
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_TRUE(a.ValueOrDie().SetEquals(b.ValueOrDie()));
-}
-
-// ------------------------------------------- block-size invariance --------
-
-/// Bit-identity: same rows in the same insertion order (strictly stronger
-/// than SetEquals).
-void ExpectBitIdentical(const Relation& a, const Relation& b) {
-  ASSERT_EQ(a.arity(), b.arity());
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t r = 0; r < a.size(); ++r) {
-    ASSERT_EQ(a.row_hash(r), b.row_hash(r)) << a.name() << " row " << r;
-    for (size_t c = 0; c < a.arity(); ++c) {
-      ASSERT_EQ(a.cell(r, c), b.cell(r, c)) << a.name() << " row " << r << " col " << c;
-    }
-  }
-}
-
-/// Skewed int edge relation: Zipf-distributed targets give hash groups with
-/// giant posting lists, the adversarial shape for batched probes.
-FactDatabase SkewedEdges(int n) {
-  FactDatabase db;
-  db.DeclareRelation("edge", {"s", "t"}).ValueOrDie();
-  Rng rng(99);
-  workload::ZipfDist zipf(n, 1.1);
-  for (int i = 0; i < n; ++i) {
-    db.AddFact("edge", Tuple({Value::Int(i), Value::Int(static_cast<int64_t>(
-                                                 zipf.Sample(&rng)))}));
-    db.AddFact("edge", Tuple({Value::Int(i), Value::Int((i * 7 + 3) % n)}));
-  }
-  return db;
-}
-
-DatalogEngine BlockEngine(size_t block_rows, size_t threads) {
-  DatalogEngine::Options opts;
-  opts.num_threads = threads;
-  opts.probe_block_rows = block_rows;
-  return DatalogEngine(opts);
-}
-
-TEST(VectorizedProbes, BlockSizeInvariantJoin) {
-  FactDatabase db = SkewedEdges(600);
-  Program join = Program::Parse("j(x, z) :- edge(x, y), edge(y, z).").ValueOrDie();
-  auto baseline = BlockEngine(/*block_rows=*/1, /*threads=*/1).EvalAutoSignatures(join, db);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  const Relation* j1 = baseline.ValueOrDie().Find("j").ValueOrDie();
-  ASSERT_GT(j1->size(), 0u);
-
-  for (size_t block : {3u, 64u, 1024u}) {
-    for (size_t threads : {1u, 4u}) {
-      auto out = BlockEngine(block, threads).EvalAutoSignatures(join, db);
-      ASSERT_TRUE(out.ok()) << "block=" << block << ": " << out.status().ToString();
-      ExpectBitIdentical(*j1, *out.ValueOrDie().Find("j").ValueOrDie());
-    }
-  }
-}
-
-TEST(VectorizedProbes, BlockSizeInvariantRecursiveFixpoint) {
-  FactDatabase db = SkewedEdges(150);
-  Program tc = Program::Parse(R"(
-    tc(x, y) :- edge(x, y).
-    tc(x, y) :- tc(x, z), edge(z, y).
-  )")
-                   .ValueOrDie();
-  auto baseline = BlockEngine(1, 1).EvalAutoSignatures(tc, db);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  const Relation* tc1 = baseline.ValueOrDie().Find("tc").ValueOrDie();
-
-  for (size_t block : {2u, 1024u}) {
-    for (size_t threads : {1u, 8u}) {
-      auto out = BlockEngine(block, threads).EvalAutoSignatures(tc, db);
-      ASSERT_TRUE(out.ok()) << "block=" << block << ": " << out.status().ToString();
-      ExpectBitIdentical(*tc1, *out.ValueOrDie().Find("tc").ValueOrDie());
-    }
-  }
 }
 
 }  // namespace
