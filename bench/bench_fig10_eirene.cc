@@ -5,10 +5,10 @@
 
 #include <cstdio>
 
+#include "api/session.h"
 #include "baselines/eirene.h"
 #include "bench_util.h"
 #include "datalog/simplify.h"
-#include "synth/synthesizer.h"
 #include "workload/benchmarks.h"
 
 namespace {
@@ -57,8 +57,9 @@ int main() {
     if (!example.ok()) continue;
     Program golden = SimplifyProgram(b->golden);
 
-    Synthesizer dynamite(b->source, b->target);
-    auto dyn = dynamite.Synthesize(*example);
+    auto session = Session::Create(b->source, b->target);
+    if (!session.ok()) continue;
+    auto dyn = session->Synthesize(*example);
 
     EireneOptions options;
     options.timeout_seconds = 300;

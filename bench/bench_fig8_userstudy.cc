@@ -1,23 +1,26 @@
 // Regenerates Figure 8 (user study, §6.3) — with simulated participants,
-// since a reproduction cannot run the original 10 humans (see DESIGN.md).
+// since a reproduction cannot run the original 10 humans.
 //
 // Dynamite arm (measured for real): five simulated users per benchmark run
-// interactive mode end-to-end; the "user" answers distinguishing queries
-// via the golden program. Completion time = interactive synthesis wall
-// clock + a fixed per-query review cost (30s, the time a human takes to
-// fill in an output table for a 2-4 record input). Correctness is checked
-// against the golden program on validation data.
+// interactive mode end-to-end through Session::SynthesizeInteractive; the
+// "user" answers distinguishing queries by running the golden program on
+// its own Session. Completion time = interactive synthesis wall clock + a
+// fixed per-query review cost (30s, the time a human takes to fill in an
+// output table for a 2-4 record input). Correctness is checked against the
+// golden program on validation data.
 //
 // Manual arm (model-replayed): per the paper's observations, manual
 // scripting took 6.2x longer on average and produced subtle quoting /
 // newline bugs in 50% of attempts. We replay those calibrated parameters
 // rather than measuring humans; this arm is marked [model] in the output.
+//
+// A Dynamite run that fails prints its error, and the harness then exits 1.
 
 #include <cstdio>
 
+#include "api/session.h"
 #include "bench_util.h"
-#include "migrate/migrator.h"
-#include "synth/interactive.h"
+#include "util/timer.h"
 #include "workload/benchmarks.h"
 
 int main() {
@@ -29,34 +32,50 @@ int main() {
   constexpr double kManualCorrectRate = 0.5;  // paper: 5/10 manual solutions buggy
 
   std::printf("Figure 8: user study (simulated participants; manual arm replayed from\n"
-              "the paper's calibrated parameters — see DESIGN.md)\n\n");
+              "the paper's calibrated parameters)\n\n");
   bench::TablePrinter table({{"Benchmark", 12},
                              {"Arm", 18},
                              {"AvgTime(s)", 12},
                              {"Correct", 9}});
   table.PrintHeader();
 
+  int failed = 0;
   for (const char* name : {"Tencent-1", "Retina-1"}) {
     const Benchmark* b = FindBenchmark(name);
     if (b == nullptr) continue;
-    Migrator migrator(b->source, b->target);
+    auto user_session = Session::Create(b->source, b->target);
+    if (!user_session.ok()) {
+      std::printf("%s: %s\n", name, user_session.status().ToString().c_str());
+      ++failed;
+      continue;
+    }
+    Oracle oracle = [&](const RecordForest& input) -> Result<RecordForest> {
+      return user_session->Migrate(b->golden, input);
+    };
 
     double total_time = 0;
     int correct = 0;
     const int kUsers = 5;
     for (int user = 0; user < kUsers; ++user) {
       uint64_t seed = 100 + static_cast<uint64_t>(user);
-      auto initial = MakeExample(*b, seed, 2);
-      auto pool = GenerateSource(*b, seed + 50, 5);
-      if (!initial.ok() || !pool.ok()) continue;
-      Oracle oracle = [&](const RecordForest& input) -> Result<RecordForest> {
-        return migrator.Migrate(b->golden, input);
-      };
-      InteractiveSynthesizer interactive(b->source, b->target);
-      auto run = interactive.Run(*initial, *pool, oracle);
-      if (!run.ok()) continue;
-      total_time += run->result.seconds +
-                    kQueryReviewSeconds * static_cast<double>(run->queries);
+      // Wall clock of the whole interactive run: every round's synthesis
+      // and distinguishing-input search, not only the final synthesis.
+      double seconds = 0;
+      auto run = [&]() -> Result<InteractiveResult> {
+        DYNAMITE_ASSIGN_OR_RETURN(Example initial, MakeExample(*b, seed, 2));
+        DYNAMITE_ASSIGN_OR_RETURN(RecordForest pool, GenerateSource(*b, seed + 50, 5));
+        DYNAMITE_ASSIGN_OR_RETURN(Session session, Session::Create(b->source, b->target));
+        Timer timer;
+        auto result = session.SynthesizeInteractive(initial, pool, oracle);
+        seconds = timer.ElapsedSeconds();
+        return result;
+      }();
+      if (!run.ok()) {
+        std::printf("%s user %d: %s\n", name, user, run.status().ToString().c_str());
+        ++failed;
+        continue;
+      }
+      total_time += seconds + kQueryReviewSeconds * static_cast<double>(run->queries);
       auto agrees = AgreesWithGolden(*b, run->result.program, seed + 99, 8);
       if (agrees.ok() && *agrees) ++correct;
     }
@@ -68,5 +87,9 @@ int main() {
   }
   std::printf("\nPaper reference: Dynamite 184s/579s with 5/5 correct; manual\n"
               "1800s/2907s with 3/5 and 2/5 correct (6.2x productivity factor).\n");
+  if (failed > 0) {
+    std::printf("\n%d Dynamite run(s) failed.\n", failed);
+    return 1;
+  }
   return 0;
 }

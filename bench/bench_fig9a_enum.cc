@@ -1,6 +1,7 @@
 // Regenerates Figure 9(a): Dynamite vs the Dynamite-Enum baseline (§6.4),
-// extended with a third arm for the Generalize-without-MDP ablation called
-// out in DESIGN.md. Prints cactus-plot data — time to solve the first n
+// extended with a third arm, Generalize without MDPs, that separates what
+// the minimum distinguishing projections (§4.3) add over plain conflict
+// generalization. Prints cactus-plot data — time to solve the first n
 // benchmarks, benchmarks sorted by per-config solve time — plus iteration
 // counts, which is where conflict-driven learning shows up most clearly.
 
@@ -8,8 +9,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "api/session.h"
 #include "bench_util.h"
-#include "synth/synthesizer.h"
 #include "workload/benchmarks.h"
 
 namespace {
@@ -53,12 +54,12 @@ int main(int argc, char** argv) {
     for (const Benchmark& b : AllBenchmarks()) {
       auto example = MakeExample(b, b.example_seed, b.example_scale);
       if (!example.ok()) continue;
-      SynthesisOptions options;
-      options.use_analysis = arm.use_analysis;
-      options.use_mdp = arm.use_mdp;
-      options.timeout_seconds = timeout;
-      Synthesizer synth(b.source, b.target, options);
-      auto result = synth.Synthesize(*example);
+      SessionOptions options;
+      options.synthesis.use_analysis = arm.use_analysis;
+      options.synthesis.use_mdp = arm.use_mdp;
+      auto session = Session::Create(b.source, b.target, options);
+      if (!session.ok()) continue;
+      auto result = session->Synthesize(*example, RunContext::WithTimeout(timeout));
       if (result.ok()) {
         ++solved;
         times.push_back(result->seconds);

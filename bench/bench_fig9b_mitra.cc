@@ -4,9 +4,9 @@
 
 #include <cstdio>
 
+#include "api/session.h"
 #include "baselines/mitra.h"
 #include "bench_util.h"
-#include "synth/synthesizer.h"
 #include "workload/benchmarks.h"
 
 namespace {
@@ -40,8 +40,9 @@ int main() {
     auto example = MakeExample(*b, b->example_seed, b->example_scale);
     if (!example.ok()) continue;
 
-    Synthesizer dynamite(b->source, b->target);
-    auto dyn = dynamite.Synthesize(*example);
+    auto session = Session::Create(b->source, b->target);
+    if (!session.ok()) continue;
+    auto dyn = session->Synthesize(*example);
 
     MitraOptions mitra_options;
     mitra_options.timeout_seconds = 300;

@@ -351,7 +351,7 @@ void BM_MdpSearch(benchmark::State& state) {
 BENCHMARK(BM_MdpSearch)->Arg(16)->Arg(256);
 
 void BM_MigrateDirect(benchmark::State& state) {
-  // Baseline for the Session-overhead check below: the legacy Migrator
+  // Baseline for the Session-overhead check below: the Migrator stage
   // driving a Tencent-1-scale migration directly.
   const auto* bench = workload::FindBenchmark("Tencent-1");
   RecordForest source =
@@ -390,9 +390,9 @@ BENCHMARK(BM_MigrateSession)->Arg(200)->Arg(1000);
 void BM_EndToEndSynthesisMotivating(benchmark::State& state) {
   const auto* bench = workload::FindBenchmark("Tencent-1");
   auto example = workload::MakeExample(*bench, 7, 3).ValueOrDie();
+  Session session = Session::Create(bench->source, bench->target).ValueOrDie();
   for (auto _ : state) {
-    Synthesizer synth(bench->source, bench->target);
-    auto result = synth.Synthesize(example);
+    auto result = session.Synthesize(example);
     benchmark::DoNotOptimize(result);
   }
 }
@@ -418,17 +418,17 @@ void BM_SynthesizeEndToEnd(benchmark::State& state) {
       Program::Parse(
           "ReviewT(r, b, s, u) :- Business(b, _, _, _, rv, _), Review(rv, r, s, u).")
           .ValueOrDie();
+  SessionOptions options;
+  options.synthesis.use_analysis = false;  // Dynamite-Enum: one candidate per iteration
+  options.synthesis.use_mdp = false;
+  options.synthesis.max_iterations = 192;
+  Session session = Session::Create(bench->source, tgt, options).ValueOrDie();
   Example example;
   example.input = workload::GenerateSource(*bench, 7, 200).ValueOrDie();
-  example.output = Migrator(bench->source, tgt).Migrate(golden, example.input).ValueOrDie();
+  example.output = session.Migrate(golden, example.input).ValueOrDie();
 
-  SynthesisOptions options;
-  options.use_analysis = false;  // Dynamite-Enum: one candidate per iteration
-  options.use_mdp = false;
-  options.max_iterations = 192;
   for (auto _ : state) {
-    Synthesizer synth(bench->source, tgt, options);
-    auto result = synth.Synthesize(example);
+    auto result = session.Synthesize(example);
     // The budget is below the solution's enumeration index: every run
     // measures exactly max_iterations candidate evaluations.
     if (result.ok() || result.status().code() != StatusCode::kEvalBudget) {
@@ -438,7 +438,7 @@ void BM_SynthesizeEndToEnd(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(options.max_iterations));
+                          static_cast<int64_t>(options.synthesis.max_iterations));
 }
 BENCHMARK(BM_SynthesizeEndToEnd)->Unit(benchmark::kMillisecond);
 

@@ -125,14 +125,6 @@ struct RunContext {
     if (observer) observer(event);
     DYNAMITE_TRACE_INSTANT(PhaseToString(event.phase), event.detail.c_str());
   }
-
-  /// This context restricted to the tighter of its own deadline and `cap`
-  /// (same cancel token and observer).
-  RunContext WithDeadlineCap(Deadline cap) const {
-    RunContext out = *this;
-    out.deadline = Deadline::Earliest(deadline, cap);
-    return out;
-  }
 };
 
 }  // namespace dynamite

@@ -31,9 +31,12 @@
 // surfaces as a typed Status, never as a crash, and leaves the Session
 // reusable.
 //
-// The legacy Synthesizer / InteractiveSynthesizer / Migrator classes are
-// thin deprecated shims kept for source compatibility; new code should use
-// a Session.
+// The stage classes a Session composes — Synthesizer, InteractiveSynthesizer
+// and Migrator — take the same RunContext, and its deadline is the only
+// wall-clock budget anywhere in the pipeline. The harnesses and examples
+// drive the pipeline through a Session; the stages are used directly by the
+// baselines, the workload generator, and the tests and micro-benchmarks
+// that measure one stage on its own.
 
 #ifndef DYNAMITE_API_SESSION_H_
 #define DYNAMITE_API_SESSION_H_
@@ -52,14 +55,12 @@
 
 namespace dynamite {
 
-/// Knobs for a Session, grouping the per-stage options that used to live on
-/// three separate classes. Wall-clock budgeting is unified: per-call
-/// RunContext deadlines govern, defaulted by `default_budget_seconds`; the
-/// legacy SynthesisOptions::timeout_seconds knob is ignored here.
+/// Knobs for a Session, grouping the per-stage options. The wall-clock
+/// budget is the per-call RunContext deadline, defaulted by
+/// `default_budget_seconds`.
 struct SessionOptions {
   /// Synthesis-stage knobs (analysis/MDP toggles, filtering, iteration and
-  /// per-candidate evaluation budgets). timeout_seconds is superseded by
-  /// the budget model above.
+  /// per-candidate evaluation budgets).
   SynthesisOptions synthesis;
   /// Interactive-stage knobs (rounds, probe width, query size).
   InteractiveOptions interactive;
@@ -67,7 +68,7 @@ struct SessionOptions {
   /// own per-candidate evaluation engine, configured from `synthesis`).
   DatalogEngine::Options engine;
   /// Budget applied when a call's RunContext deadline is infinite; <= 0
-  /// means unbounded. One knob instead of four scattered ones.
+  /// (or a value past the clock's range, such as +inf) means unbounded.
   double default_budget_seconds = 600;
   /// Engine worker threads for Datalog evaluation, applied (when non-zero)
   /// to both the shared migration engine and the synthesis stage's
@@ -168,11 +169,12 @@ class Session {
  private:
   Session(Schema source, Schema target, SessionOptions options);
 
-  /// Applies the default budget to a caller-supplied context and checks the
-  /// example/instance against the schemas (kSchemaMismatch).
-  RunContext Bounded(const RunContext& ctx) const;
-  Status CheckAgainstSchema(const RecordForest& forest, const Schema& schema,
-                            const char* what) const;
+  /// Stage bodies the entry points share: the example's schema checks
+  /// (kSchemaMismatch), and a migration whose failures are classified
+  /// against the source schema after the fact.
+  Status CheckExample(const Example& example) const;
+  Result<RecordForest> MigrateStage(const Program& program, const RecordForest& source,
+                                    MigrationStats* stats, const RunContext& ctx) const;
 
   Schema source_;
   Schema target_;

@@ -16,9 +16,9 @@ Result<EireneResult> EireneSynthesizer::Synthesize(const Example& example) const
   // system that Figure 10 measures.
   SynthesisOptions options;
   options.use_analysis = false;
-  options.timeout_seconds = options_.timeout_seconds;
   Synthesizer fitter(source_, target_, options);
-  DYNAMITE_ASSIGN_OR_RETURN(SynthesisResult fitted, fitter.Synthesize(example));
+  RunContext ctx(Deadline::AfterOrInfinite(options_.timeout_seconds), CancelToken());
+  DYNAMITE_ASSIGN_OR_RETURN(SynthesisResult fitted, fitter.Synthesize(example, ctx));
 
   EireneResult out;
   out.glav = fitted.raw_program;  // unsimplified: redundant atoms survive

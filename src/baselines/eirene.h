@@ -18,7 +18,7 @@
 namespace dynamite {
 
 struct EireneOptions {
-  double timeout_seconds = 3600;
+  double timeout_seconds = 3600;  ///< wall-clock budget per call; <= 0 = none
 };
 
 struct EireneResult {

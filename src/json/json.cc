@@ -238,9 +238,17 @@ class Parser {
     char c = Peek();
     switch (c) {
       case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
+      case '[': {
+        // Arrays and objects recurse: bound the depth so hostile input
+        // fails with a ParseError instead of overflowing the stack.
+        if (depth_ == kMaxDepth) {
+          return Error("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        ++depth_;
+        Result<Json> nested = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return nested;
+      }
       case '"': {
         DYNAMITE_ASSIGN_OR_RETURN(std::string s, ParseString());
         return Json::String(std::move(s));
@@ -410,8 +418,11 @@ class Parser {
     return obj;
   }
 
+  static constexpr size_t kMaxDepth = 1000;
+
   std::string_view text_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  ///< arrays and objects currently open
 };
 
 }  // namespace

@@ -7,13 +7,7 @@
 namespace dynamite {
 
 Result<RecordForest> Migrator::Migrate(const Program& program, const RecordForest& source,
-                                       MigrationStats* stats) const {
-  return Migrate(program, source, RunContext(), stats);
-}
-
-Result<RecordForest> Migrator::Migrate(const Program& program, const RecordForest& source,
-                                       const RunContext& ctx,
-                                       MigrationStats* stats) const {
+                                       MigrationStats* stats, const RunContext& ctx) const {
   // Crash-free boundary for the facts/build stages (the engine stage has
   // its own inside Eval): throwing failpoint sites and real allocation
   // failures surface as typed Statuses. The run's MemoryBudget, if any,

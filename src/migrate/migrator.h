@@ -31,11 +31,10 @@ struct MigrationStats {
 
 /// Migrates a source instance (as a record forest) to the target schema by
 /// executing `program`; returns the target instance as a record forest.
-///
-/// Deprecated as a user-facing entry point: prefer dynamite::Session
-/// (src/api/session.h), which shares one engine (and its join indexes /
-/// compiled-rule caches) across synthesis and repeated migrations. This
-/// class remains as the migration-stage implementation.
+/// This is the migration stage of the pipeline; applications reach it
+/// through dynamite::Session (src/api/session.h), which shares one Migrator
+/// (and its engine's join indexes and compiled-rule cache) across repeated
+/// migrations and interactive probes.
 class Migrator {
  public:
   Migrator(Schema source_schema, Schema target_schema,
@@ -44,25 +43,19 @@ class Migrator {
         target_schema_(std::move(target_schema)),
         engine_(engine_options) {}
 
-  /// Runs the migration; fills `*stats` if non-null.
+  /// Runs the migration; fills `*stats` if non-null. `ctx`'s deadline,
+  /// cancellation and memory budget are honored in all three stages (facts
+  /// conversion, evaluation, forest reconstruction), and a kMigrate
+  /// progress event fires as each stage completes.
   Result<RecordForest> Migrate(const Program& program, const RecordForest& source,
-                               MigrationStats* stats = nullptr) const;
-
-  /// Context-bounded variant: `ctx` deadline/cancellation is honored in all
-  /// three stages (facts conversion, evaluation, forest reconstruction) and
-  /// a kMigrate progress event fires as each stage completes.
-  Result<RecordForest> Migrate(const Program& program, const RecordForest& source,
-                               const RunContext& ctx,
-                               MigrationStats* stats = nullptr) const;
-
-  const Schema& source_schema() const { return source_schema_; }
-  const Schema& target_schema() const { return target_schema_; }
+                               MigrationStats* stats = nullptr,
+                               const RunContext& ctx = RunContext()) const;
 
   /// Cumulative statistics of the owned engine (see DatalogEngine::Stats).
   DatalogEngine::Stats engine_stats() const { return engine_.stats(); }
 
  private:
-  /// Migrate minus the crash-free boundary: the public overload installs the
+  /// Migrate minus the crash-free boundary: the public entry installs the
   /// run's MemoryBudget and wraps this in an exception guard mapping
   /// bad_alloc / injected faults to typed Statuses.
   Result<RecordForest> MigrateImpl(const Program& program, const RecordForest& source,

@@ -1,8 +1,9 @@
 // A CDCL (conflict-driven clause learning) SAT solver.
 //
-// This is the propositional core of the SMT substrate (the paper uses Z3;
-// see DESIGN.md §2 for why a finite-domain encoding over CDCL decides the
-// same formulas). Features: two-watched-literal propagation, first-UIP
+// This is the propositional core of the SMT substrate. The paper uses Z3,
+// but every sketch hole ranges over a finite set of variables or constants,
+// so the sketch formulas are finite-domain and a CDCL solver over a direct
+// one-hot encoding (solver/fd.h) decides the same formulas. Features: two-watched-literal propagation, first-UIP
 // clause learning, VSIDS-style activity, phase saving, and Luby restarts.
 // The solver is incremental in the way sketch completion needs: clauses
 // (blocking clauses) may be added between Solve() calls.

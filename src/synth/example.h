@@ -13,13 +13,6 @@ namespace dynamite {
 struct Example {
   RecordForest input;
   RecordForest output;
-
-  /// Merges another example's records into this one (used by interactive
-  /// mode when the user answers a distinguishing query).
-  void Merge(const Example& other) {
-    for (const RecordNode& r : other.input.roots) input.roots.push_back(r);
-    for (const RecordNode& r : other.output.roots) output.roots.push_back(r);
-  }
 };
 
 }  // namespace dynamite

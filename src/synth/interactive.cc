@@ -6,20 +6,17 @@
 
 namespace dynamite {
 
-InteractiveSynthesizer::InteractiveSynthesizer(Schema source, Schema target,
-                                               SynthesisOptions synth_options,
+InteractiveSynthesizer::InteractiveSynthesizer(const Synthesizer& synthesizer,
                                                InteractiveOptions options)
-    : source_(std::move(source)),
-      target_(std::move(target)),
-      synth_options_(synth_options),
-      options_(options) {}
+    : synthesizer_(synthesizer), options_(options) {}
 
 namespace {
 
 /// Enumerates subsets of pool roots in increasing size order, invoking `fn`
-/// until it returns true or the budget is exhausted.
-void ForEachSubset(const RecordForest& pool, size_t max_size, size_t budget,
-                   const std::function<bool(const RecordForest&)>& fn) {
+/// on `base` plus each subset until it returns true or the budget is
+/// exhausted.
+void ForEachSubset(const RecordForest& base, const RecordForest& pool, size_t max_size,
+                   size_t budget, const std::function<bool(const RecordForest&)>& fn) {
   size_t n = pool.roots.size();
   size_t used = 0;
   // Standard lexicographic combination enumeration, size 1 upward (the
@@ -29,10 +26,10 @@ void ForEachSubset(const RecordForest& pool, size_t max_size, size_t budget,
     for (size_t i = 0; i < k; ++i) pick[i] = i;
     bool exhausted = false;
     while (!exhausted) {
-      RecordForest subset;
-      for (size_t i : pick) subset.roots.push_back(pool.roots[i]);
       if (++used > budget) return;
-      if (fn(subset)) return;
+      RecordForest input = base;
+      for (size_t i : pick) input.roots.push_back(pool.roots[i]);
+      if (fn(input)) return;
       // Advance to the next combination.
       size_t i = k;
       for (;;) {
@@ -55,21 +52,10 @@ void ForEachSubset(const RecordForest& pool, size_t max_size, size_t budget,
 
 Result<InteractiveResult> InteractiveSynthesizer::Run(Example example,
                                                       const RecordForest& validation_pool,
-                                                      const Oracle& oracle) const {
-  // Legacy shim: the synthesis options' timeout governs each round's
-  // synthesis (as before); the loop itself is bounded by max_rounds only.
-  return Run(std::move(example), validation_pool, oracle, RunContext());
-}
-
-Result<InteractiveResult> InteractiveSynthesizer::Run(Example example,
-                                                      const RecordForest& validation_pool,
                                                       const Oracle& oracle,
-                                                      const RunContext& ctx,
-                                                      const Migrator* shared_migrator) const {
+                                                      const Migrator& migrator,
+                                                      const RunContext& ctx) const {
   InteractiveResult out;
-  Migrator local_migrator(source_, target_);
-  const Migrator& migrator =
-      shared_migrator != nullptr ? *shared_migrator : local_migrator;
   Timer total;
 
   auto report = [&](const std::string& detail) {
@@ -87,8 +73,7 @@ Result<InteractiveResult> InteractiveSynthesizer::Run(Example example,
   // every exit path: resolved, pool-exhausted, oracle-cancelled, or round
   // budget spent).
   auto finish = [&]() -> Result<InteractiveResult> {
-    Synthesizer synth(source_, target_, synth_options_);
-    DYNAMITE_ASSIGN_OR_RETURN(SynthesisResult result, synth.Synthesize(example, ctx));
+    DYNAMITE_ASSIGN_OR_RETURN(SynthesisResult result, synthesizer_.Synthesize(example, ctx));
     out.result = std::move(result);
     return out;
   };
@@ -97,10 +82,9 @@ Result<InteractiveResult> InteractiveSynthesizer::Run(Example example,
     DYNAMITE_RETURN_NOT_OK(ctx.Check("interactive round"));
     ++out.rounds;
     report("round");
-    Synthesizer synth(source_, target_, synth_options_);
     DYNAMITE_ASSIGN_OR_RETURN(
         std::vector<Program> programs,
-        synth.SynthesizeDistinct(example, options_.max_programs, ctx));
+        synthesizer_.SynthesizeDistinct(example, options_.max_programs, ctx));
     if (programs.empty()) {
       return Status::SynthesisFailure("no consistent program");
     }
@@ -110,9 +94,15 @@ Result<InteractiveResult> InteractiveSynthesizer::Run(Example example,
     }
 
     // Search a distinguishing input between the first program and any
-    // alternative. Probe migrations run under a context without the
-    // observer: they are internal (hundreds per round), and their kMigrate
-    // events would be indistinguishable from a user-requested migration.
+    // alternative. Each probe is the example's input plus a few pool
+    // records, and the oracle answers for that whole input, which then
+    // replaces the example. Appending the pool records and their answer to
+    // the example instead would break it whenever they join with the
+    // example's records: the program's output on the union is not the union
+    // of its outputs, and no program would fit the merged example. Probe
+    // migrations run under a context without the observer: they are
+    // internal (hundreds per round), and their kMigrate events would be
+    // indistinguishable from a user-requested migration.
     RunContext probe_ctx = ctx;
     probe_ctx.observer = nullptr;
     const Program& p1 = programs[0];
@@ -121,12 +111,12 @@ Result<InteractiveResult> InteractiveSynthesizer::Run(Example example,
       const Program& p2 = programs[alt];
       RecordForest distinguishing;
       bool found = false;
-      ForEachSubset(validation_pool, options_.max_query_records,
+      ForEachSubset(example.input, validation_pool, options_.max_query_records,
                     options_.max_candidate_inputs,
                     [&](const RecordForest& candidate) {
                       if (ctx.Interrupted()) return true;  // stop enumerating
-                      auto o1 = migrator.Migrate(p1, candidate, probe_ctx);
-                      auto o2 = migrator.Migrate(p2, candidate, probe_ctx);
+                      auto o1 = migrator.Migrate(p1, candidate, nullptr, probe_ctx);
+                      auto o2 = migrator.Migrate(p2, candidate, nullptr, probe_ctx);
                       if (!o1.ok() || !o2.ok()) return false;
                       if (!ForestEquals(*o1, *o2)) {
                         distinguishing = candidate;
@@ -151,10 +141,8 @@ Result<InteractiveResult> InteractiveSynthesizer::Run(Example example,
           }
           return answer.status();
         }
-        Example extra;
-        extra.input = distinguishing;
-        extra.output = std::move(answer).ValueOrDie();
-        example.Merge(extra);
+        example.input = std::move(distinguishing);
+        example.output = std::move(answer).ValueOrDie();
         resolved_this_round = true;
       }
     }

@@ -1,10 +1,10 @@
 // Interactive mode (§5 and Appendix B).
 //
 // When several programs are consistent with the example, Dynamite searches
-// for a small *distinguishing input* — a subset of validation records on
-// which two candidate programs disagree — asks the user (an Oracle callback
-// here) for the corresponding output, merges the answer into the example,
-// and re-synthesizes until the ambiguity is resolved.
+// for a small *distinguishing input* — the example's input plus a subset of
+// validation records, on which two candidate programs disagree — asks the
+// user (an Oracle callback here) for the output of that whole input, makes
+// it the new example, and re-synthesizes until the ambiguity is resolved.
 
 #ifndef DYNAMITE_SYNTH_INTERACTIVE_H_
 #define DYNAMITE_SYNTH_INTERACTIVE_H_
@@ -43,34 +43,26 @@ struct InteractiveResult {
 
 /// Runs interactive synthesis: `initial` is the starting example,
 /// `validation_pool` a forest of source records distinguishing inputs are
-/// drawn from (Appendix B samples it from the source database).
-///
-/// Deprecated as a user-facing entry point: prefer
-/// dynamite::Session::SynthesizeInteractive (src/api/session.h). This class
-/// remains as the interactive-stage implementation.
+/// drawn from (Appendix B samples it from the source database). This is the
+/// interactive stage of the pipeline, reached through
+/// dynamite::Session::SynthesizeInteractive (src/api/session.h).
 class InteractiveSynthesizer {
  public:
-  InteractiveSynthesizer(Schema source, Schema target,
-                         SynthesisOptions synth_options = SynthesisOptions(),
-                         InteractiveOptions options = InteractiveOptions());
+  /// `synthesizer` runs every round's synthesis; it must outlive this object.
+  explicit InteractiveSynthesizer(const Synthesizer& synthesizer,
+                                  InteractiveOptions options = InteractiveOptions());
 
+  /// The deadline/cancellation of `ctx` applies across rounds (synthesis,
+  /// distinguishing-input search, migrations), and a kInteract progress
+  /// event fires per round and per oracle query. `migrator` runs the
+  /// distinguishing-input probes; a Session passes its own, so the probes'
+  /// join indexes persist across rounds and calls.
   Result<InteractiveResult> Run(Example initial, const RecordForest& validation_pool,
-                                const Oracle& oracle) const;
-
-  /// Context-bounded variant: the deadline/cancellation applies across
-  /// rounds (synthesis, distinguishing-input search, migrations), and a
-  /// kInteract progress event fires per round and per oracle query.
-  /// `shared_migrator` (optional) runs the distinguishing-input probes —
-  /// a Session passes its own so probe join indexes persist across rounds
-  /// and calls; when null a round-local Migrator is used.
-  Result<InteractiveResult> Run(Example initial, const RecordForest& validation_pool,
-                                const Oracle& oracle, const RunContext& ctx,
-                                const Migrator* shared_migrator = nullptr) const;
+                                const Oracle& oracle, const Migrator& migrator,
+                                const RunContext& ctx = RunContext()) const;
 
  private:
-  Schema source_;
-  Schema target_;
-  SynthesisOptions synth_options_;
+  const Synthesizer& synthesizer_;
   InteractiveOptions options_;
 };
 

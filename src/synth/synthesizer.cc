@@ -246,29 +246,19 @@ Result<Setup> Prepare(const Schema& source, const Schema& target, const Example&
 Synthesizer::Synthesizer(Schema source, Schema target, SynthesisOptions options)
     : source_(std::move(source)), target_(std::move(target)), options_(options) {}
 
-Result<SynthesisResult> Synthesizer::Synthesize(const Example& example) const {
-  return Synthesize(example, RunContext());
-}
-
 Result<SynthesisResult> Synthesizer::Synthesize(const Example& example,
-                                                const RunContext& caller_ctx) const {
+                                                const RunContext& ctx) const {
   // Crash-free boundary: the SAT search and per-candidate evaluations below
   // may throw (real bad_alloc under memory pressure, or an injected fault);
   // both surface here as typed Statuses, never as a crash.
-  MemoryBudgetScope mem_scope(caller_ctx.memory);
+  MemoryBudgetScope mem_scope(ctx.memory);
   return failpoint::GuardExceptions("synthesis", [&]() -> Result<SynthesisResult> {
-    return SynthesizeImpl(example, caller_ctx);
+    return SynthesizeImpl(example, ctx);
   });
 }
 
 Result<SynthesisResult> Synthesizer::SynthesizeImpl(const Example& example,
-                                                    const RunContext& caller_ctx) const {
-  // The legacy `timeout_seconds` knob composes with the caller's budget:
-  // this call is bounded by whichever is tighter (Session neutralizes the
-  // knob so its RunContext is the single budget; legacy context-free
-  // callers get a fresh per-call window, as before).
-  RunContext ctx =
-      caller_ctx.WithDeadlineCap(Deadline::AfterOrInfinite(options_.timeout_seconds));
+                                                    const RunContext& ctx) const {
   DYNAMITE_TRACE_SPAN("synth.synthesize");
   Timer total;
   ProgressTracker progress;
@@ -307,23 +297,16 @@ Result<SynthesisResult> Synthesizer::SynthesizeImpl(const Example& example,
 }
 
 Result<std::vector<Program>> Synthesizer::SynthesizeDistinct(const Example& example,
-                                                             size_t limit) const {
-  return SynthesizeDistinct(example, limit, RunContext());
-}
-
-Result<std::vector<Program>> Synthesizer::SynthesizeDistinct(const Example& example,
                                                              size_t limit,
-                                                             const RunContext& caller_ctx) const {
-  MemoryBudgetScope mem_scope(caller_ctx.memory);
+                                                             const RunContext& ctx) const {
+  MemoryBudgetScope mem_scope(ctx.memory);
   return failpoint::GuardExceptions("synthesis", [&]() -> Result<std::vector<Program>> {
-    return SynthesizeDistinctImpl(example, limit, caller_ctx);
+    return SynthesizeDistinctImpl(example, limit, ctx);
   });
 }
 
 Result<std::vector<Program>> Synthesizer::SynthesizeDistinctImpl(
-    const Example& example, size_t limit, const RunContext& caller_ctx) const {
-  RunContext ctx =
-      caller_ctx.WithDeadlineCap(Deadline::AfterOrInfinite(options_.timeout_seconds));
+    const Example& example, size_t limit, const RunContext& ctx) const {
   ProgressTracker progress;
   progress.ctx = &ctx;
   DYNAMITE_ASSIGN_OR_RETURN(Setup setup,

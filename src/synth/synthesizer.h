@@ -38,11 +38,6 @@ struct SynthesisOptions {
   /// Filtering extension (§5): constants in hole domains.
   bool enable_filtering = false;
   size_t max_constants_per_hole = 4;
-  /// Legacy wall-clock knob: each Synthesize/SynthesizeDistinct call is
-  /// bounded by a fresh window of this many seconds (<= 0 disables),
-  /// composed (Deadline::Earliest) with any RunContext deadline. Session
-  /// sets it to 0 so the RunContext is the single budget.
-  double timeout_seconds = 600;
   /// Cap on sampled models across all rules (kEvalBudget when exhausted).
   size_t max_iterations = 5'000'000;
   /// MDP search limits.
@@ -77,45 +72,31 @@ struct SynthesisResult {
   AttributeMapping psi;
 };
 
-/// Programming-by-example synthesizer for schema-mapping Datalog programs.
-///
-/// Deprecated as a user-facing entry point: prefer dynamite::Session
-/// (src/api/session.h), which validates schemas once, shares engine state
-/// across pipeline phases, and exposes the same calls with cancellation and
-/// progress observation. This class remains as the synthesis-stage
-/// implementation and as a thin shim for existing callers: the context-free
-/// overloads wrap the legacy `timeout_seconds` knob into a RunContext.
+/// Programming-by-example synthesizer for schema-mapping Datalog programs:
+/// the synthesis stage of the pipeline. Applications call it through
+/// dynamite::Session (src/api/session.h), which validates schemas once and
+/// supplies the run's budget; the wall-clock budget is the RunContext
+/// deadline and nothing else.
 class Synthesizer {
  public:
   Synthesizer(Schema source, Schema target,
               SynthesisOptions options = SynthesisOptions());
 
-  /// Synthesizes a program P with ⟦P⟧(E.input) = E.output, or
-  /// kSynthesisFailure / kTimeout.
-  Result<SynthesisResult> Synthesize(const Example& example) const;
-
-  /// Like above, bounded and observed by `ctx` (kTimeout on deadline,
-  /// kCancelled on cancellation, kEvalBudget on max_iterations); progress
-  /// events fire per phase and per candidate batch.
+  /// Synthesizes a program P with ⟦P⟧(E.input) = E.output, bounded and
+  /// observed by `ctx`: kSynthesisFailure when no program is consistent,
+  /// kTimeout on deadline, kCancelled on cancellation, kEvalBudget on
+  /// max_iterations; progress events fire per phase and per candidate batch.
   Result<SynthesisResult> Synthesize(const Example& example,
-                                     const RunContext& ctx) const;
+                                     const RunContext& ctx = RunContext()) const;
 
   /// Finds up to `limit` pairwise *semantically distinct* consistent
   /// programs (used by interactive mode to detect ambiguity). The first
   /// element equals Synthesize()'s result.
-  Result<std::vector<Program>> SynthesizeDistinct(const Example& example,
-                                                  size_t limit) const;
-
-  /// Context-bounded variant of SynthesizeDistinct.
   Result<std::vector<Program>> SynthesizeDistinct(const Example& example, size_t limit,
-                                                  const RunContext& ctx) const;
-
-  const Schema& source_schema() const { return source_; }
-  const Schema& target_schema() const { return target_; }
-  const SynthesisOptions& options() const { return options_; }
+                                                  const RunContext& ctx = RunContext()) const;
 
  private:
-  /// Bodies of the two context-bounded calls, minus the crash-free boundary
+  /// Bodies of the two entry points, minus the crash-free boundary
   /// (the public entries install the run's MemoryBudget and map thrown
   /// bad_alloc / injected faults to typed Statuses).
   Result<SynthesisResult> SynthesizeImpl(const Example& example,

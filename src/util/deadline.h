@@ -10,9 +10,9 @@
 // Conventions:
 //   * Deadline()            == never expires (infinite budget).
 //   * Deadline::After(s)    expires s seconds from now; s <= 0 is already
-//                           expired (callers mapping "0 disables the check"
-//                           legacy knobs must translate to Infinite()
-//                           themselves — see Deadline::AfterOrInfinite).
+//                           expired, and s beyond the clock's range (+inf
+//                           included) is Infinite(). Knobs where "0 disables
+//                           the check" translate through AfterOrInfinite.
 //   * Earliest(a, b)        composes budgets: a stage-local cap against the
 //                           run-wide deadline.
 
@@ -35,16 +35,27 @@ class Deadline {
 
   static Deadline Infinite() { return Deadline(); }
 
-  /// Expires `seconds` from now (<= 0: already expired).
+  /// Expires `seconds` from now (<= 0: already expired). A budget the
+  /// clock cannot represent (+inf, or past Clock::time_point::max(), about
+  /// 292 years out) saturates to Infinite() instead of overflowing.
   static Deadline After(double seconds) {
     Deadline d;
-    d.when_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double>(seconds));
+    const Clock::time_point now = Clock::now();
+    if (seconds <= 0) {
+      d.when_ = now;
+      return d;
+    }
+    // One second of slack absorbs the rounding of the double comparison.
+    const double headroom =
+        std::chrono::duration<double>(Clock::time_point::max() - now).count() - 1;
+    if (!(seconds < headroom)) return Infinite();
+    d.when_ = now + std::chrono::duration_cast<Clock::duration>(
+                        std::chrono::duration<double>(seconds));
     return d;
   }
 
-  /// Legacy-knob translation: `seconds` > 0 behaves like After(seconds);
-  /// <= 0 means "check disabled", i.e. Infinite().
+  /// Knob translation: `seconds` > 0 behaves like After(seconds); <= 0
+  /// means "check disabled", i.e. Infinite().
   static Deadline AfterOrInfinite(double seconds) {
     return seconds > 0 ? After(seconds) : Infinite();
   }

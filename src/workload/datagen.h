@@ -1,6 +1,7 @@
 // Helpers for deterministic synthetic data generation (the Table 1 dataset
-// substitutes; see DESIGN.md §2 on why generation preserves the relevant
-// behaviour).
+// substitutes). The repository ships no copy of the paper's datasets; what
+// synthesis and migration depend on is the schema shape and the value
+// containment between attributes, which the generators reproduce.
 
 #ifndef DYNAMITE_WORKLOAD_DATAGEN_H_
 #define DYNAMITE_WORKLOAD_DATAGEN_H_

@@ -6,8 +6,8 @@
 //     N rounds of seeded random pipelines. Each round builds either a random
 //     flat relational schema pair (synthesized end-to-end) or one of the 28
 //     workload benchmarks (golden program), then checks three invariants:
-//       1. Parity: Session(threads=1), Session(threads=T) and the legacy
-//          Migrator shim produce identical target instances (and, for
+//       1. Parity: Session(threads=1), Session(threads=T) and the bare
+//          Migrator stage produce identical target instances (and, for
 //          synthesized cases, identical programs).
 //       2. Fault tolerance: re-running with a randomly armed failpoint
 //          (random site, kind, trigger) either reproduces the baseline
@@ -349,7 +349,7 @@ void RunDifferentialIteration(Rng* rng, size_t threads) {
       break;
   }
 
-  // --- invariant 1: parity across thread counts and the legacy shim ------
+  // --- invariant 1: parity across thread counts and the bare stage -------
   Session seq = MakeSession(fc, 1);
   Session par = MakeSession(fc, threads);
   Program seq_program, par_program;
@@ -365,12 +365,12 @@ void RunDifferentialIteration(Rng* rng, size_t threads) {
               par_program.ToString().c_str());
   FUZZ_ASSERT(ForestEquals(seq_out, par_out), "[%s] threads=1 vs threads=%zu outputs diverge",
               fc.label.c_str(), threads);
-  Migrator shim(fc.source, fc.target);
-  auto shim_out = shim.Migrate(seq_program, fc.instance);
-  FUZZ_ASSERT(shim_out.ok(), "[%s] legacy Migrator failed: %s", fc.label.c_str(),
-              shim_out.status().ToString().c_str());
-  FUZZ_ASSERT(ForestEquals(seq_out, shim_out.ValueOrDie()),
-              "[%s] legacy Migrator output diverges", fc.label.c_str());
+  Migrator stage(fc.source, fc.target);
+  auto stage_out = stage.Migrate(seq_program, fc.instance);
+  FUZZ_ASSERT(stage_out.ok(), "[%s] bare Migrator failed: %s", fc.label.c_str(),
+              stage_out.status().ToString().c_str());
+  FUZZ_ASSERT(ForestEquals(seq_out, stage_out.ValueOrDie()),
+              "[%s] bare Migrator output diverges", fc.label.c_str());
 
   // --- invariant 2: a fault-injected rerun is bit-identical or typed ------
   std::string fault = ArmRandomFault(rng, /*include_timeout=*/!fc.synthesized);

@@ -63,6 +63,16 @@ TEST(Json, ErrorsAreReported) {
   EXPECT_FALSE(Json::Parse("nul").ok());
 }
 
+TEST(Json, NestingIsBounded) {
+  // 1,000 levels parse; deeper input is a ParseError, not a stack overflow.
+  EXPECT_OK(Json::Parse(std::string(1000, '[') + std::string(1000, ']')).status());
+  auto deep = Json::Parse(std::string(1000000, '['));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), StatusCode::kParseError);
+  auto one_too_deep = Json::Parse(std::string(1001, '[') + std::string(1001, ']'));
+  EXPECT_EQ(one_too_deep.status().code(), StatusCode::kParseError);
+}
+
 TEST(Json, EscapingControlCharacters) {
   Json s = Json::String(std::string("a\x01") + "b");
   ASSERT_OK_AND_ASSIGN(Json back, Json::Parse(s.Dump()));

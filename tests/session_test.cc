@@ -1,4 +1,4 @@
-// Tests for the unified Session pipeline API (src/api/session.h): shim vs
+// Tests for the unified Session pipeline API (src/api/session.h): stage vs
 // Session equivalence across the three data models, typed error codes,
 // cooperative cancellation, oracle cancellation, and progress observation.
 
@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -153,55 +154,55 @@ struct AdversarialFixture {
   }
 };
 
-// ------------------------------------------------- shim-vs-Session parity --
+// ------------------------------------------------ stage-vs-Session parity --
 
 TEST(Session, MatchesSynthesizerOnDocumentExample) {
   Schema src = testing::UnivSchema(), tgt = testing::AdmissionSchema();
   Example example = testing::MotivatingExample();
 
-  Synthesizer shim(src, tgt);
-  ASSERT_OK_AND_ASSIGN(SynthesisResult legacy, shim.Synthesize(example));
+  Synthesizer stage(src, tgt);
+  ASSERT_OK_AND_ASSIGN(SynthesisResult direct, stage.Synthesize(example));
 
   ASSERT_OK_AND_ASSIGN(Session session, Session::Create(src, tgt));
   ASSERT_OK_AND_ASSIGN(SynthesisResult unified, session.Synthesize(example));
 
-  EXPECT_EQ(legacy.program.ToString(), unified.program.ToString());
-  EXPECT_EQ(legacy.iterations, unified.iterations);
+  EXPECT_EQ(direct.program.ToString(), unified.program.ToString());
+  EXPECT_EQ(direct.iterations, unified.iterations);
 }
 
 TEST(Session, MatchesSynthesizerOnRelationalExample) {
   RelationalFixture fixture;
   Example example = fixture.MakeExample();
 
-  Synthesizer shim(fixture.src, fixture.tgt);
-  ASSERT_OK_AND_ASSIGN(SynthesisResult legacy, shim.Synthesize(example));
+  Synthesizer stage(fixture.src, fixture.tgt);
+  ASSERT_OK_AND_ASSIGN(SynthesisResult direct, stage.Synthesize(example));
 
   ASSERT_OK_AND_ASSIGN(Session session, Session::Create(fixture.src, fixture.tgt));
   ASSERT_OK_AND_ASSIGN(SynthesisResult unified, session.Synthesize(example));
 
-  EXPECT_EQ(legacy.program.ToString(), unified.program.ToString());
+  EXPECT_EQ(direct.program.ToString(), unified.program.ToString());
 
   // And the synthesized program migrates identically through both paths.
   RecordForest probe;
   probe.roots = {RelationalFixture::Emp("X", 1), RelationalFixture::Emp("Y", 2),
                  RelationalFixture::Dept(1, "D1"), RelationalFixture::Dept(2, "D2")};
   Migrator migrator(fixture.src, fixture.tgt);
-  ASSERT_OK_AND_ASSIGN(RecordForest via_shim, migrator.Migrate(unified.program, probe));
+  ASSERT_OK_AND_ASSIGN(RecordForest via_stage, migrator.Migrate(unified.program, probe));
   ASSERT_OK_AND_ASSIGN(RecordForest via_session, session.Migrate(unified.program, probe));
-  EXPECT_TRUE(ForestEquals(via_shim, via_session));
+  EXPECT_TRUE(ForestEquals(via_stage, via_session));
 }
 
 TEST(Session, MatchesSynthesizerOnGraphExample) {
   GraphFixture fixture;
   Example example = fixture.MakeExample();
 
-  Synthesizer shim(fixture.src, fixture.tgt);
-  ASSERT_OK_AND_ASSIGN(SynthesisResult legacy, shim.Synthesize(example));
+  Synthesizer stage(fixture.src, fixture.tgt);
+  ASSERT_OK_AND_ASSIGN(SynthesisResult direct, stage.Synthesize(example));
 
   ASSERT_OK_AND_ASSIGN(Session session, Session::Create(fixture.src, fixture.tgt));
   ASSERT_OK_AND_ASSIGN(SynthesisResult unified, session.Synthesize(example));
 
-  EXPECT_EQ(legacy.program.ToString(), unified.program.ToString());
+  EXPECT_EQ(direct.program.ToString(), unified.program.ToString());
 }
 
 TEST(Session, SynthesizeAndMigrateMatchesSeparateCalls) {
@@ -509,6 +510,13 @@ TEST(Deadline, ComposesAndExpires) {
   EXPECT_TRUE(Deadline::Earliest(tight, loose).Expired());
   EXPECT_FALSE(Deadline::Earliest(loose, Deadline()).Expired());
   EXPECT_GT(loose.RemainingSeconds(), 3500.0);
+  // Budgets past the clock's range saturate instead of overflowing into
+  // the past.
+  for (double huge : {1e10, std::numeric_limits<double>::infinity()}) {
+    EXPECT_TRUE(Deadline::After(huge).infinite()) << huge;
+    EXPECT_FALSE(Deadline::After(huge).Expired()) << huge;
+    EXPECT_FALSE(Deadline::AfterOrInfinite(huge).Expired()) << huge;
+  }
 }
 
 TEST(CancelToken, DefaultNeverCancelsSharedStatePropagates) {
