@@ -7,7 +7,10 @@
 // its own Session. Completion time = interactive synthesis wall clock + a
 // fixed per-query review cost (30s, the time a human takes to fill in an
 // output table for a 2-4 record input). Correctness is checked against the
-// golden program on validation data.
+// golden program on validation data. The Unique column counts the runs
+// that ended with every ambiguity resolved; a run that stops after its
+// round budget while candidates still disagree accepts one of them anyway,
+// so Unique below 5/5 is where wrong answers can come from.
 //
 // Manual arm (model-replayed): per the paper's observations, manual
 // scripting took 6.2x longer on average and produced subtle quoting /
@@ -36,7 +39,8 @@ int main() {
   bench::TablePrinter table({{"Benchmark", 12},
                              {"Arm", 18},
                              {"AvgTime(s)", 12},
-                             {"Correct", 9}});
+                             {"Correct", 9},
+                             {"Unique", 8}});
   table.PrintHeader();
 
   int failed = 0;
@@ -55,6 +59,7 @@ int main() {
 
     double total_time = 0;
     int correct = 0;
+    int unique = 0;
     const int kUsers = 5;
     for (int user = 0; user < kUsers; ++user) {
       uint64_t seed = 100 + static_cast<uint64_t>(user);
@@ -75,15 +80,16 @@ int main() {
         ++failed;
         continue;
       }
+      if (run->unique) ++unique;
       total_time += seconds + kQueryReviewSeconds * static_cast<double>(run->queries);
       auto agrees = AgreesWithGolden(*b, run->result.program, seed + 99, 8);
       if (agrees.ok() && *agrees) ++correct;
     }
     table.PrintRow({name, "Dynamite", bench::Fmt("%.1f", total_time / kUsers),
-                    std::to_string(correct) + "/5"});
+                    std::to_string(correct) + "/5", std::to_string(unique) + "/5"});
     table.PrintRow({name, "Manual [model]",
                     bench::Fmt("%.1f", kManualSlowdown * total_time / kUsers),
-                    bench::Fmt("%.0f", kManualCorrectRate * kUsers) + "/5"});
+                    bench::Fmt("%.0f", kManualCorrectRate * kUsers) + "/5", "-"});
   }
   std::printf("\nPaper reference: Dynamite 184s/579s with 5/5 correct; manual\n"
               "1800s/2907s with 3/5 and 2/5 correct (6.2x productivity factor).\n");

@@ -45,6 +45,13 @@ struct PlanAtom {
   std::vector<size_t> check_positions;
   // Positions that bind a fresh variable.
   std::vector<size_t> bind_positions;
+  /// No variable this atom binds is read by a later atom or a head, so it
+  /// only tests existence: the matcher stops scanning it after the first
+  /// row that passes its checks. Every later row would replay the same
+  /// continuation and derive only duplicate head rows, so relation
+  /// contents, row order, stats and error codes are unchanged; only the
+  /// interruption polls fall.
+  bool exists_only = false;
 };
 
 /// An ordered sequence of body atoms to match left to right.
@@ -91,10 +98,12 @@ struct RawAtom {
 constexpr size_t kIdbCardinality = size_t{1} << 40;
 
 /// Builds the PlanAtom sequence for the given atom order. Key, check, and
-/// bind positions depend on which variables earlier atoms bound, so they are
-/// recomputed per order; slot numbering is shared across plans.
+/// bind positions depend on which variables earlier atoms bound, and an
+/// atom's existence-only flag on which variables later atoms and the heads
+/// (`head_vars`) read, so they are recomputed per order; slot numbering is
+/// shared across plans.
 JoinPlan MakePlan(const std::vector<RawAtom>& raws, const std::vector<size_t>& order,
-                  int delta_atom) {
+                  int delta_atom, const std::set<int>& head_vars) {
   JoinPlan plan;
   std::set<int> bound;
   for (size_t ai : order) {
@@ -119,6 +128,16 @@ JoinPlan MakePlan(const std::vector<RawAtom>& raws, const std::vector<size_t>& o
     }
     bound.insert(bound_here.begin(), bound_here.end());
     plan.atoms.push_back(std::move(pa));
+  }
+  // Walk the plan backwards: `live` holds the variables read after atom k.
+  std::set<int> live = head_vars;
+  for (size_t k = plan.atoms.size(); k-- > 0;) {
+    PlanAtom& pa = plan.atoms[k];
+    pa.exists_only = std::none_of(pa.bind_positions.begin(), pa.bind_positions.end(),
+                                  [&](size_t p) { return live.count(pa.slots[p].var) > 0; });
+    for (const Slot& s : pa.slots) {
+      if (!s.is_const && !s.is_wildcard) live.insert(s.var);
+    }
   }
   return plan;
 }
@@ -187,6 +206,7 @@ Result<CompiledRule> CompileRule(const Rule& rule, const std::set<std::string>& 
 
   std::vector<RawAtom> raws;
   std::set<int> body_vars;
+  std::set<int> head_vars;
   std::vector<size_t> idb_atom_indices;
   for (const Atom& atom : rule.body) {
     RawAtom raw;
@@ -237,6 +257,7 @@ Result<CompiledRule> CompileRule(const Rule& rule, const std::set<std::string>& 
         s.constant = t.constant();
       } else if (t.is_variable()) {
         s.var = slot_of(t.var());
+        head_vars.insert(s.var);
         if (body_vars.count(s.var) == 0) {
           return Status::InvalidArgument("head variable " + t.var() + " unbound in body");
         }
@@ -251,12 +272,12 @@ Result<CompiledRule> CompileRule(const Rule& rule, const std::set<std::string>& 
   out.has_idb_body = !idb_atom_indices.empty();
 
   out.full = MakePlan(raws, reorder ? SelectivityOrder(raws, -1) : IdentityOrder(raws.size()),
-                      -1);
+                      -1, head_vars);
   for (size_t ai : idb_atom_indices) {
     out.idb_body_relations.push_back(raws[ai].relation);
     std::vector<size_t> order = reorder ? SelectivityOrder(raws, static_cast<int>(ai))
                                         : IdentityOrder(raws.size());
-    out.delta_plans.push_back(MakePlan(raws, order, static_cast<int>(ai)));
+    out.delta_plans.push_back(MakePlan(raws, order, static_cast<int>(ai), head_vars));
   }
   return out;
 }
@@ -742,20 +763,25 @@ class Evaluator {
       // and crashed on recursive programs at bench scale). The parallel
       // path never appends mid-scan — relations are frozen until the merge
       // — which is what makes concurrent chunk evaluation safe.
-      auto try_row_at = [&](size_t ti) {
-        if (sink.Stopped()) return;
-        if (sink.OnCandidate()) return;
+      // Returns true when the scan of this atom is done: the row passed the
+      // checks of an existence-only atom (see PlanAtom::exists_only).
+      auto try_row_at = [&](size_t ti) -> bool {
+        if (sink.Stopped()) return false;
+        if (sink.OnCandidate()) return false;
         for (size_t p : pa.bind_positions) {
           env[static_cast<size_t>(pa.slots[p].var)] = v.rel->cell(ti, p);
         }
         for (size_t p : pa.check_positions) {
-          if (v.rel->cell(ti, p) != env[static_cast<size_t>(pa.slots[p].var)]) return;
+          if (v.rel->cell(ti, p) != env[static_cast<size_t>(pa.slots[p].var)]) return false;
         }
         self(self, atom_idx + 1);
+        return pa.exists_only;
       };
 
       if (v.index == nullptr) {
-        for (size_t ti = lo; ti < hi && !sink.Stopped(); ++ti) try_row_at(ti);
+        for (size_t ti = lo; ti < hi && !sink.Stopped(); ++ti) {
+          if (try_row_at(ti)) return;
+        }
       } else {
         std::vector<Value>& key_vals = key_bufs[atom_idx];
         key_vals.clear();
@@ -769,7 +795,9 @@ class Evaluator {
         // Posting lists are sorted ascending; restrict to [lo, hi).
         auto it = std::lower_bound(matches->begin(), matches->end(),
                                    static_cast<uint32_t>(lo));
-        for (; it != matches->end() && *it < hi && !sink.Stopped(); ++it) try_row_at(*it);
+        for (; it != matches->end() && *it < hi && !sink.Stopped(); ++it) {
+          if (try_row_at(*it)) return;
+        }
       }
     };
     match(match, 0);
@@ -835,8 +863,11 @@ class Evaluator {
       DYNAMITE_ASSIGN_OR_RETURN(head_rels[i], out->FindMutable(rule.heads[i].relation));
     }
 
-    if (!plan.atoms.empty() && views[0].hi - views[0].lo >= kParallelMinRows &&
-        AcquirePool() != nullptr) {
+    // An existence-only first atom is cut at its first passing row, so
+    // splitting its range would only make every chunk replay the rest of
+    // the plan.
+    if (!plan.atoms.empty() && !plan.atoms[0].exists_only &&
+        views[0].hi - views[0].lo >= kParallelMinRows && AcquirePool() != nullptr) {
       return EvalPlanParallel(rule, plan, views, head_rels);
     }
     return EvalPlanSequential(rule, plan, views, head_rels);

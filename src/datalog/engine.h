@@ -14,7 +14,13 @@
 //     bound by constants or earlier atoms.
 //   * One matcher evaluates every plan: a left-to-right recursion over the
 //     plan's atoms, one candidate row at a time, shared by the sequential
-//     and parallel paths.
+//     and parallel paths. An atom none of whose variables is read by a
+//     later atom or a head only tests existence, so the matcher stops
+//     scanning it at its first row that passes its checks (the existential
+//     cut). Every later row would replay the same continuation and derive
+//     only duplicates, so outputs, row order, stats and error codes are
+//     unchanged; the cut only ends the cross-product blow-up of padded
+//     synthesized programs.
 //   * Join indexes are persistent and incremental (src/datalog/index.h).
 //     EDB indexes survive across Eval calls on the same engine — the
 //     synthesizer evaluates thousands of candidate programs against one
@@ -89,7 +95,8 @@ class DatalogEngine {
     /// path — an explicit request for no threads is never overridden.
     /// Values > 1 partition each plan's first-atom scan range across a
     /// persistent pool of num_threads workers (the calling thread
-    /// participates). Results are bit-identical for every value.
+    /// participates); a plan whose first atom only tests existence runs
+    /// sequentially. Results are bit-identical for every value.
     size_t num_threads = 0;
     /// Per-Eval byte budget covering relation growth, join-index posting
     /// lists, interned strings, and the parallel emit buffers; exceeding it

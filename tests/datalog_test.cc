@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <set>
+
 #include "datalog/ast.h"
 #include "datalog/engine.h"
 #include "datalog/simplify.h"
@@ -255,6 +259,245 @@ TEST_P(RenamingInvariance, HoldsOnRandomGraphs) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RenamingInvariance, ::testing::Range(0, 10));
+
+// ------------------------------------------------- existential cut ---
+// An atom none of whose variables is read by a later atom or a head only
+// tests existence; the matcher stops scanning it at its first passing row.
+// These tests pin that the cut changes nothing observable.
+
+/// Every row of `rel`, in insertion order.
+std::vector<std::vector<Value>> RowsInOrder(const Relation& rel) {
+  std::vector<std::vector<Value>> rows(rel.size());
+  for (size_t r = 0; r < rel.size(); ++r) {
+    for (size_t c = 0; c < rel.arity(); ++c) rows[r].push_back(rel.cell(r, c));
+  }
+  return rows;
+}
+
+/// Naive reference: enumerate every combination of body rows, keep the
+/// consistent ones, and project each head. No plan, no index, no cut.
+std::map<std::string, std::set<std::vector<Value>>> NaiveEval(const Program& program,
+                                                              const FactDatabase& db) {
+  std::map<std::string, std::set<std::vector<Value>>> out;
+  std::map<std::string, std::vector<std::vector<Value>>> rows_of;
+  for (const std::string& name : db.RelationNames()) {
+    rows_of[name] = RowsInOrder(*db.Find(name).ValueOrDie());
+  }
+  for (const Rule& rule : program.rules) {
+    for (const Atom& h : rule.heads) out[h.relation];
+    std::map<std::string, Value> env;
+    std::function<void(size_t)> walk = [&](size_t k) {
+      if (k == rule.body.size()) {
+        for (const Atom& h : rule.heads) {
+          std::vector<Value> row;
+          for (const Term& t : h.terms) {
+            row.push_back(t.is_constant() ? t.constant() : env.at(t.var()));
+          }
+          out[h.relation].insert(std::move(row));
+        }
+        return;
+      }
+      const Atom& atom = rule.body[k];
+      for (const std::vector<Value>& row : rows_of.at(atom.relation)) {
+        std::map<std::string, Value> saved = env;
+        bool ok = true;
+        for (size_t i = 0; i < atom.terms.size() && ok; ++i) {
+          const Term& t = atom.terms[i];
+          if (t.is_constant()) {
+            ok = t.constant() == row[i];
+          } else if (t.is_variable()) {
+            auto [it, fresh] = env.emplace(t.var(), row[i]);
+            ok = fresh || it->second == row[i];
+          }
+        }
+        if (ok) walk(k + 1);
+        env = std::move(saved);
+      }
+    };
+    walk(0);
+  }
+  return out;
+}
+
+/// Random non-recursive programs over 2-4 small EDB relations (one of them
+/// sometimes empty), padded with dead atoms: all-wildcard atoms, atoms with
+/// constants, and atoms repeating a variable nothing else reads.
+class ExistentialCutProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(ExistentialCutProperty, MatchesNaiveNestedLoops) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 17);
+  FactDatabase db;
+  const size_t num_rels = 2 + rng.NextIndex(3);
+  std::vector<size_t> arity(num_rels);
+  const bool with_empty = rng.NextBool(0.4);
+  for (size_t r = 0; r < num_rels; ++r) {
+    arity[r] = 1 + rng.NextIndex(3);
+    std::vector<std::string> attrs;
+    for (size_t c = 0; c < arity[r]; ++c) attrs.push_back("c" + std::to_string(c));
+    const std::string name = "R" + std::to_string(r);
+    db.DeclareRelation(name, attrs).ValueOrDie();
+    const size_t rows = with_empty && r == 0 ? 0 : 1 + rng.NextIndex(8);
+    for (size_t i = 0; i < rows; ++i) {
+      std::vector<Value> row;
+      for (size_t c = 0; c < arity[r]; ++c) row.push_back(Value::Int(rng.NextInt(0, 3)));
+      db.AddFact(name, Tuple(row));
+    }
+  }
+
+  auto atom_text = [&](size_t r, const std::vector<std::string>& terms) {
+    std::string s = "R" + std::to_string(r) + "(";
+    for (size_t i = 0; i < terms.size(); ++i) s += (i > 0 ? ", " : "") + terms[i];
+    return s + ")";
+  };
+  const size_t head_arity[2] = {1, 1 + rng.NextIndex(3)};
+  std::string text;
+  const size_t num_rules = 1 + rng.NextIndex(3);
+  for (size_t ri = 0; ri < num_rules; ++ri) {
+    std::vector<std::string> body;
+    std::vector<std::string> vars;
+    std::vector<std::string> last_vars;  // of the last live atom
+    const size_t live_atoms = 1 + rng.NextIndex(3);
+    for (size_t a = 0; a < live_atoms; ++a) {
+      const size_t r = rng.NextIndex(num_rels);
+      std::vector<std::string> terms;
+      last_vars.clear();
+      for (size_t c = 0; c < arity[r]; ++c) {
+        if (rng.NextBool(0.15)) {
+          terms.push_back(std::to_string(rng.NextInt(0, 3)));
+        } else if (rng.NextBool(0.2)) {
+          terms.push_back("_");
+        } else {
+          terms.push_back("v" + std::to_string(rng.NextIndex(4)));
+          vars.push_back(terms.back());
+          last_vars.push_back(terms.back());
+        }
+      }
+      body.push_back(atom_text(r, terms));
+    }
+    // Padding atoms: their own variable (d0, d1) occurs nowhere else in the
+    // rule. They may also reuse live variables, which makes them key probes,
+    // or binders when the planner puts them first.
+    const size_t dead_atoms = 1 + rng.NextIndex(2);
+    for (size_t a = 0; a < dead_atoms; ++a) {
+      const size_t r = rng.NextIndex(num_rels);
+      const std::string dead = "d" + std::to_string(a);
+      std::vector<std::string> terms;
+      for (size_t c = 0; c < arity[r]; ++c) {
+        switch (rng.NextIndex(4)) {
+          case 0:
+            terms.push_back(dead);  // repeated within the atom when drawn twice
+            break;
+          case 1:
+            terms.push_back(std::to_string(rng.NextInt(0, 3)));
+            break;
+          case 2:
+            terms.push_back(vars.empty() ? "_" : vars[rng.NextIndex(vars.size())]);
+            break;
+          default:
+            terms.push_back("_");
+            break;
+        }
+      }
+      body.insert(body.begin() + static_cast<long>(rng.NextIndex(body.size() + 1)),
+                  atom_text(r, terms));
+    }
+    if (with_empty && rng.NextBool(0.5)) {
+      body.push_back(atom_text(0, std::vector<std::string>(arity[0], "_")));
+    }
+    // Heads reading only the last atom's variables leave the earlier join
+    // variables to the body alone (an atom binding only those is not dead).
+    const std::vector<std::string>& head_pool =
+        last_vars.empty() || rng.NextBool(0.5) ? vars : last_vars;
+    std::vector<std::string> heads;
+    const size_t num_heads = 1 + rng.NextIndex(2);
+    for (size_t h = 0; h < num_heads; ++h) {
+      const size_t which = (ri + h) % 2;
+      std::string head = "H" + std::to_string(which) + "(";
+      for (size_t c = 0; c < head_arity[which]; ++c) {
+        head += c > 0 ? ", " : "";
+        head += head_pool.empty() || rng.NextBool(0.1)
+                    ? std::to_string(rng.NextInt(0, 3))
+                    : head_pool[rng.NextIndex(head_pool.size())];
+      }
+      heads.push_back(head + ")");
+    }
+    for (size_t h = 0; h < heads.size(); ++h) text += (h > 0 ? ", " : "") + heads[h];
+    text += " :- ";
+    for (size_t a = 0; a < body.size(); ++a) text += (a > 0 ? ", " : "") + body[a];
+    text += ".\n";
+  }
+  SCOPED_TRACE(text);
+  ASSERT_OK_AND_ASSIGN(Program program, Program::Parse(text));
+  const auto expected = NaiveEval(program, db);
+
+  DatalogEngine engine;
+  ASSERT_OK_AND_ASSIGN(FactDatabase out, engine.EvalAutoSignatures(program, db));
+  for (const auto& [name, rows] : expected) {
+    std::vector<std::vector<Value>> got = RowsInOrder(*out.Find(name).ValueOrDie());
+    EXPECT_EQ(std::set<std::vector<Value>>(got.begin(), got.end()), rows) << name;
+    EXPECT_EQ(got.size(), rows.size()) << name << " has duplicate rows";
+  }
+  // A rule over an empty relation derives nothing: when every rule reads
+  // the empty relation, every head comes out empty.
+  if (with_empty) {
+    bool all_read_empty = true;
+    for (const Rule& rule : program.rules) {
+      bool reads = false;
+      for (const Atom& a : rule.body) reads = reads || a.relation == "R0";
+      all_read_empty = all_read_empty && reads;
+    }
+    if (all_read_empty) {
+      for (const auto& [name, rows] : expected) {
+        EXPECT_EQ(out.Find(name).ValueOrDie()->size(), 0u) << name;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ExistentialCutProperty, ::testing::Range(0, 500));
+
+TEST(ExistentialCut, DeadAtomKeepsRowsAndTheirOrder) {
+  FactDatabase db;
+  db.DeclareRelation("A", {"x", "y"}).ValueOrDie();
+  db.DeclareRelation("B", {"p", "q"}).ValueOrDie();
+  Rng rng(11);
+  // Past the engine's parallel threshold, so threads=4 splits the scan.
+  for (int i = 0; i < 600; ++i) {
+    db.AddFact("A", Tuple({Value::Int(rng.NextInt(0, 200)), Value::Int(rng.NextInt(0, 50))}));
+    db.AddFact("B", Tuple({Value::Int(i), Value::Int(i % 7)}));
+  }
+  ASSERT_OK_AND_ASSIGN(Program plain, Program::Parse("H(x, y) :- A(x, y)."));
+  ASSERT_OK_AND_ASSIGN(Program padded, Program::Parse("H(x, y) :- A(x, y), B(_, _)."));
+  ASSERT_OK_AND_ASSIGN(Program padded_first, Program::Parse("H(x, y) :- B(_, _), A(x, y)."));
+  DatalogEngine reference;
+  ASSERT_OK_AND_ASSIGN(FactDatabase want, reference.EvalAutoSignatures(plain, db));
+  const auto want_rows = RowsInOrder(*want.Find("H").ValueOrDie());
+  for (size_t threads : {1, 4}) {
+    DatalogEngine::Options options;
+    options.num_threads = threads;
+    for (const Program* p : {&padded, &padded_first}) {
+      DatalogEngine engine(options);
+      ASSERT_OK_AND_ASSIGN(FactDatabase got, engine.EvalAutoSignatures(*p, db));
+      EXPECT_EQ(RowsInOrder(*got.Find("H").ValueOrDie()), want_rows)
+          << p->ToString() << " threads=" << threads;
+    }
+  }
+}
+
+TEST(ExistentialCut, CrossProductOfDeadAtomsStaysLinear) {
+  // Without the cut this is |A|·|B|·|C| = 10^15 candidates.
+  constexpr int kRows = 100'000;
+  FactDatabase db;
+  for (const char* name : {"A", "B", "C"}) {
+    db.DeclareRelation(name, {"v"}).ValueOrDie();
+    for (int i = 0; i < kRows; ++i) db.AddFact(name, Tuple({Value::Int(i)}));
+  }
+  ASSERT_OK_AND_ASSIGN(Program p, Program::Parse("H(x) :- A(x), B(_), C(_)."));
+  DatalogEngine engine;
+  const RunContext ctx = RunContext::WithTimeout(30);
+  ASSERT_OK_AND_ASSIGN(FactDatabase out, engine.EvalAutoSignatures(p, db, &ctx));
+  EXPECT_EQ(out.Find("H").ValueOrDie()->size(), static_cast<size_t>(kRows));
+}
 
 }  // namespace
 }  // namespace dynamite

@@ -15,6 +15,11 @@
 //          set — never a crash, never an untyped error.
 //       3. Recovery: after DisarmAll, the same Session/engine objects
 //          reproduce the baseline (no stale state from the aborted run).
+//     Golden rounds also pad one random rule with an all-wildcard atom. Over
+//     a non-empty source relation the padded program must reproduce the
+//     baseline at both thread counts and under the armed failpoint (the
+//     engine output row for row, in insertion order); over an empty one the
+//     rule must derive nothing.
 //     Every ~16th round instead exercises memory governance: meters the
 //     migration's byte charges through a caller-provided MemoryBudget
 //     (which must override SessionOptions::max_memory_bytes), then requires
@@ -37,6 +42,7 @@
 #include <vector>
 
 #include "api/session.h"
+#include "datalog/engine.h"
 #include "datalog/index.h"
 #include "migrate/facts.h"
 #include "migrate/migrator.h"
@@ -330,6 +336,102 @@ std::string ArmRandomFault(Rng* rng, bool include_timeout) {
   return site + ":" + spec;
 }
 
+/// `program` with an all-wildcard atom over `relation` (of `arity`) inserted
+/// at a random position of rule `rule_idx`'s body.
+Program PadRule(const Program& program, size_t rule_idx, const std::string& relation,
+                size_t arity, Rng* rng) {
+  Program padded = program;
+  std::vector<Atom>& body = padded.rules[rule_idx].body;
+  Atom pad{relation, std::vector<Term>(arity, Term::Wildcard())};
+  body.insert(body.begin() + static_cast<std::ptrdiff_t>(rng->NextIndex(body.size() + 1)),
+              std::move(pad));
+  return padded;
+}
+
+/// Same relations with the same rows in the same insertion order.
+bool RowsInOrderEqual(const FactDatabase& a, const FactDatabase& b) {
+  if (a.RelationNames() != b.RelationNames()) return false;
+  for (const std::string& name : a.RelationNames()) {
+    const Relation& ra = *a.Find(name).ValueOrDie();
+    const Relation& rb = *b.Find(name).ValueOrDie();
+    if (ra.size() != rb.size() || ra.arity() != rb.arity()) return false;
+    for (size_t c = 0; c < ra.arity(); ++c) {
+      if (ra.column(c) != rb.column(c)) return false;
+    }
+  }
+  return true;
+}
+
+/// Golden-round padding invariant, checked on the engine directly (the
+/// existential atom must be invisible in the output) and through both
+/// Sessions. Returns the padded program for the fault-injected rerun.
+/// `rng` is a stream of its own, so the other invariants' draws are the same
+/// with or without this check.
+Program CheckPaddedGolden(const FuzzCase& fc, const Session& seq, const Session& par,
+                          size_t threads, const RecordForest& seq_out, Rng* rng) {
+  uint64_t next_id = 1;
+  auto facts = ToFacts(fc.instance, fc.source, &next_id);
+  FUZZ_ASSERT(facts.ok(), "[%s] ToFacts: %s", fc.label.c_str(),
+              facts.status().ToString().c_str());
+  FactDatabase edb = std::move(facts).ValueOrDie();
+  std::vector<std::string> nonempty;
+  for (const std::string& name : edb.RelationNames()) {
+    if (!edb.Find(name).ValueOrDie()->empty()) nonempty.push_back(name);
+  }
+  FUZZ_ASSERT(!nonempty.empty(), "[%s] empty source instance", fc.label.c_str());
+  const size_t rule_idx = rng->NextIndex(fc.program.rules.size());
+  const std::string& pad_rel = nonempty[rng->NextIndex(nonempty.size())];
+  Program padded =
+      PadRule(fc.program, rule_idx, pad_rel, edb.Find(pad_rel).ValueOrDie()->arity(), rng);
+
+  const auto signatures = FactSignatures(fc.target);
+  auto eval = [&](const Program& program, size_t num_threads) {
+    DatalogEngine::Options options;
+    options.num_threads = num_threads;
+    auto out = DatalogEngine(options).Eval(program, edb, signatures);
+    FUZZ_ASSERT(out.ok(), "[%s] engine eval of\n%s\nfailed: %s", fc.label.c_str(),
+                program.ToString().c_str(), out.status().ToString().c_str());
+    return std::move(out).ValueOrDie();
+  };
+  const FactDatabase baseline = eval(fc.program, 1);
+  for (size_t t : {size_t{1}, threads}) {
+    FUZZ_ASSERT(RowsInOrderEqual(baseline, eval(padded, t)),
+                "[%s] padding rule %zu with %s(_...) changed the engine output at threads=%zu",
+                fc.label.c_str(), rule_idx, pad_rel.c_str(), t);
+  }
+  for (const Session* session : {&seq, &par}) {
+    auto out = session->Migrate(padded, fc.instance);
+    FUZZ_ASSERT(out.ok(), "[%s] padded migration failed: %s", fc.label.c_str(),
+                out.status().ToString().c_str());
+    FUZZ_ASSERT(ForestEquals(out.ValueOrDie(), seq_out),
+                "[%s] padding rule %zu with %s(_...) changed the target instance",
+                fc.label.c_str(), rule_idx, pad_rel.c_str());
+  }
+
+  // Over an empty relation the padded rule derives nothing: the output is
+  // the program's without that rule, and a head only it derives is empty.
+  const size_t empty_arity = 1 + rng->NextIndex(3);
+  FUZZ_ASSERT(edb.DeclareRelation("FuzzEmpty", std::vector<std::string>(empty_arity, "c")).ok(),
+              "[%s] declaring the empty relation failed", fc.label.c_str());
+  Program dropped = fc.program;
+  dropped.rules.erase(dropped.rules.begin() + static_cast<std::ptrdiff_t>(rule_idx));
+  const FactDatabase emptied =
+      eval(PadRule(fc.program, rule_idx, "FuzzEmpty", empty_arity, rng), threads);
+  FUZZ_ASSERT(RowsInOrderEqual(emptied, eval(dropped, 1)),
+              "[%s] rule %zu padded over an empty relation still derived rows",
+              fc.label.c_str(), rule_idx);
+  for (const Atom& head : fc.program.rules[rule_idx].heads) {
+    bool derived_elsewhere = false;
+    for (const Rule& rule : dropped.rules) {
+      for (const Atom& h : rule.heads) derived_elsewhere |= h.relation == head.relation;
+    }
+    FUZZ_ASSERT(derived_elsewhere || emptied.Find(head.relation).ValueOrDie()->empty(),
+                "[%s] head %s of a rule padded over an empty relation is not empty",
+                fc.label.c_str(), head.relation.c_str());
+  }
+  return padded;
+}
+
 void RunDifferentialIteration(Rng* rng, size_t threads) {
   FuzzCase fc;
   switch (rng->NextIndex(8)) {
@@ -371,6 +473,11 @@ void RunDifferentialIteration(Rng* rng, size_t threads) {
               stage_out.status().ToString().c_str());
   FUZZ_ASSERT(ForestEquals(seq_out, stage_out.ValueOrDie()),
               "[%s] bare Migrator output diverges", fc.label.c_str());
+  Program padded;
+  if (!fc.synthesized) {
+    Rng pad_rng(g_seed * 0x9e3779b97f4a7c15ULL + g_iteration + 0x5eed);
+    padded = CheckPaddedGolden(fc, seq, par, threads, seq_out, &pad_rng);
+  }
 
   // --- invariant 2: a fault-injected rerun is bit-identical or typed ------
   std::string fault = ArmRandomFault(rng, /*include_timeout=*/!fc.synthesized);
@@ -387,6 +494,23 @@ void RunDifferentialIteration(Rng* rng, size_t threads) {
   } else {
     FUZZ_ASSERT(IsInjectable(st.code()), "[%s] fault %s: untyped failure %s",
                 fc.label.c_str(), fault.c_str(), st.ToString().c_str());
+  }
+  if (!fc.synthesized) {
+    // The padded program under the same fault, re-armed so its trigger
+    // counts from zero again.
+    const size_t colon = fault.find(':');
+    FUZZ_ASSERT(failpoint::ArmFromString(fault.substr(0, colon), fault.substr(colon + 1)).ok(),
+                "re-arming %s failed", fault.c_str());
+    auto padded_out = par.Migrate(padded, fc.instance);
+    if (padded_out.ok()) {
+      FUZZ_ASSERT(ForestEquals(padded_out.ValueOrDie(), seq_out),
+                  "[%s] fault %s: OK result but padded output diverges", fc.label.c_str(),
+                  fault.c_str());
+    } else {
+      FUZZ_ASSERT(IsInjectable(padded_out.status().code()),
+                  "[%s] fault %s: padded program failed untyped: %s", fc.label.c_str(),
+                  fault.c_str(), padded_out.status().ToString().c_str());
+    }
   }
 
   // --- invariant 3: the same objects recover fully after disarming --------
