@@ -1,5 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the substrates: Datalog join
-// evaluation, SAT solving, facts conversion, flattening, and MDP search.
+// evaluation, the SAT blocking-clause stream, facts conversion, flattening,
+// and MDP search.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +17,7 @@
 #include "solver/fd.h"
 #include "util/failpoint.h"
 #include "util/metrics.h"
+#include "util/rng.h"
 #include "util/trace.h"
 #include "synth/mdp.h"
 #include "synth/synthesizer.h"
@@ -292,32 +294,52 @@ void BM_TraceOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceOverhead)->Arg(0)->Arg(1);
 
-void BM_SatPigeonHole(benchmark::State& state) {
-  // php(n+1, n): UNSAT, exercises clause learning.
-  int holes = static_cast<int>(state.range(0));
+void BM_SatBlockingStream(benchmark::State& state) {
+  // Sketch completion's solver workload: n rounds of Solve() followed by
+  // an AnalyzeBlocking-shaped constraint, And over two MDPs of
+  // Not(And(200 pairwise (dis)equalities read off the current model)),
+  // the width of Bike-1's blocking constraints.
+  constexpr int kVars = 40;
+  constexpr int kWidth = 200;
+  constexpr int kMdps = 2;
+  const int rounds = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    sat::SatSolver solver;
-    std::vector<std::vector<sat::Var>> p(static_cast<size_t>(holes + 1));
-    for (auto& row : p) {
-      for (int h = 0; h < holes; ++h) row.push_back(solver.NewVar());
+    FdSolver solver;
+    std::vector<FdVar> vars;
+    for (int i = 0; i < kVars; ++i) {
+      vars.push_back(solver.NewVar("v" + std::to_string(i), {0, 1, 2, 3}));
     }
-    for (auto& row : p) {
-      std::vector<sat::Lit> clause;
-      for (sat::Var v : row) clause.push_back(sat::MkLit(v));
-      solver.AddClause(clause);
-    }
-    for (int h = 0; h < holes; ++h) {
-      for (size_t i = 0; i < p.size(); ++i) {
-        for (size_t j = i + 1; j < p.size(); ++j) {
-          solver.AddClause({sat::MkLit(p[i][static_cast<size_t>(h)], true),
-                            sat::MkLit(p[j][static_cast<size_t>(h)], true)});
+    Rng rng(17);
+    for (int r = 0; r < rounds; ++r) {
+      auto sat = solver.Solve();
+      if (!sat.ok() || !*sat) {
+        state.SkipWithError("blocking stream became unsatisfiable");
+        break;
+      }
+      std::vector<FdExpr> blocks;
+      for (int m = 0; m < kMdps; ++m) {
+        std::vector<FdExpr> conj;
+        for (int k = 0; k < kWidth; ++k) {
+          FdVar x = vars[rng.NextIndex(vars.size())];
+          FdVar y = vars[rng.NextIndex(vars.size())];
+          if (x == y) continue;
+          FdExpr eq = FdExpr::EqVar(x, y);
+          conj.push_back(solver.ModelValue(x) == solver.ModelValue(y)
+                             ? std::move(eq)
+                             : FdExpr::Not(std::move(eq)));
         }
+        blocks.push_back(FdExpr::Not(FdExpr::And(std::move(conj))));
+      }
+      if (!solver.AddConstraint(FdExpr::And(std::move(blocks))).ok()) {
+        state.SkipWithError("AddConstraint failed");
+        break;
       }
     }
-    benchmark::DoNotOptimize(solver.Solve());
+    benchmark::DoNotOptimize(solver.num_clauses());
   }
+  state.SetItemsProcessed(state.iterations() * rounds);
 }
-BENCHMARK(BM_SatPigeonHole)->Arg(5)->Arg(7);
+BENCHMARK(BM_SatBlockingStream)->Arg(1000)->Arg(5000)->Unit(benchmark::kMillisecond);
 
 void BM_FactsRoundTrip(benchmark::State& state) {
   const auto& family = workload::GetFamily("Yelp");

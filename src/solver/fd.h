@@ -6,6 +6,13 @@
 // equal). Variables are one-hot encoded (one boolean per domain value with
 // an exactly-one constraint); formulas are lowered to CNF via Tseitin
 // transformation; `x = y` literals are cached per variable pair.
+//
+// A blocking constraint And(¬And(c1..cn), ...) lowers to a fresh literal
+// per `And` plus one binary definition per conjunct. Asserting the
+// constraint's unit fixes those literals at the root, which satisfies the
+// binaries for good: the SAT core removes them at the next Solve() (root
+// simplification, solver/sat.h). What stays is about one clause per
+// conjunct of the constraint, not one per (dis)equality.
 
 #ifndef DYNAMITE_SOLVER_FD_H_
 #define DYNAMITE_SOLVER_FD_H_

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/check.h"
+#include "util/mem_budget.h"
 
 namespace dynamite {
 namespace sat {
@@ -116,10 +117,15 @@ bool SatSolver::AddClause(std::vector<Lit> lits) {
     }
     return true;
   }
-  int ci = static_cast<int>(clauses_.size());
-  clauses_.push_back(Clause{std::move(out), /*learnt=*/false, 0});
-  AttachClause(ci);
+  AttachClause(PushClause(std::move(out)));
   return true;
+}
+
+int SatSolver::PushClause(std::vector<Lit> lits) {
+  MemoryBudget::ChargeCurrent(sizeof(Clause) + lits.size() * sizeof(Lit) +
+                              2 * sizeof(Watcher));
+  clauses_.push_back(Clause{std::move(lits)});
+  return static_cast<int>(clauses_.size()) - 1;
 }
 
 void SatSolver::AttachClause(int ci) {
@@ -150,6 +156,10 @@ int SatSolver::Propagate() {
         continue;
       }
       Clause& c = clauses_[static_cast<size_t>(w.clause)];
+      if (c.lits.empty()) {  // removed at the root: drop the stale watcher
+        ++i;
+        continue;
+      }
       // Ensure c.lits[1] is the false literal (¬p).
       Lit false_lit = Negate(p);
       if (c.lits[0] == false_lit) std::swap(c.lits[0], c.lits[1]);
@@ -201,8 +211,7 @@ void SatSolver::Analyze(int conflict, std::vector<Lit>* learnt, int* backtrack_l
   int ci = conflict;
 
   do {
-    Clause& c = clauses_[static_cast<size_t>(ci)];
-    if (c.learnt) BumpClause(ci);
+    const Clause& c = clauses_[static_cast<size_t>(ci)];
     // Skip c.lits[0] on continuation rounds (it equals p).
     for (size_t k = (p.x == -2 ? 0 : 1); k < c.lits.size(); ++k) {
       Lit q = c.lits[k];
@@ -283,20 +292,59 @@ void SatSolver::BumpVar(Var v) {
   }
 }
 
-void SatSolver::BumpClause(int ci) {
-  Clause& c = clauses_[static_cast<size_t>(ci)];
-  c.activity += cla_inc_;
-  if (c.activity > 1e20) {
-    for (Clause& cl : clauses_) {
-      if (cl.learnt) cl.activity *= 1e-20;
+void SatSolver::DecayActivities() { var_inc_ /= 0.95; }
+
+void SatSolver::RemoveRootSatisfied() {
+  DYNAMITE_DCHECK(DecisionLevel() == 0);
+  for (; root_simplified_ < trail_.size(); ++root_simplified_) {
+    // Every clause watched in watches_[¬l] watches l, which is now true for
+    // good: the clause is satisfied, and ¬l never reaches the trail again.
+    std::vector<Watcher>& ws =
+        watches_[static_cast<size_t>(Negate(trail_[root_simplified_]).x)];
+    for (const Watcher& w : ws) {
+      Clause& c = clauses_[static_cast<size_t>(w.clause)];
+      if (c.lits.empty()) continue;  // already removed through its other watch
+      std::vector<Lit>().swap(c.lits);
+      ++num_dead_;
     }
-    cla_inc_ *= 1e-20;
+    std::vector<Watcher>().swap(ws);
   }
+  if (num_dead_ * 2 > clauses_.size()) CompactClauses();
 }
 
-void SatSolver::DecayActivities() {
-  var_inc_ /= 0.95;
-  cla_inc_ /= 0.999;
+void SatSolver::CompactClauses() {
+  std::vector<int> remap(clauses_.size(), -1);
+  size_t live = 0;
+  for (size_t i = 0; i < clauses_.size(); ++i) {
+    if (clauses_[i].lits.empty()) continue;
+    remap[i] = static_cast<int>(live);
+    if (live != i) clauses_[live] = std::move(clauses_[i]);
+    ++live;
+  }
+  clauses_.resize(live);
+  for (std::vector<Watcher>& ws : watches_) {
+    size_t j = 0;
+    for (const Watcher& w : ws) {
+      int to = remap[static_cast<size_t>(w.clause)];
+      if (to >= 0) ws[j++] = Watcher{to, w.blocker};
+    }
+    ws.resize(j);
+  }
+  // Only root assignments are left, and Analyze never reads a root reason.
+  for (Lit l : trail_) reason_[static_cast<size_t>(VarOf(l))] = -1;
+  num_dead_ = 0;
+}
+
+bool SatSolver::ModelSatisfiesClauses() const {
+  auto satisfied = [this](Lit l) {
+    return Flip(model_[static_cast<size_t>(VarOf(l))], SignOf(l)) == LBool::kTrue;
+  };
+  for (const Clause& c : clauses_) {
+    if (!c.lits.empty() && std::none_of(c.lits.begin(), c.lits.end(), satisfied)) {
+      return false;
+    }
+  }
+  return std::all_of(trail_.begin(), trail_.end(), satisfied);
 }
 
 int64_t SatSolver::Luby(int64_t i) {
@@ -318,6 +366,7 @@ SatSolver::Outcome SatSolver::Solve(int64_t conflict_budget) {
     unsat_ = true;
     return Outcome::kUnsat;
   }
+  RemoveRootSatisfied();
 
   int64_t restart_round = 1;
   int64_t conflicts_until_restart = Luby(restart_round) * 128;
@@ -339,9 +388,7 @@ SatSolver::Outcome SatSolver::Solve(int64_t conflict_budget) {
       if (learnt.size() == 1) {
         Enqueue(learnt[0], -1);
       } else {
-        int ci = static_cast<int>(clauses_.size());
-        clauses_.push_back(Clause{learnt, /*learnt=*/true, 0});
-        BumpClause(ci);
+        int ci = PushClause(learnt);
         AttachClause(ci);
         Enqueue(learnt[0], ci);
       }
@@ -361,6 +408,7 @@ SatSolver::Outcome SatSolver::Solve(int64_t conflict_budget) {
         // All variables assigned: model found.
         model_ = assigns_;
         Backtrack(0);
+        DYNAMITE_DCHECK(ModelSatisfiesClauses(), "model violates a live clause or root literal");
         return Outcome::kSat;
       }
       ++decisions_;

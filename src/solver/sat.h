@@ -7,6 +7,29 @@
 // clause learning, VSIDS-style activity, phase saving, and Luby restarts.
 // The solver is incremental in the way sketch completion needs: clauses
 // (blocking clauses) may be added between Solve() calls.
+//
+// Root simplification. Each Solve() starts by removing the clauses that
+// the root (decision level 0) assignment satisfies, and frees their
+// literals; sketch completion's Tseitin definitions die this way once
+// their constraint's unit is asserted (solver/fd.h). The pass is
+// incremental: for each literal l made true at the root since the last
+// pass, every clause watched in watches_[¬l] watches l, so it is satisfied
+// and is marked dead, and the list is dropped. A dead clause's other
+// watcher is dropped when Propagate meets it, and clauses_ is compacted
+// (indices remapped in order) once more than half of it is dead. Each
+// clause is removed once, so the pass costs amortized O(1) per clause.
+//
+// The removal leaves the search exactly as it was. A root-satisfied clause
+// can never become unit or conflicting, and it is never the reason of an
+// assignment above level 0, so visiting it only ever rewrote a blocker.
+// Removing it keeps the relative order of every other watcher, so every
+// propagation, conflict, learnt clause, decision and model is unchanged.
+// Root-false literals are deliberately left in live clauses: stripping
+// them would move watches and change the trajectory.
+//
+// Clause and learnt-clause appends are charged to the thread's
+// MemoryBudget (util/mem_budget.h), cumulatively and never refunded, so a
+// run's byte budget also bounds the clause database.
 
 #ifndef DYNAMITE_SOLVER_SAT_H_
 #define DYNAMITE_SOLVER_SAT_H_
@@ -56,8 +79,9 @@ class SatSolver {
   /// Number of variables.
   int NumVars() const { return static_cast<int>(assigns_.size()); }
 
-  /// Number of clauses (original + learnt).
-  size_t NumClauses() const { return clauses_.size(); }
+  /// Number of live clauses (original + learnt), not counting those
+  /// removed as satisfied at the root.
+  size_t NumClauses() const { return clauses_.size() - num_dead_; }
 
   /// Statistics.
   int64_t num_conflicts() const { return conflicts_; }
@@ -82,9 +106,7 @@ class SatSolver {
 
  private:
   struct Clause {
-    std::vector<Lit> lits;
-    bool learnt = false;
-    double activity = 0;
+    std::vector<Lit> lits;  // empty once removed as satisfied at the root
   };
 
   struct Watcher {
@@ -101,9 +123,12 @@ class SatSolver {
   void Backtrack(int level);
   Lit Decide();
   void BumpVar(Var v);
-  void BumpClause(int ci);
   void DecayActivities();
+  int PushClause(std::vector<Lit> lits);
   void AttachClause(int ci);
+  void RemoveRootSatisfied();
+  void CompactClauses();
+  bool ModelSatisfiesClauses() const;
   int DecisionLevel() const { return static_cast<int>(trail_lim_.size()); }
   static int64_t Luby(int64_t i);
 
@@ -117,10 +142,11 @@ class SatSolver {
   std::vector<Lit> trail_;
   std::vector<int> trail_lim_;
   size_t qhead_ = 0;
+  size_t root_simplified_ = 0;  // trail_ prefix RemoveRootSatisfied has seen
+  size_t num_dead_ = 0;         // removed clauses still in clauses_
 
   std::vector<double> activity_;
   double var_inc_ = 1.0;
-  double cla_inc_ = 1.0;
 
   // VSIDS order heap: indexed binary max-heap over variable activity.
   void HeapInsert(Var v);

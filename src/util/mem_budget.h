@@ -5,7 +5,7 @@
 // strings can OOM-kill the process long before the tuple cap trips. A
 // MemoryBudget charges bytes at the real allocation choke points — relation
 // column growth, JoinIndex posting lists, StringPool chunks, the parallel
-// per-chunk emit buffers — and latches a sticky `exhausted` flag once the
+// per-chunk emit buffers, SAT clauses — and latches a sticky `exhausted` flag once the
 // running total passes the limit. Holders of the budget (RunContext::Check,
 // the engine's interrupt polls) observe the flag at their existing poll
 // strides and unwind with a typed kResourceExhausted.

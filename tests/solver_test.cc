@@ -107,6 +107,13 @@ bool BruteForceSat(int num_vars, const std::vector<std::vector<Lit>>& clauses) {
   return false;
 }
 
+bool ModelSatisfies(const SatSolver& solver, const std::vector<Lit>& clause) {
+  for (Lit l : clause) {
+    if (solver.ModelValue(sat::VarOf(l)) != sat::SignOf(l)) return true;
+  }
+  return false;
+}
+
 // Property test: CDCL agrees with brute force on random 3-CNF.
 class SatRandomCnf : public ::testing::TestWithParam<int> {};
 
@@ -136,17 +143,147 @@ TEST_P(SatRandomCnf, AgreesWithBruteForce) {
   EXPECT_EQ(outcome == SatSolver::Outcome::kSat, expected);
   if (outcome == SatSolver::Outcome::kSat) {
     // The returned model must actually satisfy every clause.
-    for (const auto& clause : clauses) {
-      bool any = false;
-      for (Lit l : clause) {
-        if (solver.ModelValue(sat::VarOf(l)) != sat::SignOf(l)) any = true;
-      }
-      EXPECT_TRUE(any);
-    }
+    for (const auto& clause : clauses) EXPECT_TRUE(ModelSatisfies(solver, clause));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SatRandomCnf, ::testing::Range(0, 50));
+
+TEST(Sat, RootSatisfiedClausesAreRemoved) {
+  // Ten Tseitin definitions d <-> And(50 operands): 50 binaries and one
+  // long clause each. Fixing every d false at the root satisfies the
+  // binaries, so the next Solve() drops them and keeps the long clauses.
+  SatSolver s;
+  std::vector<Var> ops;
+  for (int i = 0; i < 50; ++i) ops.push_back(s.NewVar());
+  std::vector<Var> defs;
+  for (int d = 0; d < 10; ++d) {
+    Var def = s.NewVar();
+    defs.push_back(def);
+    std::vector<Lit> rev = {MkLit(def)};
+    for (size_t i = 0; i < ops.size(); ++i) {
+      Lit op = MkLit(ops[i], (i + static_cast<size_t>(d)) % 3 == 0);
+      ASSERT_TRUE(s.AddClause({MkLit(def, true), op}));
+      rev.push_back(sat::Negate(op));
+    }
+    ASSERT_TRUE(s.AddClause(rev));
+  }
+  ASSERT_EQ(s.Solve(), SatSolver::Outcome::kSat);
+  EXPECT_EQ(s.NumClauses(), 10u * 51u);
+  for (Var def : defs) ASSERT_TRUE(s.AddClause({MkLit(def, true)}));
+  ASSERT_EQ(s.Solve(), SatSolver::Outcome::kSat);
+  EXPECT_EQ(s.NumClauses(), 10u);
+  for (Var def : defs) EXPECT_FALSE(s.ModelValue(def));
+  // The solver keeps answering after the removal.
+  ASSERT_TRUE(s.AddClause({MkLit(ops[0])}));
+  ASSERT_EQ(s.Solve(), SatSolver::Outcome::kSat);
+  EXPECT_TRUE(s.ModelValue(ops[0]));
+}
+
+// Property test: an incremental stream of Tseitin definitions, root units
+// that satisfy them, blocking clauses and Solve() calls. Every outcome
+// matches brute force over every clause ever added (removed ones
+// included), every model satisfies all of them, and a final definition
+// over fresh variables loses its binaries once its unit lands.
+class SatIncrementalStream : public ::testing::TestWithParam<int> {};
+
+TEST_P(SatIncrementalStream, AgreesWithBruteForce) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 104729 + 7);
+  const int base_vars = 4 + static_cast<int>(rng.NextBelow(6));  // 4..9
+  const int def_vars = 3;  // used only as Tseitin outputs
+  const int fresh_vars = 4;
+  const int num_vars = base_vars + def_vars + fresh_vars;  // <= 16
+  SatSolver solver;
+  for (int i = 0; i < num_vars; ++i) solver.NewVar();
+  std::vector<std::vector<Lit>> all;
+  auto add = [&](std::vector<Lit> clause) {
+    all.push_back(clause);
+    return solver.AddClause(std::move(clause));
+  };
+  auto random_lit = [&](int bound) {
+    return MkLit(static_cast<Var>(rng.NextBelow(static_cast<uint64_t>(bound))), rng.NextBool());
+  };
+  // d <-> And(ops) or d <-> Or(ops), as FdSolver::Lower writes them.
+  auto define = [&](Var d, const std::vector<Lit>& ops, bool is_and) {
+    bool ok = true;
+    std::vector<Lit> rev;
+    for (Lit op : ops) {
+      ok = add(is_and ? std::vector<Lit>{MkLit(d, true), op}
+                      : std::vector<Lit>{sat::Negate(op), MkLit(d)}) &&
+           ok;
+      rev.push_back(is_and ? sat::Negate(op) : op);
+    }
+    rev.push_back(MkLit(d, !is_and));
+    return add(rev) && ok;
+  };
+  auto check = [&](SatSolver::Outcome outcome) {
+    bool expected = BruteForceSat(num_vars, all);
+    EXPECT_EQ(outcome == SatSolver::Outcome::kSat, expected);
+    if (outcome != SatSolver::Outcome::kSat) return false;
+    for (const auto& clause : all) EXPECT_TRUE(ModelSatisfies(solver, clause));
+    return true;
+  };
+
+  std::vector<int> is_and(def_vars, -1);  // per output: -1 undefined, 0 Or, 1 And
+  bool consistent = true;
+  const int steps = 10 + static_cast<int>(rng.NextBelow(30));
+  for (int step = 0; step < steps && consistent; ++step) {
+    switch (rng.NextBelow(4)) {
+      case 0: {  // a Tseitin definition over base literals
+        const int d = static_cast<int>(rng.NextBelow(def_vars));
+        std::vector<Lit> ops;
+        const int width = 2 + static_cast<int>(rng.NextBelow(3));
+        for (int k = 0; k < width; ++k) ops.push_back(random_lit(base_vars));
+        is_and[static_cast<size_t>(d)] = rng.NextBool();
+        consistent = define(static_cast<Var>(base_vars + d), ops,
+                            is_and[static_cast<size_t>(d)] == 1);
+        break;
+      }
+      case 1: {  // a root unit, usually the one that satisfies a definition
+        const int d = static_cast<int>(rng.NextBelow(def_vars));
+        if (is_and[static_cast<size_t>(d)] < 0 || rng.NextBelow(4) == 0) {
+          consistent = add({random_lit(base_vars + def_vars)});
+        } else {
+          consistent = add({MkLit(static_cast<Var>(base_vars + d),
+                                  /*negated=*/is_and[static_cast<size_t>(d)] == 1)});
+        }
+        break;
+      }
+      case 2: {  // a blocking clause
+        std::vector<Lit> clause;
+        const int width = 3 + static_cast<int>(rng.NextBelow(3));
+        for (int k = 0; k < width; ++k) clause.push_back(random_lit(base_vars + def_vars));
+        consistent = add(clause);
+        break;
+      }
+      default:
+        consistent = check(solver.Solve());
+        break;
+    }
+  }
+  if (!consistent) {
+    check(solver.Solve());  // an AddClause that saw UNSAT must agree too
+    return;
+  }
+  if (!check(solver.Solve())) return;
+
+  // A definition over fresh variables no other clause mentions: nothing
+  // fixes them at the root, so all three binaries are live until the unit.
+  const Var d = static_cast<Var>(base_vars + def_vars);
+  std::vector<Lit> ops;
+  for (int k = 1; k < fresh_vars; ++k) ops.push_back(MkLit(d + k, rng.NextBool()));
+  ASSERT_TRUE(define(d, ops, /*is_and=*/true));
+  ASSERT_TRUE(check(solver.Solve()));
+  const size_t before = solver.NumClauses();
+  const int64_t conflicts = solver.num_conflicts();
+  ASSERT_TRUE(add({MkLit(d, true)}));
+  ASSERT_TRUE(check(solver.Solve()));
+  // Learnt clauses may arrive meanwhile: at most one per conflict.
+  EXPECT_LE(solver.NumClauses() + ops.size(),
+            before + static_cast<size_t>(solver.num_conflicts() - conflicts));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SatIncrementalStream, ::testing::Range(0, 200));
 
 TEST(Fd, DomainRespected) {
   FdSolver s;
@@ -235,6 +372,63 @@ TEST(Fd, ComplexNestedFormula) {
   EXPECT_TRUE(xv == 1 || xv == 2);
   EXPECT_TRUE(yv == 1 || yv == 3);
   EXPECT_NE(xv, yv);
+}
+
+TEST(Fd, BlockingConstraintsGrowClausesByConstraintNotWidth) {
+  // AnalyzeBlocking's shape: And(Not(And(~50 pairwise (dis)equalities)))
+  // per MDP, each pattern read off the current model so it blocks it. The
+  // Tseitin binaries die at the root once the unit lands, so the clause
+  // database grows by a few clauses per constraint, not by its width.
+  constexpr int kVars = 20;
+  constexpr int kConstraints = 1000;
+  constexpr int kWidth = 50;
+  constexpr int kMdps = 2;
+  FdSolver s;
+  std::vector<FdVar> vars;
+  for (int i = 0; i < kVars; ++i) {
+    vars.push_back(s.NewVar("v" + std::to_string(i), {0, 1, 2, 3, 4}));
+  }
+  Rng rng(2024);
+  // Fill the x = y cache first: its definitions are shared, not per
+  // constraint.
+  std::vector<FdExpr> all_pairs;
+  for (int i = 0; i < kVars; ++i) {
+    for (int j = i + 1; j < kVars; ++j) {
+      all_pairs.push_back(FdExpr::Or({FdExpr::EqVar(vars[static_cast<size_t>(i)],
+                                                    vars[static_cast<size_t>(j)]),
+                                      FdExpr::Not(FdExpr::EqVar(vars[static_cast<size_t>(i)],
+                                                                vars[static_cast<size_t>(j)]))}));
+    }
+  }
+  ASSERT_OK(s.AddConstraint(FdExpr::And(all_pairs)));
+  ASSERT_OK_AND_ASSIGN(bool first, s.Solve());
+  ASSERT_TRUE(first);
+  const size_t baseline = s.num_clauses();
+  const int64_t baseline_conflicts = s.num_conflicts();
+  for (int c = 0; c < kConstraints; ++c) {
+    std::vector<FdExpr> blocks;
+    for (int m = 0; m < kMdps; ++m) {
+      std::vector<FdExpr> conj;
+      for (int k = 0; k < kWidth; ++k) {
+        FdVar x = vars[rng.NextIndex(vars.size())];
+        FdVar y = vars[rng.NextIndex(vars.size())];
+        if (x == y) continue;
+        FdExpr eq = FdExpr::EqVar(x, y);
+        conj.push_back(s.ModelValue(x) == s.ModelValue(y) ? std::move(eq)
+                                                          : FdExpr::Not(std::move(eq)));
+      }
+      blocks.push_back(FdExpr::Not(FdExpr::And(std::move(conj))));
+    }
+    ASSERT_OK(s.AddConstraint(FdExpr::And(std::move(blocks))));
+    ASSERT_OK_AND_ASSIGN(bool sat1, s.Solve());
+    ASSERT_TRUE(sat1) << "constraint " << c;
+  }
+  const size_t growth = s.num_clauses() - baseline;
+  const auto learnt = static_cast<size_t>(s.num_conflicts() - baseline_conflicts);
+  // Per constraint: one long clause per block plus the outer And's, where
+  // keeping the definitions would add kMdps * (kWidth + 1).
+  EXPECT_LE(growth, static_cast<size_t>((kMdps + 1) * kConstraints) + learnt);
+  EXPECT_LT(growth, static_cast<size_t>(kConstraints * kMdps * kWidth / 4));
 }
 
 // Property test: the FD layer agrees with explicit enumeration on random
