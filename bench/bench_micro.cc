@@ -195,40 +195,13 @@ void BM_DatalogExistentialAtom(benchmark::State& state) {
 }
 BENCHMARK(BM_DatalogExistentialAtom)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
 
-void BM_FixpointParallel(benchmark::State& state) {
-  // The parallel-fixpoint headline number: string TC at num_threads = 1 vs
-  // 4 (ISSUE 4). Results are bit-identical across thread counts, so the
-  // pair isolates pure engine scaling; CI gates on the 1-vs-4 ratio when
-  // the runner has >= 4 cores (see .github/workflows/ci.yml).
-  FactDatabase db = StringEdges(static_cast<int>(state.range(0)));
-  Program p = Program::Parse(R"(
-    tc(x, y) :- edge(x, y).
-    tc(x, y) :- tc(x, z), edge(z, y).
-  )").ValueOrDie();
-  DatalogEngine::Options opts;
-  opts.num_threads = static_cast<size_t>(state.range(1));
-  DatalogEngine engine(opts);
-  size_t derived = 0;
-  for (auto _ : state) {
-    auto out = engine.EvalAutoSignatures(p, db);
-    derived = out.ValueOrDie().TotalFacts();
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(derived));
-}
-BENCHMARK(BM_FixpointParallel)
-    ->Args({200, 1})
-    ->Args({200, 4})
-    ->Args({400, 1})
-    ->Args({400, 4});
-
 void BM_FailpointOverhead(benchmark::State& state) {
   // Cost of the fault-injection sites on the hot fixpoint path (ISSUE 6):
-  // identical workload to BM_FixpointParallel/200/1, so comparing against
-  // that entry measures the failpoint tax directly. Arg 0 runs disarmed —
-  // the shipping configuration, where each site is one relaxed atomic load
-  // (claim: <2% vs BM_FixpointParallel/200/1, i.e. within run-to-run
-  // noise). Arg 1 arms every engine-path site with an unreachable hit
+  // identical workload to BM_DatalogStringTransitiveClosure/200, so
+  // comparing against that entry measures the failpoint tax directly. Arg 0
+  // runs disarmed — the shipping configuration, where each site is one
+  // relaxed atomic load (claim: <2% vs BM_DatalogStringTransitiveClosure/200,
+  // i.e. within run-to-run noise). Arg 1 arms every engine-path site with an unreachable hit
   // target, forcing the armed slow path (counter increment, trigger check)
   // on every execution without ever firing — an upper bound on what a
   // fully armed but quiet production binary would pay.
@@ -237,9 +210,8 @@ void BM_FailpointOverhead(benchmark::State& state) {
     failpoint::Spec never;
     never.hit = uint64_t{1} << 62;
     for (const char* site :
-         {"engine.compile", "engine.plan.entry", "engine.worker.chunk",
-          "engine.merge.alloc", "engine.fixpoint.round", "engine.index.refresh",
-          "relation.insert.alloc", "string_pool.intern", "thread_pool.worker"}) {
+         {"engine.compile", "engine.plan.entry", "engine.fixpoint.round",
+          "engine.index.refresh", "relation.insert.alloc", "string_pool.intern"}) {
       failpoint::Arm(site, never);
     }
   }
@@ -248,9 +220,7 @@ void BM_FailpointOverhead(benchmark::State& state) {
     tc(x, y) :- edge(x, y).
     tc(x, y) :- tc(x, z), edge(z, y).
   )").ValueOrDie();
-  DatalogEngine::Options opts;
-  opts.num_threads = 1;
-  DatalogEngine engine(opts);
+  DatalogEngine engine;
   for (auto _ : state) {
     auto out = engine.EvalAutoSignatures(p, db);
     benchmark::DoNotOptimize(out);
@@ -261,11 +231,11 @@ BENCHMARK(BM_FailpointOverhead)->Arg(0)->Arg(1);
 
 void BM_TraceOverhead(benchmark::State& state) {
   // Cost of the trace spans on the hot fixpoint path (ISSUE 10): identical
-  // workload to BM_FixpointParallel/200/1, so comparing against that entry
-  // measures the span tax directly. Arg 0 runs disarmed — the shipping
-  // configuration, where each span site is one relaxed atomic load (claim:
-  // <2% vs BM_FixpointParallel/200/1, i.e. within run-to-run noise; the
-  // acceptance number recorded in BENCH_micro.json). Arg 1 arms tracing, so
+  // workload to BM_DatalogStringTransitiveClosure/200, so comparing against
+  // that entry measures the span tax directly. Arg 0 runs disarmed — the
+  // shipping configuration, where each span site is one relaxed atomic load
+  // (claim: <2% vs BM_DatalogStringTransitiveClosure/200, i.e. within
+  // run-to-run noise; the acceptance number recorded in BENCH_micro.json). Arg 1 arms tracing, so
   // every span pays two steady_clock reads and a ring-buffer write — the
   // upper bound for a run with DYNAMITE_TRACE set. Ring contents are
   // cleared around the armed arm so the fixed-capacity rings never skew a
@@ -280,9 +250,7 @@ void BM_TraceOverhead(benchmark::State& state) {
     tc(x, y) :- edge(x, y).
     tc(x, y) :- tc(x, z), edge(z, y).
   )").ValueOrDie();
-  DatalogEngine::Options opts;
-  opts.num_threads = 1;
-  DatalogEngine engine(opts);
+  DatalogEngine engine;
   for (auto _ : state) {
     auto out = engine.EvalAutoSignatures(p, db);
     benchmark::DoNotOptimize(out);

@@ -15,10 +15,9 @@ namespace {
 
 /// Per-entry-point trace state: stamps the run with a fresh trace id when
 /// tracing is armed (unless the caller pinned one on the context), installs
-/// it as the calling thread's ambient id — pool workers inherit it via
-/// ThreadPool::Run — and opens the entry point's root span. Member order
-/// matters: the id scope outlives the span, so the span records under the
-/// run's id.
+/// it as the calling thread's ambient id, and opens the entry point's root
+/// span. Member order matters: the id scope outlives the span, so the span
+/// records under the run's id.
 class SessionTraceScope {
  public:
   SessionTraceScope(const char* name, RunContext* ctx)
@@ -79,16 +78,9 @@ Session::Session(Schema source, Schema target, SessionOptions options)
     : source_(std::move(source)), target_(std::move(target)), options_(options) {
   // The synthesis stage owns its per-candidate evaluation engine; the
   // migration engine below is the one shared across Migrate calls and
-  // interactive probes. One thread-count knob for both engines; the
-  // stage-level options stay authoritative when it is left at 0.
-  SynthesisOptions synth = options_.synthesis;
-  DatalogEngine::Options engine = options_.engine;
-  if (options_.num_threads != 0) {
-    engine.num_threads = options_.num_threads;
-    synth.eval_num_threads = options_.num_threads;
-  }
-  migrator_ = std::make_unique<Migrator>(source_, target_, engine);
-  synthesizer_ = std::make_unique<Synthesizer>(source_, target_, synth);
+  // interactive probes.
+  migrator_ = std::make_unique<Migrator>(source_, target_, options_.engine);
+  synthesizer_ = std::make_unique<Synthesizer>(source_, target_, options_.synthesis);
 }
 
 Result<Session> Session::Create(Schema source, Schema target, SessionOptions options) {

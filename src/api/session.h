@@ -70,24 +70,15 @@ struct SessionOptions {
   /// Budget applied when a call's RunContext deadline is infinite; <= 0
   /// (or a value past the clock's range, such as +inf) means unbounded.
   double default_budget_seconds = 600;
-  /// Engine worker threads for Datalog evaluation, applied (when non-zero)
-  /// to both the shared migration engine and the synthesis stage's
-  /// candidate-evaluation engine. 0 (default) defers to the engine-level
-  /// settings (whose own default is "auto": DYNAMITE_NUM_THREADS or
-  /// sequential); 1 forces the exact sequential behavior; > 1 fans out.
-  /// The Session itself stays one-per-thread; the engines fan out
-  /// internally and their results are bit-identical at any thread count,
-  /// so this is purely a throughput knob.
-  size_t num_threads = 0;
   /// When true, SynthesizeInteractive fails with kAmbiguous if the
   /// validation pool cannot distinguish the remaining candidates (instead
   /// of silently accepting the first). The cheap Synthesize call is
   /// unaffected.
   bool fail_on_ambiguity = false;
   /// Per-call byte budget covering every pipeline stage (fact conversion,
-  /// evaluation — relation growth, join indexes, interned strings, parallel
-  /// fixpoint buffers — and forest reconstruction); exceeding it fails the
-  /// call with kResourceExhausted instead of OOM-killing the process. 0 (the
+  /// evaluation — relation growth, join indexes, interned strings — and
+  /// forest reconstruction); exceeding it fails the call with
+  /// kResourceExhausted instead of OOM-killing the process. 0 (the
   /// default) disables the check. A budget already carried by the call's
   /// RunContext (ctx.memory) wins — one budget per run, never one per
   /// stage. Independent of the engine's tuple-count cap (kEvalBudget) and
@@ -151,8 +142,8 @@ class Session {
   DatalogEngine::Stats engine_stats() const { return migrator_->engine_stats(); }
 
   /// Snapshot of the process-wide metrics registry (util/metrics.h):
-  /// counters like "engine.plan_refreshes" / "engine.parallel_fallbacks" /
-  /// "ingest.child_index_lookups", plus gauges and histograms.
+  /// counters like "engine.plan_refreshes" / "ingest.child_index_lookups",
+  /// plus gauges and histograms.
   /// Process-wide — spans every Session and engine in the process,
   /// cumulative since start; the per-object stats() structs remain the
   /// per-run source of truth.

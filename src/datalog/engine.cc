@@ -1,8 +1,7 @@
 #include "datalog/engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <set>
@@ -12,8 +11,6 @@
 #include "util/failpoint.h"
 #include "util/mem_budget.h"
 #include "util/metrics.h"
-#include "util/thread_annotations.h"
-#include "util/thread_pool.h"
 #include "util/trace.h"
 
 namespace dynamite {
@@ -370,25 +367,17 @@ using IdbRefreshFn = std::function<Result<std::shared_ptr<CompiledRule>>(
 
 class Evaluator {
  public:
-  /// `pool_provider` (may be empty = sequential) is invoked at most once,
-  /// at the first plan large enough to parallelize — engines whose
-  /// evaluations never cross the threshold never spawn threads.
-  /// `budget` (may be null) is the run's byte budget: polled at the same
-  /// strides as cancel/deadline and installed as each worker's ambient
-  /// charge target. `parallel_fallbacks` counts plan evaluations retried
-  /// sequentially after a pool-path worker failure.
+  /// `budget` (may be null) is the run's byte budget, polled at the same
+  /// stride as cancel/deadline.
   Evaluator(const DatalogEngine::Options& options, IndexCache* edb_indexes,
-            const RunContext* ctx, std::function<ThreadPool*()> pool_provider,
-            MemoryBudget* budget, size_t* parallel_fallbacks)
+            const RunContext* ctx, MemoryBudget* budget)
       : options_(options),
         edb_indexes_(edb_indexes),
         deadline_(Deadline::Earliest(
             Deadline::AfterOrInfinite(options.timeout_seconds),
             ctx != nullptr ? ctx->deadline : Deadline::Infinite())),
         cancel_(ctx != nullptr ? ctx->cancel : CancelToken()),
-        pool_provider_(std::move(pool_provider)),
-        budget_(budget),
-        parallel_fallbacks_(parallel_fallbacks) {}
+        budget_(budget) {}
 
   Status Run(std::vector<std::shared_ptr<CompiledRule>>& rules, const FactDatabase& edb,
              const std::map<std::string, std::vector<std::string>>& idb_sigs,
@@ -423,8 +412,7 @@ class Evaluator {
     // cardinality signal recursive rules ever get (their EDB stats don't
     // move when only the derived relations grow): record them on the
     // rule's first Eval, and on later Evals replan when they have drifted
-    // ≥4x. Deterministic — round-0 output does not depend on num_threads —
-    // so stats().plan_refreshes is identical at any thread count.
+    // ≥4x.
     if (any_recursive) {
       std::map<std::string, size_t> idb_sizes;
       for (const auto& [name, range] : delta) idb_sizes[name] = range.second;
@@ -494,23 +482,12 @@ class Evaluator {
     size_t hi = 0;
   };
 
-  // Parallel evaluation thresholds: plans whose first-atom range is smaller
-  // than kParallelMinRows run sequentially (chunk + merge overhead would
-  // dominate); larger ranges split into at most kChunksPerWorker chunks per
-  // worker (work-stealing granularity) of at least kMinRowsPerChunk rows.
-  // Chunk boundaries depend only on the range and the worker count, never
-  // on scheduling, so a given engine configuration is fully deterministic.
-  static constexpr size_t kParallelMinRows = 256;
-  static constexpr size_t kChunksPerWorker = 4;
-  static constexpr size_t kMinRowsPerChunk = 64;
-
   /// Fixed-stride interruption poll: counts every join candidate and head
   /// emission, probing the cancel token and deadline every 1024 ticks
   /// regardless of how many tuples are derived (the old check keyed off the
   /// derived count and skipped the clock 1023/1024 of the time). On
   /// interruption fills `*out` — kCancelled beats kTimeout — and returns
-  /// true. Sequential path only; parallel workers poll through
-  /// SharedInterrupt on per-worker strides.
+  /// true.
   bool Interrupted(Status* out) {
     if (++ticks_ < 1024) return false;
     ticks_ = 0;
@@ -529,132 +506,9 @@ class Evaluator {
     return false;
   }
 
-  /// Cross-worker interruption state for one parallel plan evaluation.
-  /// Workers poll their own tick stride (so latency does not scale with the
-  /// worker count) and publish the first cancel/timeout here; the relaxed
-  /// `stop` flag short-circuits every other worker within one stride.
-  struct SharedInterrupt {
-    const CancelToken* cancel = nullptr;
-    const Deadline* deadline = nullptr;
-    const MemoryBudget* memory = nullptr;  // may be null
-    std::atomic<bool> stop{false};
-    Mutex mu;
-    Status status DYNAMITE_GUARDED_BY(mu);  // first interruption wins
-
-    /// Polled every 1024 per-worker ticks. Cancel outranks timeout outranks
-    /// memory, as in the sequential Interrupted().
-    bool ShouldStop() {
-      if (stop.load(std::memory_order_relaxed)) return true;
-      if (cancel->cancelled()) {
-        Report(Status::Cancelled("evaluation cancelled"));
-        return true;
-      }
-      if (deadline->Expired()) {
-        Report(Status::Timeout("evaluation timeout"));
-        return true;
-      }
-      if (memory != nullptr && memory->exhausted()) {
-        Report(memory->ToStatus("evaluation"));
-        return true;
-      }
-      return false;
-    }
-
-    void Report(Status s) {
-      MutexLock lock(mu);
-      if (status.ok()) status = std::move(s);
-      stop.store(true, std::memory_order_relaxed);
-    }
-
-    Status TakeStatus() {
-      MutexLock lock(mu);
-      return status;
-    }
-  };
-
-  /// One head relation's buffered emissions within a chunk: flat rows, their
-  /// precomputed hashes (so the single-threaded merge never hashes), and a
-  /// local open-addressing dedup table. Dropping an intra-buffer duplicate
-  /// is always sound: the earlier copy reaches the head relation first at
-  /// merge time, so the later InsertRow would certainly have returned false
-  /// — and unsuccessful inserts neither change relation state nor count
-  /// against the derived budget.
-  struct HeadBuffer {
-    static constexpr uint32_t kEmptySlot = UINT32_MAX;
-
-    size_t arity = 0;
-    std::vector<Value> values;   // num_rows * arity, row-major
-    std::vector<size_t> hashes;  // parallel to rows
-    std::vector<uint32_t> dedup_slots;
-    size_t num_rows = 0;
-
-    const Value* RowAt(size_t r) const { return values.data() + r * arity; }
-
-    /// Buffers the row unless an identical row is already buffered; returns
-    /// true if appended.
-    bool Add(const Value* row, size_t hash) {
-      if (dedup_slots.empty()) {
-        dedup_slots.assign(64, kEmptySlot);
-      } else if ((num_rows + 1) * 4 > dedup_slots.size() * 3) {
-        Regrow(dedup_slots.size() * 2);
-      }
-      size_t mask = dedup_slots.size() - 1;
-      size_t s = hash & mask;
-      while (dedup_slots[s] != kEmptySlot) {
-        size_t r = dedup_slots[s];
-        if (hashes[r] == hash && std::equal(RowAt(r), RowAt(r) + arity, row)) {
-          return false;
-        }
-        s = (s + 1) & mask;
-      }
-      dedup_slots[s] = static_cast<uint32_t>(num_rows);
-      MemoryBudget::ChargeCurrent(arity * sizeof(Value) + sizeof(size_t));
-      values.insert(values.end(), row, row + arity);
-      hashes.push_back(hash);
-      ++num_rows;
-      return true;
-    }
-
-    void Regrow(size_t new_slot_count) {
-      MemoryBudget::ChargeCurrent((new_slot_count - dedup_slots.size()) *
-                                  sizeof(uint32_t));
-      dedup_slots.assign(new_slot_count, kEmptySlot);
-      size_t mask = new_slot_count - 1;
-      for (size_t r = 0; r < num_rows; ++r) {
-        size_t s = hashes[r] & mask;
-        while (dedup_slots[s] != kEmptySlot) s = (s + 1) & mask;
-        dedup_slots[s] = static_cast<uint32_t>(r);
-      }
-    }
-  };
-
-  /// All emissions of one chunk, in emission order. head_seq interleaves
-  /// multi-head rules (which head emitted next); single-head rules skip it
-  /// and merge straight off heads[0].
-  struct EmitBuffer {
-    std::vector<HeadBuffer> heads;
-    std::vector<uint32_t> head_seq;
-  };
-
-  /// Per-worker scratch reused across chunks and plan evaluations: variable
-  /// environment, probe-key buffers, head-row buffer, and the worker's own
-  /// interruption tick counter (satellite of ISSUE 4: a single shared
-  /// counter would make cancel latency scale with the worker count).
-  struct WorkerScratch {
-    std::vector<Value> env;
-    std::vector<std::vector<Value>> key_bufs;
-    std::vector<Value> head_buf;
-    size_t ticks = 0;
-
-    void Prepare(const CompiledRule& rule, const JoinPlan& plan) {
-      env.assign(static_cast<size_t>(rule.num_slots), Value());
-      if (key_bufs.size() < plan.atoms.size()) key_bufs.resize(plan.atoms.size());
-    }
-  };
-
-  /// Sequential sink: inserts head rows directly into the output relations,
-  /// byte-for-byte the pre-parallel engine behavior (shared tick counter,
-  /// immediate dedup, budget checked per successful insert).
+  /// The matcher's sink: inserts head rows directly into the output
+  /// relations (immediate dedup, derived budget checked per successful
+  /// insert) and polls interruption once per candidate and per match.
   struct DirectSink {
     Evaluator* ev;
     const CompiledRule* rule;
@@ -683,67 +537,11 @@ class Evaluator {
     }
   };
 
-  /// Parallel worker sink: buffers (pre-hashed, locally deduped) head rows
-  /// into the chunk's EmitBuffer and polls interruption on the worker's own
-  /// 1024-tick stride.
-  ///
-  /// `buffered_limit` bounds memory the way the sequential budget bounds
-  /// it: every unique buffered (head, row) either already exists in that
-  /// head relation (counted in the plan-entry head sizes) or becomes a
-  /// successful merge insert (counted against max_derived_tuples), so a
-  /// chunk buffering more than `head_rows_at_entry + budget + 1` unique
-  /// rows proves the merge would exceed the budget — abort with the same
-  /// kEvalBudget the merge (and the sequential path) would return, at any
-  /// thread count, instead of materializing an unbounded cross product.
-  struct BufferSink {
-    const CompiledRule* rule;
-    EmitBuffer* buf;
-    SharedInterrupt* shared;
-    WorkerScratch* scratch;
-    size_t buffered_limit;
-    size_t buffered = 0;
-    bool stopped = false;
-
-    bool Stopped() const { return stopped; }
-
-    bool OnCandidate() {
-      if (++scratch->ticks < 1024) return false;
-      scratch->ticks = 0;
-      if (shared->ShouldStop()) stopped = true;
-      return stopped;
-    }
-
-    void OnMatch(const std::vector<Value>& env) {
-      std::vector<Value>& head_buf = scratch->head_buf;
-      for (size_t h = 0; h < rule->heads.size(); ++h) {
-        const auto& head = rule->heads[h];
-        head_buf.clear();
-        for (const Slot& s : head.slots) {
-          head_buf.push_back(s.is_const ? s.constant : env[static_cast<size_t>(s.var)]);
-        }
-        bool appended = buf->heads[h].Add(
-            head_buf.data(), HashValueRange(head_buf.data(), head_buf.size()));
-        if (appended) {
-          if (rule->heads.size() > 1) buf->head_seq.push_back(static_cast<uint32_t>(h));
-          if (++buffered > buffered_limit) {
-            shared->Report(Status::EvalBudget("derived tuple limit exceeded"));
-            stopped = true;
-            return;
-          }
-        }
-      }
-      (void)OnCandidate();  // one tick per match, mirroring the sequential poll
-    }
-  };
-
-  /// Recursive left-to-right matcher over the plan's atom order, with the
-  /// first atom's scan restricted to [lo0, hi0) — the unit of parallel
-  /// partitioning. Shared verbatim by the sequential and parallel paths via
-  /// the Sink parameter, so the two cannot drift apart semantically.
-  template <typename Sink>
+  /// Recursive left-to-right matcher over the plan's atom order; each atom
+  /// scans its view's range [lo, hi).
   static void MatchPlan(const JoinPlan& plan, const std::vector<AtomView>& views,
-                        size_t lo0, size_t hi0, std::vector<Value>& env,
-                        std::vector<std::vector<Value>>& key_bufs, Sink& sink) {
+                        std::vector<Value>& env, std::vector<std::vector<Value>>& key_bufs,
+                        DirectSink& sink) {
     auto match = [&](auto&& self, size_t atom_idx) -> void {
       if (sink.Stopped()) return;
       if (atom_idx == plan.atoms.size()) {
@@ -752,17 +550,13 @@ class Evaluator {
       }
       const PlanAtom& pa = plan.atoms[atom_idx];
       const AtomView& v = views[atom_idx];
-      size_t lo = atom_idx == 0 ? lo0 : v.lo;
-      size_t hi = atom_idx == 0 ? hi0 : v.hi;
 
       // Inspects row `ti` of this atom, reading only the bind/check columns
       // (columnar storage: the other columns are never touched).
-      // cell() re-fetches column storage on every read: the sequential sink
-      // appends to IDB relations mid-scan, which can reallocate the column
-      // vectors (the pre-rewrite engine held references across the append
-      // and crashed on recursive programs at bench scale). The parallel
-      // path never appends mid-scan — relations are frozen until the merge
-      // — which is what makes concurrent chunk evaluation safe.
+      // cell() re-fetches column storage on every read: the sink appends to
+      // IDB relations mid-scan, which can reallocate the column vectors
+      // (the pre-rewrite engine held references across the append and
+      // crashed on recursive programs at bench scale).
       // Returns true when the scan of this atom is done: the row passed the
       // checks of an existence-only atom (see PlanAtom::exists_only).
       auto try_row_at = [&](size_t ti) -> bool {
@@ -779,7 +573,7 @@ class Evaluator {
       };
 
       if (v.index == nullptr) {
-        for (size_t ti = lo; ti < hi && !sink.Stopped(); ++ti) {
+        for (size_t ti = v.lo; ti < v.hi && !sink.Stopped(); ++ti) {
           if (try_row_at(ti)) return;
         }
       } else {
@@ -794,24 +588,13 @@ class Evaluator {
         if (matches == nullptr) return;
         // Posting lists are sorted ascending; restrict to [lo, hi).
         auto it = std::lower_bound(matches->begin(), matches->end(),
-                                   static_cast<uint32_t>(lo));
-        for (; it != matches->end() && *it < hi && !sink.Stopped(); ++it) {
+                                   static_cast<uint32_t>(v.lo));
+        for (; it != matches->end() && *it < v.hi && !sink.Stopped(); ++it) {
           if (try_row_at(*it)) return;
         }
       }
     };
     match(match, 0);
-  }
-
-  /// Resolves (and on first use creates) the worker pool; nullptr means
-  /// this engine evaluates sequentially.
-  ThreadPool* AcquirePool() {
-    if (!pool_resolved_) {
-      pool_resolved_ = true;
-      pool_ = pool_provider_ ? pool_provider_() : nullptr;
-      if (pool_ != nullptr) worker_scratch_.resize(pool_->num_workers());
-    }
-    return pool_;
   }
 
   Status EvalPlan(const CompiledRule& rule, const JoinPlan& plan,
@@ -841,18 +624,8 @@ class Evaluator {
       }
       if (v.lo >= v.hi) return Status::OK();  // no matches possible
       if (!pa.key_positions.empty()) {
-        // Refreshes over a large unindexed suffix hash their keys on the
-        // worker pool (JoinIndex::Refresh gates on the suffix size and the
-        // index comes out bit-identical); the gate here just avoids
-        // spawning the pool for plans that could never profit.
-        ThreadPool* pool = v.rel->size() >= JoinIndex::kParallelHashMinRows
-                               ? AcquirePool()
-                               : nullptr;
-        if (pa.is_idb) {
-          v.index = idb_indexes_.Get(*v.rel, pa.key_positions, pool);
-        } else {
-          v.index = edb_indexes_->Get(*v.rel, pa.key_positions, pool);
-        }
+        IndexCache& cache = pa.is_idb ? idb_indexes_ : *edb_indexes_;
+        v.index = cache.Get(*v.rel, pa.key_positions);
       }
     }
 
@@ -863,21 +636,6 @@ class Evaluator {
       DYNAMITE_ASSIGN_OR_RETURN(head_rels[i], out->FindMutable(rule.heads[i].relation));
     }
 
-    // An existence-only first atom is cut at its first passing row, so
-    // splitting its range would only make every chunk replay the rest of
-    // the plan.
-    if (!plan.atoms.empty() && !plan.atoms[0].exists_only &&
-        views[0].hi - views[0].lo >= kParallelMinRows && AcquirePool() != nullptr) {
-      return EvalPlanParallel(rule, plan, views, head_rels);
-    }
-    return EvalPlanSequential(rule, plan, views, head_rels);
-  }
-
-  /// Sequential path: num_threads=1, a range too small to split, or the
-  /// retry after a parallel-path worker failure.
-  Status EvalPlanSequential(const CompiledRule& rule, const JoinPlan& plan,
-                            const std::vector<AtomView>& views,
-                            const std::vector<Relation*>& head_rels) {
     std::vector<Value> env(static_cast<size_t>(rule.num_slots));
     // Reusable probe-key buffers, one per plan depth (the matcher recurses,
     // so a single shared buffer would be clobbered by deeper atoms): the
@@ -887,121 +645,8 @@ class Evaluator {
       key_bufs[i].reserve(plan.atoms[i].key_positions.size());
     }
     DirectSink sink{this, &rule, &head_rels, {}, Status::OK()};
-    size_t lo0 = plan.atoms.empty() ? 0 : views[0].lo;
-    size_t hi0 = plan.atoms.empty() ? 0 : views[0].hi;
-    MatchPlan(plan, views, lo0, hi0, env, key_bufs, sink);
+    MatchPlan(plan, views, env, key_bufs, sink);
     return sink.status;
-  }
-
-  /// Parallel plan evaluation: partition the first atom's scan range into
-  /// chunks, match chunks on the pool against frozen relations (workers
-  /// emit into per-chunk buffers), then merge the buffers into the head
-  /// relations in ascending chunk order. The concatenation of per-chunk
-  /// emissions in chunk order is exactly the sequential emission sequence —
-  /// matching never observes mid-plan appends even sequentially (scan
-  /// bounds snapshot at plan entry) — so replaying it through the same
-  /// dedup logic yields bit-identical relation contents and row order.
-  Status EvalPlanParallel(const CompiledRule& rule, const JoinPlan& plan,
-                          const std::vector<AtomView>& views,
-                          const std::vector<Relation*>& head_rels) {
-    const size_t lo0 = views[0].lo;
-    const size_t range = views[0].hi - views[0].lo;
-    const size_t num_workers = pool_->num_workers();
-    const size_t num_chunks = std::min(num_workers * kChunksPerWorker,
-                                       std::max<size_t>(1, range / kMinRowsPerChunk));
-
-    std::vector<EmitBuffer> buffers(num_chunks);
-    for (EmitBuffer& buf : buffers) {
-      buf.heads.resize(rule.heads.size());
-      for (size_t h = 0; h < rule.heads.size(); ++h) {
-        buf.heads[h].arity = rule.heads[h].slots.size();
-      }
-    }
-
-    SharedInterrupt shared;
-    shared.cancel = &cancel_;
-    shared.deadline = &deadline_;
-    shared.memory = budget_;
-    std::atomic<size_t> next_chunk{0};
-
-    // Per-chunk buffered-row bound; see BufferSink. Saturating arithmetic:
-    // the default budget is large and head relations can be too.
-    size_t head_rows_at_entry = 0;
-    for (const Relation* rel : head_rels) head_rows_at_entry += rel->size();
-    size_t buffered_limit = options_.max_derived_tuples;
-    if (buffered_limit + head_rows_at_entry >= buffered_limit) {
-      buffered_limit += head_rows_at_entry;
-    }
-
-    const Status pool_status = pool_->Run([&](size_t worker) {
-      // Workers charge the run's budget too; fn(0) runs on the calling
-      // thread, where the scope nests over (and matches) the Eval-level one.
-      MemoryBudgetScope mem_scope(budget_);
-      WorkerScratch& scratch = worker_scratch_[worker];
-      scratch.Prepare(rule, plan);
-      for (;;) {
-        size_t c = next_chunk.fetch_add(1, std::memory_order_relaxed);
-        if (c >= num_chunks || shared.stop.load(std::memory_order_relaxed)) break;
-        Status injected = DYNAMITE_FAILPOINT_STATUS("engine.worker.chunk");
-        if (!injected.ok()) {
-          shared.Report(std::move(injected));
-          break;
-        }
-        size_t clo = lo0 + range * c / num_chunks;
-        size_t chi = lo0 + range * (c + 1) / num_chunks;
-        BufferSink sink{&rule, &buffers[c], &shared, &scratch, buffered_limit};
-        MatchPlan(plan, views, clo, chi, scratch.env, scratch.key_bufs, sink);
-      }
-    });
-
-    Status interrupted = shared.TakeStatus();
-    if (!interrupted.ok()) return interrupted;
-    if (!pool_status.ok()) {
-      // Graceful degradation: a worker threw (real bad_alloc or injected
-      // fault). Nothing has reached the head relations — the buffers are
-      // the only state, and they may be partial. Discard them and retry
-      // this plan once on the exact sequential path; a failure there is
-      // the real answer and surfaces normally.
-      ++*parallel_fallbacks_;
-      DYNAMITE_METRIC_INC("engine.parallel_fallbacks");
-      buffers.clear();
-      return EvalPlanSequential(rule, plan, views, head_rels);
-    }
-
-    DYNAMITE_FAILPOINT("engine.merge.alloc");
-    DYNAMITE_TRACE_SPAN("engine.merge");
-    // Single-threaded merge, ascending chunk order (= sequential emission
-    // order). Rows were hashed and locally deduped by the workers; the
-    // merge only probes the head relations' row tables and appends. It
-    // still polls cancel/deadline (Interrupted, the coordinator's own
-    // stride): a large buffered plan must stay interruptible.
-    Status merge_status = Status::OK();
-    auto merge_row = [&](Relation* rel, const HeadBuffer& hb, size_t r) {
-      if (rel->InsertRowPrehashed(hb.RowAt(r), hb.arity, hb.hashes[r])) {
-        if (++derived_ > options_.max_derived_tuples) {
-          merge_status = Status::EvalBudget("derived tuple limit exceeded");
-          return false;
-        }
-      }
-      return !Interrupted(&merge_status);
-    };
-    for (EmitBuffer& buf : buffers) {
-      if (rule.heads.size() == 1) {
-        HeadBuffer& hb = buf.heads[0];
-        Relation* rel = head_rels[0];
-        for (size_t r = 0; r < hb.num_rows; ++r) {
-          if (!merge_row(rel, hb, r)) return merge_status;
-        }
-      } else {
-        std::vector<size_t> cursors(rule.heads.size(), 0);
-        for (uint32_t h : buf.head_seq) {
-          HeadBuffer& hb = buf.heads[h];
-          size_t r = cursors[h]++;
-          if (!merge_row(head_rels[h], hb, r)) return merge_status;
-        }
-      }
-    }
-    return merge_status;
   }
 
   DatalogEngine::Options options_;
@@ -1009,12 +654,7 @@ class Evaluator {
   IndexCache idb_indexes_;    // per-Eval: IDB relations are fresh each run
   Deadline deadline_;         // options timeout composed with RunContext
   CancelToken cancel_;
-  std::function<ThreadPool*()> pool_provider_;
-  ThreadPool* pool_ = nullptr;  // engine-owned, persistent; resolved lazily
-  bool pool_resolved_ = false;
-  std::vector<WorkerScratch> worker_scratch_;
-  MemoryBudget* budget_ = nullptr;   // run-wide byte budget (may be null)
-  size_t* parallel_fallbacks_ = nullptr;  // engine counter (Caches-owned)
+  MemoryBudget* budget_ = nullptr;  // run-wide byte budget (may be null)
   size_t derived_ = 0;
   size_t ticks_ = 0;
 };
@@ -1033,12 +673,6 @@ struct DatalogEngine::Caches {
   /// drifted ≥4x — EDB drift at cache-hit time or IDB round-0 drift
   /// mid-fixpoint (exposed via DatalogEngine::stats()).
   size_t plan_refreshes = 0;
-  /// Worker pool for Options::num_threads > 1; created lazily on the first
-  /// parallel Eval and reused for the engine's lifetime.
-  std::unique_ptr<ThreadPool> pool;
-  /// Plan evaluations retried sequentially after a pool-path worker failure
-  /// (exposed via DatalogEngine::stats()).
-  size_t parallel_fallbacks = 0;
 
   static constexpr size_t kMaxRules = 8192;
 };
@@ -1046,31 +680,12 @@ struct DatalogEngine::Caches {
 DatalogEngine::Stats DatalogEngine::stats() const {
   Stats s;
   s.plan_refreshes = caches_->plan_refreshes;
-  s.parallel_fallbacks = caches_->parallel_fallbacks;
   return s;
 }
 
-namespace {
-
-/// Resolves Options::num_threads = 0 ("auto"): DYNAMITE_NUM_THREADS if set
-/// to a valid count — how the TSan CI job pushes the entire existing test
-/// suite through the parallel evaluation path without per-test plumbing —
-/// else 1. An explicit num_threads (1 included) is never overridden.
-size_t EnvNumThreads() {
-  const char* env = std::getenv("DYNAMITE_NUM_THREADS");
-  if (env == nullptr) return 1;
-  char* end = nullptr;
-  long v = std::strtol(env, &end, 10);
-  return (end != env && v > 1) ? static_cast<size_t>(v) : 1;
-}
-
-}  // namespace
-
 DatalogEngine::DatalogEngine() : DatalogEngine(Options()) {}
 DatalogEngine::DatalogEngine(Options options)
-    : options_(options), caches_(std::make_unique<Caches>()) {
-  if (options_.num_threads == 0) options_.num_threads = EnvNumThreads();
-}
+    : options_(options), caches_(std::make_unique<Caches>()) {}
 DatalogEngine::~DatalogEngine() = default;
 DatalogEngine::DatalogEngine(DatalogEngine&&) noexcept = default;
 DatalogEngine& DatalogEngine::operator=(DatalogEngine&&) noexcept = default;
@@ -1088,8 +703,7 @@ Result<FactDatabase> DatalogEngine::Eval(
     local_budget = std::make_unique<MemoryBudget>(options_.max_memory_bytes);
     budget = local_budget.get();
   }
-  // Installed for the calling thread (compile, index refresh, sequential
-  // match, merge); EvalPlanParallel re-installs it on each worker.
+  // Installed for the whole evaluation: compile, index refresh and match.
   MemoryBudgetScope mem_scope(budget);
   // Crash-free boundary: a bad_alloc (real or injected) or an InjectedError
   // from a throwing failpoint site anywhere below becomes a typed Status.
@@ -1208,17 +822,7 @@ Result<FactDatabase> DatalogEngine::EvalImpl(
   compile_span.End();
   FactDatabase out;
   caches_->edb_indexes.MaybeEvict();  // safe here: no plan holds index pointers
-  std::function<ThreadPool*()> pool_provider;
-  if (options_.num_threads > 1) {
-    pool_provider = [this]() {
-      if (caches_->pool == nullptr) {
-        caches_->pool = std::make_unique<ThreadPool>(options_.num_threads - 1);
-      }
-      return caches_->pool.get();
-    };
-  }
-  Evaluator evaluator(options_, &caches_->edb_indexes, ctx, std::move(pool_provider),
-                      budget, &caches_->parallel_fallbacks);
+  Evaluator evaluator(options_, &caches_->edb_indexes, ctx, budget);
   DYNAMITE_RETURN_NOT_OK(evaluator.Run(rules, edb, idb_signatures, &out, refresh_idb));
   return out;
 }

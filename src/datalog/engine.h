@@ -13,14 +13,14 @@
 //     cardinality); each plan step is a hash-index lookup on the positions
 //     bound by constants or earlier atoms.
 //   * One matcher evaluates every plan: a left-to-right recursion over the
-//     plan's atoms, one candidate row at a time, shared by the sequential
-//     and parallel paths. An atom none of whose variables is read by a
-//     later atom or a head only tests existence, so the matcher stops
-//     scanning it at its first row that passes its checks (the existential
-//     cut). Every later row would replay the same continuation and derive
-//     only duplicates, so outputs, row order, stats and error codes are
-//     unchanged; the cut only ends the cross-product blow-up of padded
-//     synthesized programs.
+//     plan's atoms, one candidate row at a time, inserting head rows
+//     straight into the output relations. An atom none of whose variables
+//     is read by a later atom or a head only tests existence, so the
+//     matcher stops scanning it at its first row that passes its checks
+//     (the existential cut). Every later row would replay the same
+//     continuation and derive only duplicates, so outputs, row order,
+//     stats and error codes are unchanged; the cut only ends the
+//     cross-product blow-up of padded synthesized programs.
 //   * Join indexes are persistent and incremental (src/datalog/index.h).
 //     EDB indexes survive across Eval calls on the same engine — the
 //     synthesizer evaluates thousands of candidate programs against one
@@ -32,16 +32,9 @@
 //     orders are chosen with the cardinalities seen at first compile; stale
 //     statistics trigger a re-plan (EDB drift at cache-hit time, IDB drift
 //     after round 0 of the fixpoint) but never cost correctness.
-//   * With Options::num_threads > 1 the engine fans plan evaluation out
-//     across a persistent internal worker pool (src/util/thread_pool.h):
-//     each plan's first-atom scan range is partitioned into chunks, workers
-//     emit into per-chunk buffers against frozen relations, and a
-//     single-threaded merge replays the buffers in canonical chunk order —
-//     so results (relation contents *and* row insertion order, stats
-//     counters, error codes) are bit-identical to num_threads=1.
 //
-// The engine's public API stays single-threaded and move-only (one engine
-// per thread; it owns the caches above and fans out internally).
+// Evaluation is sequential: one engine per thread. It owns the caches above,
+// so the public API is move-only and not safe for concurrent use.
 
 #ifndef DYNAMITE_DATALOG_ENGINE_H_
 #define DYNAMITE_DATALOG_ENGINE_H_
@@ -75,9 +68,7 @@ class DatalogEngine {
     /// Composed (Deadline::Earliest) with the RunContext deadline when one
     /// is passed; either expiring aborts with kTimeout. Polled every 1024
     /// join-candidate inspections (a fixed stride independent of how many
-    /// tuples happen to be derived); with num_threads > 1 every worker
-    /// polls on its own 1024-tick stride, so interruption latency does not
-    /// scale with the worker count.
+    /// tuples happen to be derived).
     double timeout_seconds = 0;
     /// Reorder body atoms by estimated selectivity at compile time.
     bool reorder_joins = true;
@@ -88,27 +79,21 @@ class DatalogEngine {
     /// drifts ≥4x from the size recorded on the first Eval (the
     /// statistics-refresh checks; see stats().plan_refreshes).
     bool cache_compiled_rules = true;
-    /// Worker threads for plan evaluation. 0 (the default) means "auto":
-    /// the DYNAMITE_NUM_THREADS environment variable if set (the lever the
-    /// TSan CI job uses to push the whole test suite through the parallel
-    /// path), else sequential. 1 is *always* the exact sequential code
-    /// path — an explicit request for no threads is never overridden.
-    /// Values > 1 partition each plan's first-atom scan range across a
-    /// persistent pool of num_threads workers (the calling thread
-    /// participates); a plan whose first atom only tests existence runs
-    /// sequentially. Results are bit-identical for every value.
+    /// Ignored: evaluation is always sequential. Kept only because
+    /// perfbench/replay.cc still assigns it; it goes together with
+    /// replay.cc (ROADMAP item 4).
     size_t num_threads = 0;
     /// Per-Eval byte budget covering relation growth, join-index posting
-    /// lists, interned strings, and the parallel emit buffers; exceeding it
-    /// aborts with kResourceExhausted instead of OOM-killing the process.
-    /// 0 disables the check. When the caller's RunContext already carries a
+    /// lists and interned strings; exceeding it aborts with
+    /// kResourceExhausted instead of OOM-killing the process. 0 disables
+    /// the check. When the caller's RunContext already carries a
     /// MemoryBudget (a Session run), that budget is charged instead and
     /// this knob is ignored — one budget per run, not per stage.
     size_t max_memory_bytes = 0;
   };
 
   /// Counters accumulated across Eval calls on this engine. Deterministic:
-  /// identical for the same Eval sequence at any num_threads.
+  /// identical for the same Eval sequence.
   struct Stats {
     /// Cached rules recompiled because their join-order statistics went
     /// stale: ≥4x cardinality drift on an EDB body relation (checked at
@@ -116,11 +101,6 @@ class DatalogEngine {
     /// round-0 size (checked after pass 0 of each fixpoint, against the
     /// sizes recorded on the rule's first Eval).
     size_t plan_refreshes = 0;
-    /// Plan evaluations that failed on the parallel path (a worker threw —
-    /// real bad_alloc or injected fault) and were retried to completion on
-    /// the exact sequential path. Graceful degradation, not an error: the
-    /// Eval's results are unaffected.
-    size_t parallel_fallbacks = 0;
   };
 
   DatalogEngine();

@@ -23,13 +23,9 @@
 // indexed in insertion order), which is what makes range-restricted lookups
 // (the delta views) a lower_bound away.
 //
-// Thread-safety contract (ISSUE 4, parallel fixpoint): Refresh and
-// IndexCache::Get mutate and require exclusive access; Lookup is const and
-// safe to call concurrently from any number of threads provided no Refresh
-// (and no append to the underlying relation) runs at the same time. The
-// engine resolves and refreshes every index a plan needs single-threaded at
-// plan entry, then freezes all relations while worker threads probe — so
-// the parallel match phase only ever executes the concurrent-safe reads.
+// Thread-safety: none. An index belongs to one engine, and an engine to one
+// thread. The engine resolves and refreshes every index a plan needs at plan
+// entry, so the match loop only calls the const Lookup.
 
 #ifndef DYNAMITE_DATALOG_INDEX_H_
 #define DYNAMITE_DATALOG_INDEX_H_
@@ -41,7 +37,6 @@
 
 #include "util/failpoint.h"
 #include "util/mem_budget.h"
-#include "util/thread_pool.h"
 #include "value/relation.h"
 
 namespace dynamite {
@@ -55,15 +50,7 @@ class JoinIndex {
 
   /// Indexes rows [indexed_upto, rel.size()); no-op when up to date.
   /// `rel` must be the same logical relation on every call.
-  ///
-  /// With a non-null `pool` and a large enough unindexed suffix, key hashing
-  /// — the scan-heavy half of a refresh — is chunked across the pool before
-  /// the (serial) table insertion replays the precomputed hashes in row
-  /// order. The resulting index is bit-identical to a sequential Refresh:
-  /// insertion order, group numbering, and posting lists depend only on the
-  /// hashes, which are deterministic per row. A pool failure (injected or
-  /// real) silently falls back to hashing inline.
-  void Refresh(const Relation& rel, ThreadPool* pool = nullptr) {
+  void Refresh(const Relation& rel) {
     size_t n = rel.size();
     size_t start = indexed_upto_;
     if (n > start) {
@@ -73,25 +60,11 @@ class JoinIndex {
       MemoryBudget::ChargeCurrent((n - start) * sizeof(uint32_t));
       DYNAMITE_FAILPOINT_THROW("engine.index.refresh");
     }
-    std::vector<size_t> hashes;
-    bool have_hashes = false;
-    if (pool != nullptr && n - start >= kParallelHashMinRows) {
-      MemoryBudget::ChargeCurrent((n - start) * sizeof(size_t));
-      hashes.resize(n - start);
-      size_t workers = pool->num_workers();
-      size_t count = n - start;
-      Status st = pool->Run([&](size_t w) {
-        size_t lo = start + count * w / workers;
-        size_t hi = start + count * (w + 1) / workers;
-        for (size_t i = lo; i < hi; ++i) hashes[i - start] = HashRowKey(rel, i);
-      });
-      have_hashes = st.ok();
-    }
     for (size_t i = start; i < n; ++i) {
       if (groups_.size() * 4 + 4 > group_slots_.size() * 3) {
         Regrow(group_slots_.empty() ? 16 : group_slots_.size() * 2);
       }
-      size_t h = have_hashes ? hashes[i - start] : HashRowKey(rel, i);
+      size_t h = HashRowKey(rel, i);
       size_t mask = group_slots_.size() - 1;
       size_t s = h & mask;
       while (group_slots_[s] != kEmptySlot) {
@@ -129,11 +102,6 @@ class JoinIndex {
 
   size_t indexed_upto() const { return indexed_upto_; }
   const std::vector<size_t>& key_positions() const { return key_positions_; }
-
-  /// Unindexed-suffix size below which Refresh hashes inline even when
-  /// handed a pool: chunk dispatch costs more than the hashing it saves.
-  /// Public so callers can gate pool acquisition on the same threshold.
-  static constexpr size_t kParallelHashMinRows = 4096;
 
  private:
   static constexpr uint32_t kEmptySlot = UINT32_MAX;
@@ -191,16 +159,14 @@ class IndexCache {
   /// The index for (rel, key_positions), created on first use and refreshed
   /// to rel.size(). The returned pointer is stable until Clear(); Get never
   /// evicts (callers hold raw pointers across a join plan — see
-  /// MaybeEvict). A non-null `pool` parallelizes the refresh's key hashing
-  /// (see JoinIndex::Refresh); the index contents are identical either way.
-  JoinIndex* Get(const Relation& rel, const std::vector<size_t>& key_positions,
-                 ThreadPool* pool = nullptr) {
+  /// MaybeEvict).
+  JoinIndex* Get(const Relation& rel, const std::vector<size_t>& key_positions) {
     Key key{rel.uid(), key_positions};
     auto it = entries_.find(key);
     if (it == entries_.end()) {
       it = entries_.emplace(std::move(key), std::make_unique<JoinIndex>(key_positions)).first;
     }
-    it->second->Refresh(rel, pool);
+    it->second->Refresh(rel);
     return it->second.get();
   }
 

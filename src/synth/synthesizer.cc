@@ -183,7 +183,6 @@ class RuleSynthesizer {
     DatalogEngine::Options eval_opts;
     eval_opts.timeout_seconds = options.eval_timeout_seconds;
     eval_opts.max_derived_tuples = options.eval_max_tuples;
-    eval_opts.num_threads = options.eval_num_threads;
     return DatalogEngine(eval_opts);
   }
 

@@ -45,10 +45,9 @@ struct SynthesisOptions {
   /// Budget for evaluating one candidate program on the example.
   double eval_timeout_seconds = 5.0;
   size_t eval_max_tuples = 500'000;
-  /// Worker threads for the candidate-evaluation engine (see
-  /// DatalogEngine::Options::num_threads; 0 = auto/env, 1 = sequential,
-  /// results are bit-identical at any value). Set from
-  /// SessionOptions::num_threads by the Session API.
+  /// Ignored: candidate evaluation is always sequential. Kept only because
+  /// perfbench/replay.cc still reads it; it goes together with replay.cc
+  /// (ROADMAP item 4).
   size_t eval_num_threads = 0;
 };
 

@@ -1,7 +1,7 @@
 // Deterministic fault injection: named failpoint sites compiled into
 // production code paths.
 //
-// A failpoint is a named site (`DYNAMITE_FAILPOINT("engine.merge.alloc")`)
+// A failpoint is a named site (`DYNAMITE_FAILPOINT("engine.plan.entry")`)
 // that normally does nothing — the disarmed fast path is a single relaxed
 // atomic load of a pointer that is almost always null, cheap enough for the
 // engine's inner loops (see BM_FailpointOverhead in bench_micro). When armed,
@@ -14,7 +14,7 @@
 //
 // Arming is programmatic (`failpoint::Arm("site", spec)`) or environmental:
 //
-//   DYNAMITE_FAILPOINTS=engine.merge.alloc:hit_3,string_pool.intern:p=0.01@7
+//   DYNAMITE_FAILPOINTS=relation.insert.alloc:hit_3,string_pool.intern:p=0.01@7
 //
 // Comma-separated entries; each entry is `site[:trigger][:kind]` where
 // trigger is `hit_N` (fire on exactly the Nth execution after arming),
@@ -65,10 +65,9 @@ struct Spec {
 };
 
 /// A Status carried out of a context with no Status return channel: thrown
-/// by FireOrThrow for non-bad_alloc kinds (relation inserts, index refresh,
-/// pool workers), and reused by real error paths buried under plain
-/// value-returning code (e.g. string-pool overflow in datagen's value
-/// shorthands). The pipeline's crash-free boundaries (GuardExceptions)
+/// by FireOrThrow for non-bad_alloc kinds (relation inserts, index refresh),
+/// and reused by real error paths buried under plain value-returning code
+/// (e.g. string-pool overflow in datagen's value shorthands). The pipeline's crash-free boundaries (GuardExceptions)
 /// translate it back into the carried Status.
 class InjectedError : public std::exception {
  public:
@@ -165,16 +164,6 @@ auto GuardExceptions(const char* what, Fn&& fn) -> decltype(fn()) {
       if (!_dynamite_fp_st.ok()) return _dynamite_fp_st;          \
     }                                                             \
   } while (false)
-
-/// Expression form: yields the injected Status (OK when disarmed or not
-/// triggered) for callers that route failures somewhere other than a plain
-/// return — e.g. a worker reporting into a SharedInterrupt.
-#define DYNAMITE_FAILPOINT_STATUS(site_name)                         \
-  ([]() -> ::dynamite::Status {                                      \
-    static ::dynamite::failpoint::Site _dynamite_fp(site_name);      \
-    return _dynamite_fp.armed() ? _dynamite_fp.Fire()                \
-                                : ::dynamite::Status::OK();          \
-  }())
 
 /// Statement form for contexts with no Status channel (void inserts, cache
 /// lookups): throws InjectedError / std::bad_alloc, relying on a

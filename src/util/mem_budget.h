@@ -4,9 +4,9 @@
 // kEvalBudget), but tuples are not bytes: a migration over wide rows or long
 // strings can OOM-kill the process long before the tuple cap trips. A
 // MemoryBudget charges bytes at the real allocation choke points — relation
-// column growth, JoinIndex posting lists, StringPool chunks, the parallel
-// per-chunk emit buffers, SAT clauses — and latches a sticky `exhausted` flag once the
-// running total passes the limit. Holders of the budget (RunContext::Check,
+// column growth, JoinIndex posting lists, StringPool chunks, SAT clauses —
+// and latches a sticky `exhausted` flag once the running total passes the
+// limit. Holders of the budget (RunContext::Check,
 // the engine's interrupt polls) observe the flag at their existing poll
 // strides and unwind with a typed kResourceExhausted.
 //

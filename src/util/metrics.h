@@ -15,9 +15,9 @@
 // Cost model, in line with the failpoint standard (util/failpoint.h):
 //
 //   * An increment is one relaxed fetch_add on a cache-line-padded stripe
-//     selected by a thread-local index — counters contended across pool
-//     workers (string-pool interns, worker evals) never share a line,
-//     mirroring StringPool's shard trick.
+//     selected by a thread-local index — counters bumped by Sessions on
+//     different threads (string-pool interns, engine evals) never share a
+//     line, mirroring StringPool's shard trick.
 //   * Call sites cache the registry lookup in a function-local static
 //     (DYNAMITE_METRIC_ADD), so the name→object map is consulted once per
 //     site per process, never on the hot path.

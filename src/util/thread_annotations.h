@@ -1,11 +1,11 @@
 // Compile-time concurrency contracts: Clang thread-safety attributes and the
 // annotated synchronization primitives every component in this tree uses.
 //
-// The parallel fixpoint (engine.cc) promises bit-identical results at any
-// thread count. That guarantee rests on a locking protocol spread across
-// several files, and until this header it was checked only dynamically — TSan on whatever
-// interleavings CI happened to hit. Clang's -Wthread-safety analysis turns
-// the protocol into a compile-time contract: a field declared
+// Sessions on different threads share the process-wide StringPool, metrics
+// registry, trace rings and failpoint table. The locking protocol behind
+// that sharing is spread across several files, and TSan checks it only on
+// the interleavings CI happens to hit. Clang's -Wthread-safety analysis
+// turns the protocol into a compile-time contract: a field declared
 // DYNAMITE_GUARDED_BY(mu) read or written without `mu` held is a hard build
 // error (the CI clang job builds with -Werror=thread-safety), on every
 // path, not just the ones a race detector explored.
@@ -17,8 +17,8 @@
 //
 // Project rules (mechanically enforced by tools/lint.py):
 //   * No raw std::mutex / std::lock_guard / std::condition_variable members
-//     or locals outside this header — use dynamite::Mutex / MutexLock /
-//     CondVar so the capability attributes are never silently bypassed.
+//     or locals outside this header — use dynamite::Mutex / MutexLock so
+//     the capability attributes are never silently bypassed.
 //   * Every DYNAMITE_NO_THREAD_SAFETY_ANALYSIS carries a one-line written
 //     justification on an adjacent comment line.
 //
@@ -26,8 +26,6 @@
 // clang's ACQUIRED_BEFORE enforcement is still -Wthread-safety-beta):
 //   * StringPool: shard.mu is acquired before append_mu_, never the
 //     reverse (TryIntern holds its shard while taking the append lock).
-//   * ThreadPool: mu_ (dispatch) and fail_mu_ (failure capture) are never
-//     held together.
 //
 // See src/util/README.md ("Static analysis & concurrency contracts") for
 // how to run the analysis locally and the suppression policy.
@@ -35,7 +33,6 @@
 #ifndef DYNAMITE_UTIL_THREAD_ANNOTATIONS_H_
 #define DYNAMITE_UTIL_THREAD_ANNOTATIONS_H_
 
-#include <condition_variable>
 #include <mutex>
 
 // ---------------------------------------------------------------- macros ---
@@ -101,8 +98,7 @@ namespace dynamite {
 // -------------------------------------------------------------- wrappers ---
 
 /// std::mutex carrying the capability attribute. Same size, same codegen;
-/// lock/unlock spellings are kept lowercase so the type stays BasicLockable
-/// (CondVar waits on it directly).
+/// lock/unlock spellings are kept lowercase so the type stays BasicLockable.
 class DYNAMITE_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
@@ -114,7 +110,6 @@ class DYNAMITE_CAPABILITY("mutex") Mutex {
   bool try_lock() DYNAMITE_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
-  friend class CondVar;
   std::mutex mu_;
 };
 
@@ -130,44 +125,7 @@ class DYNAMITE_SCOPED_CAPABILITY MutexLock {
   MutexLock& operator=(const MutexLock&) = delete;
 
  private:
-  friend class CondVar;
   Mutex& mu_;
-};
-
-/// Condition variable paired with dynamite::Mutex.
-///
-/// Deliberately offers only the predicate-less Wait: callers write
-///
-///   MutexLock lock(mu_);
-///   while (!condition) cv_.Wait(lock);
-///
-/// so the predicate is evaluated in the caller's scope, where the analysis
-/// knows the capability is held. (The std::condition_variable wait(lock,
-/// pred) form moves the predicate into a lambda, which clang analyzes as a
-/// separate unannotated function — every guarded field the predicate reads
-/// would falsely warn.)
-///
-/// Wait's contract matches std::condition_variable: the caller holds the
-/// mutex before and after; the temporary unlock inside the wait happens in
-/// the standard library, invisibly to (and correctly modeled by) the
-/// analysis, which sees the capability continuously held across the call.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  /// Blocks until notified; may wake spuriously (callers loop on their
-  /// condition). `lock` must hold the mutex guarding that condition.
-  void Wait(MutexLock& lock) { cv_.wait(lock.mu_); }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  // condition_variable_any waits on any BasicLockable — here the annotated
-  // Mutex itself, so no std::unique_lock<std::mutex> escape hatch is needed.
-  std::condition_variable_any cv_;
 };
 
 }  // namespace dynamite

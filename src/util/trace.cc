@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -36,8 +35,8 @@ struct ThreadRing {
 
 struct RingRegistry {
   Mutex mu;
-  // Rings are owned here and outlive their threads, so a dump after a pool
-  // is torn down still sees worker events.
+  // Rings are owned here and outlive their threads, so a dump after a
+  // thread has exited still sees its events.
   std::vector<std::unique_ptr<ThreadRing>> rings DYNAMITE_GUARDED_BY(mu);
   uint32_t next_tid DYNAMITE_GUARDED_BY(mu) = 0;
 };
@@ -55,9 +54,6 @@ std::atomic<uint64_t> g_next_trace_id{1};
 
 thread_local uint64_t tls_trace_id = 0;
 thread_local ThreadRing* tls_ring = nullptr;
-// Name set before the thread's ring exists (pool workers call SetThreadName
-// on spawn, usually disarmed); applied at registration.
-thread_local char tls_pending_name[48] = {0};
 
 int64_t SteadyNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -69,16 +65,11 @@ ThreadRing& LocalRing() {
   if (tls_ring == nullptr) {
     auto ring = std::make_unique<ThreadRing>();
     ring->events.resize(kRingCapacity);
-    if (tls_pending_name[0] != '\0') {
-      std::memcpy(ring->name, tls_pending_name, sizeof(ring->name));
-    }
     tls_ring = ring.get();
     RingRegistry& reg = Registry();
     MutexLock lock(reg.mu);
     ring->tid = reg.next_tid++;
-    if (ring->name[0] == '\0') {
-      std::snprintf(ring->name, sizeof(ring->name), "thread-%u", ring->tid);
-    }
+    std::snprintf(ring->name, sizeof(ring->name), "thread-%u", ring->tid);
     reg.rings.push_back(std::move(ring));
   }
   return *tls_ring;
@@ -174,14 +165,6 @@ TraceIdScope::TraceIdScope(uint64_t id) : saved_(tls_trace_id) {
 }
 
 TraceIdScope::~TraceIdScope() { tls_trace_id = saved_; }
-
-void SetThreadName(const std::string& name) {
-  std::snprintf(tls_pending_name, sizeof(tls_pending_name), "%s",
-                name.c_str());
-  if (tls_ring != nullptr) {
-    std::memcpy(tls_ring->name, tls_pending_name, sizeof(tls_ring->name));
-  }
-}
 
 uint64_t NowNs() {
   const int64_t epoch = g_epoch_ns.load(std::memory_order_relaxed);

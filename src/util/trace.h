@@ -6,8 +6,8 @@
 //
 //   * DISARMED (the default) a span costs one relaxed atomic load — the
 //     same budget as a disarmed failpoint, pinned by BM_TraceOverhead
-//     against BM_FixpointParallel (<2%). No allocation, no clock read, no
-//     branch beyond the flag test.
+//     against BM_DatalogStringTransitiveClosure (<2%). No allocation, no
+//     clock read, no branch beyond the flag test.
 //   * ARMED, every span costs two steady_clock reads plus one 64-byte write
 //     into the calling thread's private ring buffer. Rings are
 //     single-producer (the owning thread) and fixed-size; when a thread
@@ -23,19 +23,15 @@
 //
 // Trace ids: Session entry points stamp RunContext::trace_id with a fresh
 // process-unique id and install it as the calling thread's ambient id
-// (TraceIdScope). ThreadPool::Run forwards the caller's ambient id to every
-// worker invocation, so pool-side spans — and the sequential retry after a
-// parallel fallback, which runs on the caller's thread under the same scope
-// — all carry the id of the run that spawned them.
+// (TraceIdScope). Evaluation never leaves the calling thread, so every span
+// a run records carries that run's id.
 //
 // Concurrency contract: recording is thread-safe and lock-free.
 // WriteChromeTrace / CollectEvents / Clear read the rings with acquire loads
 // of each ring's event count, which is release-published by the recording
-// thread; for pool workers the Run() completion handshake additionally
-// orders every worker event before the caller's return. Dumping while a
-// pipeline call is still executing may miss (or see a torn copy of) events
-// still being written — call DumpTrace after the traced calls return, as
-// Session does.
+// thread. Dumping while a pipeline call is still executing may miss (or see
+// a torn copy of) events still being written — call DumpTrace after the
+// traced calls return, as Session does.
 
 #ifndef DYNAMITE_UTIL_TRACE_H_
 #define DYNAMITE_UTIL_TRACE_H_
@@ -88,10 +84,6 @@ class TraceIdScope {
  private:
   uint64_t saved_;
 };
-
-/// Names the calling thread in trace dumps (e.g. "pool-worker-3"). Cheap;
-/// safe to call disarmed; the name sticks for the life of the thread.
-void SetThreadName(const std::string& name);
 
 /// One recorded event. `name` must point at static-storage strings (the
 /// macro/site contract): rings store the pointer, not a copy.

@@ -14,9 +14,9 @@ namespace dynamite {
 namespace {
 
 uint64_t NextUid() {
-  // Lock-free uid allocation: the only cross-thread state in this file.
-  // Relations themselves are externally synchronized (append-frozen during
-  // parallel matching; see the engine's freeze contract in index.h).
+  // Lock-free uid allocation: the only cross-thread state in this file
+  // (Sessions on different threads create relations concurrently).
+  // Relations themselves are externally synchronized.
   static std::atomic<uint64_t> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
@@ -107,15 +107,9 @@ bool Relation::RowEqualsValues(size_t idx, const Value* vals) const {
 }
 
 bool Relation::InsertRow(const Value* vals, size_t count) {
-  return InsertRowPrehashed(vals, count, HashValueRange(vals, count));
-}
-
-bool Relation::InsertRowPrehashed(const Value* vals, size_t count, size_t h) {
   // A mismatched arity scribbles past column ends — abort in release too.
-  // The hash recomputation stays debug-only: it re-hashes every row.
   DYNAMITE_CHECK(count == arity(), "InsertRow arity mismatch");
-  DYNAMITE_DCHECK(h == HashValueRange(vals, count));
-  (void)count;
+  const size_t h = HashValueRange(vals, count);
   DYNAMITE_FAILPOINT_THROW("relation.insert.alloc");
   // Grow at 3/4 load (slot count is a power of two).
   if (slots_.empty()) {

@@ -20,15 +20,10 @@
 // appends that reallocate the column vectors (the engine emits into a
 // relation mid-scan).
 //
-// Thread-safety contract (ISSUE 4, parallel fixpoint): concurrent const
-// reads (cell/column/ContainsRow/row_hash/SetEquals/...) are safe; any
-// mutation requires exclusive access. The engine's parallel evaluation
-// honors this by freezing every relation during the match phase — workers
-// emit rows into per-chunk buffers (hashing them off-thread) and a
-// single-threaded merge replays the buffers through InsertRowPrehashed in
-// canonical chunk order, which also keeps results bit-identical to
-// single-threaded evaluation. There is deliberately no locking on the probe
-// or insert paths.
+// Thread-safety: concurrent const reads (cell/column/ContainsRow/row_hash/
+// SetEquals/...) are safe; any mutation requires exclusive access. A
+// relation belongs to one engine or Session, which evaluates on one thread,
+// so there is deliberately no locking on the probe or insert paths.
 
 #ifndef DYNAMITE_VALUE_RELATION_H_
 #define DYNAMITE_VALUE_RELATION_H_
@@ -77,12 +72,6 @@ class Relation {
   /// Appends the row `vals[0..arity())`; returns true if it was not already
   /// present. The hot insertion path: no Tuple is materialized.
   bool InsertRow(const Value* vals, size_t count);
-
-  /// InsertRow with the row hash precomputed by the caller (`hash` must
-  /// equal HashValueRange(vals, arity())). The parallel engine's merge
-  /// path: worker threads hash buffered rows in parallel, so the
-  /// single-threaded merge only probes the row table and appends.
-  bool InsertRowPrehashed(const Value* vals, size_t count, size_t hash);
 
   /// Convenience overload for an in-place row buffer.
   bool InsertRow(const std::vector<Value>& vals) {

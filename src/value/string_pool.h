@@ -10,7 +10,8 @@
 // trade-off: the synthesizer re-reads the same example instances thousands
 // of times, so the working set of distinct strings is small and stable).
 //
-// Thread-safety contract (ISSUE 4, parallel fixpoint):
+// Thread-safety contract (the pool is process-wide, shared by Sessions on
+// every thread):
 //
 //   * Intern / TryIntern are safe to call concurrently from any thread. The
 //     string -> id map is sharded kNumShards ways with one mutex per shard,

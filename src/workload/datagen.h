@@ -77,8 +77,7 @@ std::vector<FlatColumn> WideColumns(size_t n, size_t pool_size);
 /// columns take Pooled(attr, rank), int columns take Int(rank). Skewed
 /// pools concentrate most cells on a handful of values — duplicate-heavy
 /// rows (dedup stress) and giant hash groups (join-probe posting lists far
-/// from uniform), the distributions on which parallel evaluation must stay
-/// bit-identical to sequential.
+/// from uniform).
 RecordForest ZipfFlatInstance(const std::string& type, const std::vector<FlatColumn>& cols,
                               size_t rows, double s, Rng* rng);
 

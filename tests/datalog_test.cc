@@ -461,7 +461,6 @@ TEST(ExistentialCut, DeadAtomKeepsRowsAndTheirOrder) {
   db.DeclareRelation("A", {"x", "y"}).ValueOrDie();
   db.DeclareRelation("B", {"p", "q"}).ValueOrDie();
   Rng rng(11);
-  // Past the engine's parallel threshold, so threads=4 splits the scan.
   for (int i = 0; i < 600; ++i) {
     db.AddFact("A", Tuple({Value::Int(rng.NextInt(0, 200)), Value::Int(rng.NextInt(0, 50))}));
     db.AddFact("B", Tuple({Value::Int(i), Value::Int(i % 7)}));
@@ -472,15 +471,10 @@ TEST(ExistentialCut, DeadAtomKeepsRowsAndTheirOrder) {
   DatalogEngine reference;
   ASSERT_OK_AND_ASSIGN(FactDatabase want, reference.EvalAutoSignatures(plain, db));
   const auto want_rows = RowsInOrder(*want.Find("H").ValueOrDie());
-  for (size_t threads : {1, 4}) {
-    DatalogEngine::Options options;
-    options.num_threads = threads;
-    for (const Program* p : {&padded, &padded_first}) {
-      DatalogEngine engine(options);
-      ASSERT_OK_AND_ASSIGN(FactDatabase got, engine.EvalAutoSignatures(*p, db));
-      EXPECT_EQ(RowsInOrder(*got.Find("H").ValueOrDie()), want_rows)
-          << p->ToString() << " threads=" << threads;
-    }
+  for (const Program* p : {&padded, &padded_first}) {
+    DatalogEngine engine;
+    ASSERT_OK_AND_ASSIGN(FactDatabase got, engine.EvalAutoSignatures(*p, db));
+    EXPECT_EQ(RowsInOrder(*got.Find("H").ValueOrDie()), want_rows) << p->ToString();
   }
 }
 

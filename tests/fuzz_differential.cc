@@ -2,13 +2,12 @@
 //
 // Two modes:
 //
-//   fuzz_differential [--iterations=N] [--seed=S] [--threads=T]
+//   fuzz_differential [--iterations=N] [--seed=S]
 //     N rounds of seeded random pipelines. Each round builds either a random
 //     flat relational schema pair (synthesized end-to-end) or one of the 28
 //     workload benchmarks (golden program), then checks three invariants:
-//       1. Parity: Session(threads=1), Session(threads=T) and the bare
-//          Migrator stage produce identical target instances (and, for
-//          synthesized cases, identical programs).
+//       1. Parity: the Session and the bare Migrator stage produce
+//          identical target instances.
 //       2. Fault tolerance: re-running with a randomly armed failpoint
 //          (random site, kind, trigger) either reproduces the baseline
 //          bit-identically or fails with a typed Status from the injected
@@ -17,8 +16,8 @@
 //          reproduce the baseline (no stale state from the aborted run).
 //     Golden rounds also pad one random rule with an all-wildcard atom. Over
 //     a non-empty source relation the padded program must reproduce the
-//     baseline at both thread counts and under the armed failpoint (the
-//     engine output row for row, in insertion order); over an empty one the
+//     baseline, also under the armed failpoint (the engine output row for
+//     row, in insertion order); over an empty one the
 //     rule must derive nothing.
 //     Every ~16th round instead exercises memory governance: meters the
 //     migration's byte charges through a caller-provided MemoryBudget
@@ -59,7 +58,6 @@ namespace {
 struct CliOptions {
   size_t iterations = 25;
   uint64_t seed = 1;
-  size_t threads = 4;
   bool smoke = false;
 };
 
@@ -161,8 +159,7 @@ FuzzCase MakeProjectionCase(Rng* rng) {
     make_row(&cells);
     add_pair(&fc.example.input, &fc.example.output, cells);
   }
-  // Instance sized to cross the engine's parallel threshold (256 first-atom
-  // rows) about half the time, so both code paths see fuzz traffic.
+  // Instances of 20 to 519 rows.
   const size_t instance_rows = 20 + rng->NextIndex(500);
   for (size_t r = 0; r < instance_rows; ++r) {
     make_row(&cells);
@@ -220,9 +217,7 @@ void FinishFlatCase(FuzzCase* fc, const std::vector<workload::FlatColumn>& src_c
 /// Zipf-skewed case: projection schema, but the migration instance draws
 /// every cell from small Zipf-skewed pools — duplicate-heavy rows and hash
 /// groups with giant posting lists. Adversarial for the matcher (a few
-/// first-atom rows fan out into most of the output, so parallel chunks carry
-/// very uneven work) and for ingest dedup. Instance sized past the engine's
-/// parallel threshold.
+/// first-atom rows fan out into most of the output) and for ingest dedup.
 FuzzCase MakeSkewedCase(Rng* rng) {
   FuzzCase fc;
   fc.synthesized = true;
@@ -280,9 +275,8 @@ FuzzCase MakeWorkloadCase(Rng* rng) {
   return fc;
 }
 
-Session MakeSession(const FuzzCase& fc, size_t threads, size_t max_memory_bytes = 0) {
+Session MakeSession(const FuzzCase& fc, size_t max_memory_bytes = 0) {
   SessionOptions so;
-  so.num_threads = threads;
   so.max_memory_bytes = max_memory_bytes;
   auto session = Session::Create(fc.source, fc.target, so);
   FUZZ_ASSERT(session.ok(), "Session::Create(%s): %s", fc.label.c_str(),
@@ -363,12 +357,12 @@ bool RowsInOrderEqual(const FactDatabase& a, const FactDatabase& b) {
 }
 
 /// Golden-round padding invariant, checked on the engine directly (the
-/// existential atom must be invisible in the output) and through both
-/// Sessions. Returns the padded program for the fault-injected rerun.
+/// existential atom must be invisible in the output) and through the
+/// Session. Returns the padded program for the fault-injected rerun.
 /// `rng` is a stream of its own, so the other invariants' draws are the same
 /// with or without this check.
-Program CheckPaddedGolden(const FuzzCase& fc, const Session& seq, const Session& par,
-                          size_t threads, const RecordForest& seq_out, Rng* rng) {
+Program CheckPaddedGolden(const FuzzCase& fc, const Session& session,
+                          const RecordForest& baseline_out, Rng* rng) {
   uint64_t next_id = 1;
   auto facts = ToFacts(fc.instance, fc.source, &next_id);
   FUZZ_ASSERT(facts.ok(), "[%s] ToFacts: %s", fc.label.c_str(),
@@ -385,28 +379,21 @@ Program CheckPaddedGolden(const FuzzCase& fc, const Session& seq, const Session&
       PadRule(fc.program, rule_idx, pad_rel, edb.Find(pad_rel).ValueOrDie()->arity(), rng);
 
   const auto signatures = FactSignatures(fc.target);
-  auto eval = [&](const Program& program, size_t num_threads) {
-    DatalogEngine::Options options;
-    options.num_threads = num_threads;
-    auto out = DatalogEngine(options).Eval(program, edb, signatures);
+  auto eval = [&](const Program& program) {
+    auto out = DatalogEngine().Eval(program, edb, signatures);
     FUZZ_ASSERT(out.ok(), "[%s] engine eval of\n%s\nfailed: %s", fc.label.c_str(),
                 program.ToString().c_str(), out.status().ToString().c_str());
     return std::move(out).ValueOrDie();
   };
-  const FactDatabase baseline = eval(fc.program, 1);
-  for (size_t t : {size_t{1}, threads}) {
-    FUZZ_ASSERT(RowsInOrderEqual(baseline, eval(padded, t)),
-                "[%s] padding rule %zu with %s(_...) changed the engine output at threads=%zu",
-                fc.label.c_str(), rule_idx, pad_rel.c_str(), t);
-  }
-  for (const Session* session : {&seq, &par}) {
-    auto out = session->Migrate(padded, fc.instance);
-    FUZZ_ASSERT(out.ok(), "[%s] padded migration failed: %s", fc.label.c_str(),
-                out.status().ToString().c_str());
-    FUZZ_ASSERT(ForestEquals(out.ValueOrDie(), seq_out),
-                "[%s] padding rule %zu with %s(_...) changed the target instance",
-                fc.label.c_str(), rule_idx, pad_rel.c_str());
-  }
+  FUZZ_ASSERT(RowsInOrderEqual(eval(fc.program), eval(padded)),
+              "[%s] padding rule %zu with %s(_...) changed the engine output",
+              fc.label.c_str(), rule_idx, pad_rel.c_str());
+  auto out = session.Migrate(padded, fc.instance);
+  FUZZ_ASSERT(out.ok(), "[%s] padded migration failed: %s", fc.label.c_str(),
+              out.status().ToString().c_str());
+  FUZZ_ASSERT(ForestEquals(out.ValueOrDie(), baseline_out),
+              "[%s] padding rule %zu with %s(_...) changed the target instance",
+              fc.label.c_str(), rule_idx, pad_rel.c_str());
 
   // Over an empty relation the padded rule derives nothing: the output is
   // the program's without that rule, and a head only it derives is empty.
@@ -416,8 +403,8 @@ Program CheckPaddedGolden(const FuzzCase& fc, const Session& seq, const Session&
   Program dropped = fc.program;
   dropped.rules.erase(dropped.rules.begin() + static_cast<std::ptrdiff_t>(rule_idx));
   const FactDatabase emptied =
-      eval(PadRule(fc.program, rule_idx, "FuzzEmpty", empty_arity, rng), threads);
-  FUZZ_ASSERT(RowsInOrderEqual(emptied, eval(dropped, 1)),
+      eval(PadRule(fc.program, rule_idx, "FuzzEmpty", empty_arity, rng));
+  FUZZ_ASSERT(RowsInOrderEqual(emptied, eval(dropped)),
               "[%s] rule %zu padded over an empty relation still derived rows",
               fc.label.c_str(), rule_idx);
   for (const Atom& head : fc.program.rules[rule_idx].heads) {
@@ -432,7 +419,7 @@ Program CheckPaddedGolden(const FuzzCase& fc, const Session& seq, const Session&
   return padded;
 }
 
-void RunDifferentialIteration(Rng* rng, size_t threads) {
+void RunDifferentialIteration(Rng* rng) {
   FuzzCase fc;
   switch (rng->NextIndex(8)) {
     case 0:
@@ -451,44 +438,34 @@ void RunDifferentialIteration(Rng* rng, size_t threads) {
       break;
   }
 
-  // --- invariant 1: parity across thread counts and the bare stage -------
-  Session seq = MakeSession(fc, 1);
-  Session par = MakeSession(fc, threads);
-  Program seq_program, par_program;
-  RecordForest seq_out, par_out;
-  Status st = RunPipeline(seq, fc, &seq_program, &seq_out);
-  FUZZ_ASSERT(st.ok(), "[%s] sequential baseline failed: %s", fc.label.c_str(),
-              st.ToString().c_str());
-  st = RunPipeline(par, fc, &par_program, &par_out);
-  FUZZ_ASSERT(st.ok(), "[%s] threads=%zu run failed: %s", fc.label.c_str(), threads,
-              st.ToString().c_str());
-  FUZZ_ASSERT(seq_program == par_program, "[%s] synthesized programs diverge:\n%s\nvs\n%s",
-              fc.label.c_str(), seq_program.ToString().c_str(),
-              par_program.ToString().c_str());
-  FUZZ_ASSERT(ForestEquals(seq_out, par_out), "[%s] threads=1 vs threads=%zu outputs diverge",
-              fc.label.c_str(), threads);
+  // --- invariant 1: parity with the bare stage ---------------------------
+  Session session = MakeSession(fc);
+  Program base_program;
+  RecordForest base_out;
+  Status st = RunPipeline(session, fc, &base_program, &base_out);
+  FUZZ_ASSERT(st.ok(), "[%s] baseline failed: %s", fc.label.c_str(), st.ToString().c_str());
   Migrator stage(fc.source, fc.target);
-  auto stage_out = stage.Migrate(seq_program, fc.instance);
+  auto stage_out = stage.Migrate(base_program, fc.instance);
   FUZZ_ASSERT(stage_out.ok(), "[%s] bare Migrator failed: %s", fc.label.c_str(),
               stage_out.status().ToString().c_str());
-  FUZZ_ASSERT(ForestEquals(seq_out, stage_out.ValueOrDie()),
+  FUZZ_ASSERT(ForestEquals(base_out, stage_out.ValueOrDie()),
               "[%s] bare Migrator output diverges", fc.label.c_str());
   Program padded;
   if (!fc.synthesized) {
     Rng pad_rng(g_seed * 0x9e3779b97f4a7c15ULL + g_iteration + 0x5eed);
-    padded = CheckPaddedGolden(fc, seq, par, threads, seq_out, &pad_rng);
+    padded = CheckPaddedGolden(fc, session, base_out, &pad_rng);
   }
 
   // --- invariant 2: a fault-injected rerun is bit-identical or typed ------
   std::string fault = ArmRandomFault(rng, /*include_timeout=*/!fc.synthesized);
   Program injected_program;
   RecordForest injected_out;
-  st = RunPipeline(par, fc, &injected_program, &injected_out);
+  st = RunPipeline(session, fc, &injected_program, &injected_out);
   if (st.ok()) {
-    FUZZ_ASSERT(injected_program == seq_program,
+    FUZZ_ASSERT(injected_program == base_program,
                 "[%s] fault %s: OK result but program diverges", fc.label.c_str(),
                 fault.c_str());
-    FUZZ_ASSERT(ForestEquals(injected_out, seq_out),
+    FUZZ_ASSERT(ForestEquals(injected_out, base_out),
                 "[%s] fault %s: OK result but output diverges", fc.label.c_str(),
                 fault.c_str());
   } else {
@@ -501,9 +478,9 @@ void RunDifferentialIteration(Rng* rng, size_t threads) {
     const size_t colon = fault.find(':');
     FUZZ_ASSERT(failpoint::ArmFromString(fault.substr(0, colon), fault.substr(colon + 1)).ok(),
                 "re-arming %s failed", fault.c_str());
-    auto padded_out = par.Migrate(padded, fc.instance);
+    auto padded_out = session.Migrate(padded, fc.instance);
     if (padded_out.ok()) {
-      FUZZ_ASSERT(ForestEquals(padded_out.ValueOrDie(), seq_out),
+      FUZZ_ASSERT(ForestEquals(padded_out.ValueOrDie(), base_out),
                   "[%s] fault %s: OK result but padded output diverges", fc.label.c_str(),
                   fault.c_str());
     } else {
@@ -517,10 +494,10 @@ void RunDifferentialIteration(Rng* rng, size_t threads) {
   failpoint::DisarmAll();
   Program recovered_program;
   RecordForest recovered_out;
-  st = RunPipeline(par, fc, &recovered_program, &recovered_out);
+  st = RunPipeline(session, fc, &recovered_program, &recovered_out);
   FUZZ_ASSERT(st.ok(), "[%s] post-fault rerun (after %s) failed: %s — engine not reusable",
               fc.label.c_str(), fault.c_str(), st.ToString().c_str());
-  FUZZ_ASSERT(recovered_program == seq_program && ForestEquals(recovered_out, seq_out),
+  FUZZ_ASSERT(recovered_program == base_program && ForestEquals(recovered_out, base_out),
               "[%s] post-fault rerun (after %s) diverges from baseline", fc.label.c_str(),
               fault.c_str());
 }
@@ -529,7 +506,7 @@ void RunDifferentialIteration(Rng* rng, size_t threads) {
 /// byte budget and succeed untouched without one.
 void RunMemoryGovernanceIteration(Rng* rng) {
   FuzzCase fc = MakeWorkloadCase(rng);
-  Session unbounded = MakeSession(fc, 1);
+  Session unbounded = MakeSession(fc);
   auto baseline = unbounded.Migrate(fc.program, fc.instance);
   FUZZ_ASSERT(baseline.ok(), "[%s] unbounded migration failed: %s", fc.label.c_str(),
               baseline.status().ToString().c_str());
@@ -540,7 +517,7 @@ void RunMemoryGovernanceIteration(Rng* rng) {
   MemoryBudget meter(size_t{1} << 34);
   RunContext metered_ctx;
   metered_ctx.memory = &meter;
-  Session tight_opts = MakeSession(fc, 1, /*max_memory_bytes=*/1);
+  Session tight_opts = MakeSession(fc, /*max_memory_bytes=*/1);
   auto metered = tight_opts.Migrate(fc.program, fc.instance, nullptr, metered_ctx);
   FUZZ_ASSERT(metered.ok(), "[%s] caller budget did not override session limit: %s",
               fc.label.c_str(), metered.status().ToString().c_str());
@@ -553,7 +530,7 @@ void RunMemoryGovernanceIteration(Rng* rng) {
   // need some post-exhaustion work left to observe the trip.
   if (meter.used() >= 4096) {
     const size_t starve_budget = meter.used() / 8;
-    Session tiny = MakeSession(fc, 1, starve_budget);
+    Session tiny = MakeSession(fc, starve_budget);
     auto starved = tiny.Migrate(fc.program, fc.instance);
     FUZZ_ASSERT(!starved.ok(),
                 "[%s] migration under a %zu-byte budget succeeded (metered %zu)",
@@ -563,7 +540,7 @@ void RunMemoryGovernanceIteration(Rng* rng) {
                 starved.status().ToString().c_str());
   }
 
-  Session ample = MakeSession(fc, 1, /*max_memory_bytes=*/size_t{1} << 34);
+  Session ample = MakeSession(fc, /*max_memory_bytes=*/size_t{1} << 34);
   auto roomy = ample.Migrate(fc.program, fc.instance);
   FUZZ_ASSERT(roomy.ok(), "[%s] migration under a 16GB budget failed: %s", fc.label.c_str(),
               roomy.status().ToString().c_str());
@@ -572,15 +549,15 @@ void RunMemoryGovernanceIteration(Rng* rng) {
 }
 
 int RunFuzz(const CliOptions& cli) {
-  std::printf("fuzz_differential seed=%" PRIu64 " iterations=%zu threads=%zu\n", cli.seed,
-              cli.iterations, cli.threads);
+  std::printf("fuzz_differential seed=%" PRIu64 " iterations=%zu\n", cli.seed,
+              cli.iterations);
   for (size_t i = 0; i < cli.iterations; ++i) {
     g_iteration = i;
     Rng rng(cli.seed * 0x9e3779b97f4a7c15ULL + i);
     if (i % 16 == 5) {
       RunMemoryGovernanceIteration(&rng);
     } else {
-      RunDifferentialIteration(&rng, cli.threads);
+      RunDifferentialIteration(&rng);
     }
     if ((i + 1) % 25 == 0 || i + 1 == cli.iterations) {
       std::printf("  %zu/%zu iterations ok\n", i + 1, cli.iterations);
@@ -597,14 +574,14 @@ int RunFuzz(const CliOptions& cli) {
 int RunSmoke(const CliOptions& cli) {
   std::printf("fuzz_differential --smoke seed=%" PRIu64 "\n", cli.seed);
   {
-    // Baseline pipeline, threads=4 and a parallel-scale instance, so every
-    // site — including the pool/merge ones — registers before enumeration.
+    // Baseline pipeline over an instance of at least 300 roots, so every
+    // site registers before enumeration.
     Rng rng(cli.seed);
     FuzzCase fc = MakeProjectionCase(&rng);
     while (fc.instance.roots.size() < 300) {
       fc = MakeProjectionCase(&rng);
     }
-    Session session = MakeSession(fc, 4);
+    Session session = MakeSession(fc);
     Program program;
     RecordForest output;
     Status st = RunPipeline(session, fc, &program, &output);
@@ -631,7 +608,7 @@ int RunSmoke(const CliOptions& cli) {
       Status armed = failpoint::ArmFromString(site, spec);
       FUZZ_ASSERT(armed.ok(), "ArmFromString(%s, %s): %s", site.c_str(), spec.c_str(),
                   armed.ToString().c_str());
-      Session session = MakeSession(fc, 4);
+      Session session = MakeSession(fc);
       Program program;
       RecordForest output;
       Status st = RunPipeline(session, fc, &program, &output);
@@ -669,10 +646,8 @@ int RunSmoke(const CliOptions& cli) {
                     site.c_str(), spec.c_str(), st.ToString().c_str());
       }
       // A first-hit injection of the default kind must be *observable*: the
-      // pipeline executes every site, so the run either fails typed or the
-      // fault was absorbed by design (a worker-thread fault falls back to
-      // the sequential path and succeeds).
-      if (std::strcmp(kind, "resource") == 0 && site != "thread_pool.worker") {
+      // pipeline executes every site, so the run fails typed.
+      if (std::strcmp(kind, "resource") == 0) {
         FUZZ_ASSERT(!st.ok(), "%s:%s did not fire (pipeline came back OK)", site.c_str(),
                     spec.c_str());
       }
@@ -700,13 +675,11 @@ int Main(int argc, char** argv) {
       cli.iterations = static_cast<size_t>(std::strtoull(v, nullptr, 10));
     } else if (const char* v = value("--seed=")) {
       cli.seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--threads=")) {
-      cli.threads = static_cast<size_t>(std::strtoull(v, nullptr, 10));
     } else if (arg == "--smoke") {
       cli.smoke = true;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--iterations=N] [--seed=S] [--threads=T] [--smoke]\n",
+                   "usage: %s [--iterations=N] [--seed=S] [--smoke]\n",
                    argv[0]);
       return 2;
     }

@@ -1,10 +1,10 @@
-// Observability suite (ISSUE 10): trace spans must nest well-formed at
-// every thread count, trace ids must survive parallel-fallback retries,
-// metrics::Snapshot() must agree with the legacy per-object stats() structs
-// (delta-for-delta — the registry is process-cumulative), the disarmed path
-// must record nothing and cost next to nothing, spans must close on
-// injected faults, and progress observers must never fire after their
-// Session is gone. Runs in the TSan CI matrix with DYNAMITE_NUM_THREADS=4.
+// Observability suite: trace spans must nest well-formed, every
+// span of a run must carry the run's trace id, metrics::Snapshot() must
+// agree with the legacy per-object stats() structs (delta-for-delta — the
+// registry is process-cumulative), the disarmed path must record nothing
+// and cost next to nothing, spans must close on injected faults, and
+// progress observers must never fire after their Session is gone. Runs in
+// the TSan CI job.
 
 #include <gtest/gtest.h>
 
@@ -65,12 +65,6 @@ Program TcProgram() {
       .ValueOrDie();
 }
 
-DatalogEngine MakeEngine(size_t num_threads) {
-  DatalogEngine::Options opts;
-  opts.num_threads = num_threads;
-  return DatalogEngine(opts);
-}
-
 /// Per-thread laminarity sweep: on one thread, any two recorded spans must
 /// be disjoint or properly nested (RAII guarantees it; a partial overlap
 /// means a span leaked across scopes). Holds for any subset of a well-nested
@@ -113,20 +107,15 @@ bool HasSpan(const std::vector<trace::Event>& events, const std::string& name) {
 
 // ------------------------------------------------------------ span nesting
 
-TEST_F(ObservabilityTest, SpansNestWellFormedAcrossThreadCounts) {
+TEST_F(ObservabilityTest, SpansNestWellFormed) {
   trace::Arm();
-  FactDatabase db = IntEdges(100);
-  Program p = TcProgram();
-  for (size_t threads : {1u, 4u, 8u}) {
-    auto out = MakeEngine(threads).EvalAutoSignatures(p, db);
-    ASSERT_TRUE(out.ok()) << out.status().ToString();
-  }
+  auto out = DatalogEngine().EvalAutoSignatures(TcProgram(), IntEdges(100));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
   std::vector<trace::Event> events = trace::CollectEvents();
   ExpectWellNested(events);
   EXPECT_TRUE(HasSpan(events, "engine.eval"));
   EXPECT_TRUE(HasSpan(events, "engine.compile"));
   EXPECT_TRUE(HasSpan(events, "engine.fixpoint.round"));
-  EXPECT_TRUE(HasSpan(events, "pool.run"));  // threads > 1 ran the pool
 }
 
 TEST_F(ObservabilityTest, SessionPipelineEmitsRootAndStageSpans) {
@@ -163,20 +152,11 @@ TEST_F(ObservabilityTest, SessionPipelineEmitsRootAndStageSpans) {
 
 // --------------------------------------------------------------- trace ids
 
-TEST_F(ObservabilityTest, TraceIdStableAcrossParallelFallbackRetry) {
+TEST_F(ObservabilityTest, EverySpanCarriesTheAmbientTraceId) {
   trace::Arm();
-  // First pool task dies (injected), the engine retries sequentially on the
-  // calling thread: every span of the run — pool-side before the fault,
-  // caller-side after — must still carry the ambient id installed here.
-  failpoint::Spec first;
-  first.hit = 1;
-  failpoint::Arm("thread_pool.worker", first);
-
   trace::TraceIdScope scope(42);
-  DatalogEngine engine = MakeEngine(4);
-  auto out = engine.EvalAutoSignatures(TcProgram(), IntEdges(100));
+  auto out = DatalogEngine().EvalAutoSignatures(TcProgram(), IntEdges(100));
   ASSERT_TRUE(out.ok()) << out.status().ToString();
-  EXPECT_GT(engine.stats().parallel_fallbacks, 0u);
 
   std::vector<trace::Event> events = trace::CollectEvents();
   ASSERT_FALSE(events.empty());
@@ -187,52 +167,36 @@ TEST_F(ObservabilityTest, TraceIdStableAcrossParallelFallbackRetry) {
 
 // ---------------------------------------------------- metrics/stats parity
 
-TEST_F(ObservabilityTest, EngineMetricsMatchStatsAcrossThreadCounts) {
-  // The IDB-drift replan scenario of the PR-4 determinism suite at 1/4/8
-  // threads: the registry delta must equal the fresh engine's stats() after
-  // each run. Deltas, not absolutes — the registry is process-cumulative.
+TEST_F(ObservabilityTest, EngineMetricsMatchStats) {
+  // An IDB-drift replan: the registry delta must equal the fresh engine's
+  // stats() after the run. Deltas, not absolutes — the registry is
+  // process-cumulative.
   Program p = Program::Parse(R"(
     p(x, y) :- base(x, y).
     p(x, y) :- p(x, z), link(z, y).
   )")
                   .ValueOrDie();
-  for (size_t threads : {1u, 4u, 8u}) {
-    FactDatabase db;
-    db.DeclareRelation("base", {"x", "y"}).ValueOrDie();
-    db.DeclareRelation("link", {"z", "y"}).ValueOrDie();
-    for (int i = 0; i < 3; ++i) {
-      db.AddFact("link", Tuple({Value::Int(i), Value::Int(i + 1)}));
-    }
-    for (int i = 0; i < 40; ++i) {
-      db.AddFact("base", Tuple({Value::Int(i), Value::Int(i % 4)}));
-    }
-    const uint64_t refreshes_before =
-        metrics::Snapshot().counter("engine.plan_refreshes");
-    DatalogEngine engine = MakeEngine(threads);
-    ASSERT_OK(engine.EvalAutoSignatures(p, db).status());
-    for (int i = 40; i < 640; ++i) {
-      db.AddFact("base", Tuple({Value::Int(i), Value::Int(i % 4)}));
-    }
-    ASSERT_OK(engine.EvalAutoSignatures(p, db).status());
-    const uint64_t delta =
-        metrics::Snapshot().counter("engine.plan_refreshes") - refreshes_before;
-    EXPECT_EQ(delta, engine.stats().plan_refreshes) << "threads " << threads;
-    EXPECT_GT(engine.stats().plan_refreshes, 0u);  // the drift happened
+  FactDatabase db;
+  db.DeclareRelation("base", {"x", "y"}).ValueOrDie();
+  db.DeclareRelation("link", {"z", "y"}).ValueOrDie();
+  for (int i = 0; i < 3; ++i) {
+    db.AddFact("link", Tuple({Value::Int(i), Value::Int(i + 1)}));
   }
-}
-
-TEST_F(ObservabilityTest, EngineFallbackMetricMatchesStats) {
-  failpoint::Spec first;
-  first.hit = 1;
-  failpoint::Arm("thread_pool.worker", first);
-  const uint64_t before =
-      metrics::Snapshot().counter("engine.parallel_fallbacks");
-  DatalogEngine engine = MakeEngine(4);
-  ASSERT_OK(engine.EvalAutoSignatures(TcProgram(), IntEdges(100)).status());
+  for (int i = 0; i < 40; ++i) {
+    db.AddFact("base", Tuple({Value::Int(i), Value::Int(i % 4)}));
+  }
+  const uint64_t refreshes_before =
+      metrics::Snapshot().counter("engine.plan_refreshes");
+  DatalogEngine engine;
+  ASSERT_OK(engine.EvalAutoSignatures(p, db).status());
+  for (int i = 40; i < 640; ++i) {
+    db.AddFact("base", Tuple({Value::Int(i), Value::Int(i % 4)}));
+  }
+  ASSERT_OK(engine.EvalAutoSignatures(p, db).status());
   const uint64_t delta =
-      metrics::Snapshot().counter("engine.parallel_fallbacks") - before;
-  EXPECT_EQ(delta, engine.stats().parallel_fallbacks);
-  EXPECT_GT(delta, 0u);
+      metrics::Snapshot().counter("engine.plan_refreshes") - refreshes_before;
+  EXPECT_EQ(delta, engine.stats().plan_refreshes);
+  EXPECT_GT(engine.stats().plan_refreshes, 0u);  // the drift happened
 }
 
 TEST_F(ObservabilityTest, FixpointRoundsHistogramObservesEvals) {
@@ -241,7 +205,7 @@ TEST_F(ObservabilityTest, FixpointRoundsHistogramObservesEvals) {
   const metrics::HistogramSnapshot* before_snap =
       before_all.histogram("engine.fixpoint.rounds_per_eval");
   const uint64_t before = before_snap != nullptr ? before_snap->count : 0;
-  ASSERT_OK(MakeEngine(1).EvalAutoSignatures(TcProgram(), IntEdges(60)).status());
+  ASSERT_OK(DatalogEngine().EvalAutoSignatures(TcProgram(), IntEdges(60)).status());
   const metrics::MetricsSnapshot after_all = metrics::Snapshot();
   const metrics::HistogramSnapshot* after =
       after_all.histogram("engine.fixpoint.rounds_per_eval");
@@ -274,14 +238,15 @@ TEST_F(ObservabilityTest, IngestMetricsMatchStats) {
 
 TEST_F(ObservabilityTest, DisarmedRunRecordsNothing) {
   ASSERT_FALSE(trace::Enabled());
-  ASSERT_OK(MakeEngine(4).EvalAutoSignatures(TcProgram(), IntEdges(80)).status());
+  ASSERT_OK(DatalogEngine().EvalAutoSignatures(TcProgram(), IntEdges(80)).status());
   EXPECT_TRUE(trace::CollectEvents().empty());
   EXPECT_EQ(trace::DroppedEvents(), 0u);
 }
 
 TEST_F(ObservabilityTest, DisarmedSpanCostIsNanoseconds) {
-  // The real overhead pin is BM_TraceOverhead vs BM_FixpointParallel/200/1
-  // (<2%, recorded in BENCH_micro.json); this is the in-tree backstop: a
+  // The real overhead pin is BM_TraceOverhead vs
+  // BM_DatalogStringTransitiveClosure/200 (<2%, recorded in
+  // BENCH_micro.json); this is the in-tree backstop: a
   // disarmed span must stay within nanoseconds — one relaxed load, no
   // clock read, no allocation. The bound is deliberately loose (5µs/span)
   // so sanitizer builds never flake; a lock or clock read on the disarmed
@@ -305,12 +270,10 @@ TEST_F(ObservabilityTest, DisarmedSpanCostIsNanoseconds) {
 
 TEST_F(ObservabilityTest, SpansCloseOnInjectedFault) {
   trace::Arm();
-  // The merge site sits on the parallel path (single-threaded merge after
-  // the worker barrier), so drive a parallel engine at a scale the chunker
-  // engages; the merge fault is the engine's own, not a worker's, so no
-  // sequential fallback absorbs it and the Eval genuinely fails mid-span.
-  failpoint::Arm("engine.merge.alloc", failpoint::Spec());  // every execution
-  auto out = MakeEngine(4).EvalAutoSignatures(TcProgram(), IntEdges(100));
+  // The round site fires inside the open engine.eval span, after pass 0's
+  // spans closed, so the Eval genuinely fails mid-span.
+  failpoint::Arm("engine.fixpoint.round", failpoint::Spec());  // every execution
+  auto out = DatalogEngine().EvalAutoSignatures(TcProgram(), IntEdges(100));
   ASSERT_FALSE(out.ok());
   failpoint::DisarmAll();
 
@@ -364,8 +327,7 @@ TEST_F(ObservabilityTest, ObserverNeverFiresAfterSessionTeardown) {
   torn_down->store(true);
   const size_t ticks_at_teardown = ticks->load();
 
-  // Fresh observer-less pipeline work (pool threads included) must not
-  // resurrect the dead session's callback.
+  // Fresh observer-less pipeline work must not resurrect the dead session's callback.
   ASSERT_OK_AND_ASSIGN(
       Session session,
       Session::Create(testing::UnivSchema(), testing::AdmissionSchema()));

@@ -1,25 +1,32 @@
-// Determinism and thread-safety suite for the parallel semi-naive fixpoint
-// (ISSUE 4): fixpoint outputs must be bit-identical — relation contents AND
-// row insertion order — across num_threads ∈ {1, 2, 8}, stats() counters
-// must agree, cancellation must land within one per-worker tick stride, and
-// the sharded StringPool must survive concurrent interning. This binary is
-// the core of the TSan CI job.
+// Concurrency suite. Evaluation is sequential, but Sessions on different
+// threads share the process-wide StringPool, metrics registry, trace rings
+// and failpoint table (session.h: one Session per thread). Two Sessions
+// running at once must each produce what the same call produces alone, the
+// sharded StringPool must survive concurrent interning, and a cancel from
+// another thread must land within one 1024-tick stride. The skewed inputs
+// that stress posting-list fan-out are checked against brute-force
+// references. This binary is the core of the TSan CI job.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/run_context.h"
 #include "api/session.h"
 #include "datalog/engine.h"
+#include "migrate/facts.h"
 #include "testing.h"
 #include "util/cancel.h"
 #include "util/rng.h"
+#include "util/trace.h"
 #include "value/database.h"
 #include "value/string_pool.h"
 #include "workload/benchmarks.h"
@@ -30,20 +37,44 @@ namespace {
 
 // ----------------------------------------------------------------- fixtures
 
-/// Cyclic int edge relation with fan-out 2 (the TC bench shape): closure is
-/// all-pairs, so the fixpoint runs many rounds with fat deltas — big enough
-/// that every round takes the parallel chunked path.
-FactDatabase IntEdges(int n) {
+using Edge = std::pair<int64_t, int64_t>;
+
+/// Cyclic int edge list with fan-out 2 (the TC bench shape): the closure is
+/// all pairs, so the fixpoint runs many rounds with fat deltas.
+std::vector<Edge> UniformEdges(int n) {
+  std::vector<Edge> edges;
+  for (int i = 0; i < n; ++i) {
+    edges.emplace_back(i, (i + 1) % n);
+    edges.emplace_back(i, (i * 7 + 3) % n);
+  }
+  return edges;
+}
+
+/// Skewed edge list: Zipf-distributed targets give hash groups with giant
+/// posting lists, so a few first-atom rows fan out into most of the join
+/// output.
+std::vector<Edge> SkewedEdges(int n) {
+  std::vector<Edge> edges;
+  Rng rng(99);
+  workload::ZipfDist zipf(n, 1.1);
+  for (int i = 0; i < n; ++i) {
+    edges.emplace_back(i, static_cast<int64_t>(zipf.Sample(&rng)));
+    edges.emplace_back(i, (i * 7 + 3) % n);
+  }
+  return edges;
+}
+
+FactDatabase EdgeFacts(const std::vector<Edge>& edges) {
   FactDatabase db;
   db.DeclareRelation("edge", {"s", "t"}).ValueOrDie();
-  for (int i = 0; i < n; ++i) {
-    db.AddFact("edge", Tuple({Value::Int(i), Value::Int((i + 1) % n)}));
-    db.AddFact("edge", Tuple({Value::Int(i), Value::Int((i * 7 + 3) % n)}));
+  for (const auto& [s, t] : edges) {
+    db.AddFact("edge", Tuple({Value::Int(s), Value::Int(t)}));
   }
   return db;
 }
 
-/// Same shape over interned strings (string-keyed joins + pool traffic).
+/// Same shape as UniformEdges over interned strings (string-keyed joins plus
+/// pool traffic).
 FactDatabase StringEdges(int n) {
   FactDatabase db;
   db.DeclareRelation("edge", {"s", "t"}).ValueOrDie();
@@ -51,22 +82,6 @@ FactDatabase StringEdges(int n) {
   for (int i = 0; i < n; ++i) {
     db.AddFact("edge", Tuple({Value::String(name(i)), Value::String(name((i + 1) % n))}));
     db.AddFact("edge", Tuple({Value::String(name(i)), Value::String(name((i * 7 + 3) % n))}));
-  }
-  return db;
-}
-
-/// Skewed int edge relation: Zipf-distributed targets give hash groups with
-/// giant posting lists, so a few first-atom rows fan out into most of the
-/// join output and chunks carry very uneven work.
-FactDatabase SkewedEdges(int n) {
-  FactDatabase db;
-  db.DeclareRelation("edge", {"s", "t"}).ValueOrDie();
-  Rng rng(99);
-  workload::ZipfDist zipf(n, 1.1);
-  for (int i = 0; i < n; ++i) {
-    db.AddFact("edge", Tuple({Value::Int(i), Value::Int(static_cast<int64_t>(
-                                                 zipf.Sample(&rng)))}));
-    db.AddFact("edge", Tuple({Value::Int(i), Value::Int((i * 7 + 3) % n)}));
   }
   return db;
 }
@@ -79,15 +94,37 @@ Program TcProgram() {
       .ValueOrDie();
 }
 
-DatalogEngine MakeEngine(size_t num_threads) {
-  DatalogEngine::Options opts;
-  opts.num_threads = num_threads;
-  return DatalogEngine(opts);
+std::set<Edge> PairsOf(const Relation& rel) {
+  std::set<Edge> pairs;
+  for (size_t r = 0; r < rel.size(); ++r) {
+    pairs.emplace(rel.cell(r, 0).AsInt(), rel.cell(r, 1).AsInt());
+  }
+  return pairs;
 }
 
-/// Bit-identity: same rows in the same insertion order (strictly stronger
-/// than SetEquals — it pins the canonical chunk-merge order to the
-/// sequential emission order).
+/// Transitive closure by breadth-first search from every node.
+std::set<Edge> ReferenceClosure(const std::vector<Edge>& edges) {
+  std::map<int64_t, std::vector<int64_t>> out;
+  for (const auto& [s, t] : edges) out[s].push_back(t);
+  std::set<Edge> closure;
+  for (const auto& [source, unused] : out) {
+    std::set<int64_t> seen;
+    std::vector<int64_t> frontier = {source};
+    while (!frontier.empty()) {
+      int64_t node = frontier.back();
+      frontier.pop_back();
+      auto it = out.find(node);
+      if (it == out.end()) continue;
+      for (int64_t next : it->second) {
+        if (seen.insert(next).second) frontier.push_back(next);
+      }
+    }
+    for (int64_t target : seen) closure.emplace(source, target);
+  }
+  return closure;
+}
+
+/// Same rows in the same insertion order (strictly stronger than SetEquals).
 void ExpectBitIdentical(const Relation& a, const Relation& b) {
   ASSERT_EQ(a.arity(), b.arity());
   ASSERT_EQ(a.size(), b.size());
@@ -97,190 +134,99 @@ void ExpectBitIdentical(const Relation& a, const Relation& b) {
       ASSERT_EQ(a.cell(r, c), b.cell(r, c)) << "row " << r << " col " << c;
     }
   }
-  EXPECT_TRUE(a.SetEquals(b));
 }
 
-// ------------------------------------------------- determinism (tentpole) --
+// ---------------------------------------------------------- skewed inputs --
 
-TEST(ParallelFixpoint, IntClosureBitIdenticalAcrossThreadCounts) {
+TEST(SkewedInputs, TransitiveClosureMatchesReference) {
   Program p = TcProgram();
-  // Uniform fan-out 2 over a cycle (closure is all pairs), and the skewed
-  // variant whose giant posting lists concentrate work in a few chunks.
   for (bool skewed : {false, true}) {
-    FactDatabase db = skewed ? SkewedEdges(150) : IntEdges(150);
-    auto baseline = MakeEngine(1).EvalAutoSignatures(p, db);
-    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-    const Relation* tc1 = baseline.ValueOrDie().Find("tc").ValueOrDie();
+    SCOPED_TRACE(skewed ? "skewed" : "uniform");
+    const std::vector<Edge> edges = skewed ? SkewedEdges(150) : UniformEdges(150);
+    FactDatabase db = EdgeFacts(edges);
+    DatalogEngine engine;
+    ASSERT_OK_AND_ASSIGN(FactDatabase first, engine.EvalAutoSignatures(p, db));
+    const Relation& tc = *first.Find("tc").ValueOrDie();
+    EXPECT_EQ(PairsOf(tc), ReferenceClosure(edges));
     if (!skewed) {
-      EXPECT_EQ(tc1->size(), 150u * 150u);
+      EXPECT_EQ(tc.size(), 150u * 150u);
     }
 
-    for (size_t threads : {2u, 8u}) {
-      auto parallel = MakeEngine(threads).EvalAutoSignatures(p, db);
-      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-      ExpectBitIdentical(*tc1, *parallel.ValueOrDie().Find("tc").ValueOrDie());
-    }
+    // A repeat on the warm engine and a fresh engine reproduce the rows in
+    // the same order.
+    ASSERT_OK_AND_ASSIGN(FactDatabase warm, engine.EvalAutoSignatures(p, db));
+    ExpectBitIdentical(tc, *warm.Find("tc").ValueOrDie());
+    ASSERT_OK_AND_ASSIGN(FactDatabase fresh, DatalogEngine().EvalAutoSignatures(p, db));
+    ExpectBitIdentical(tc, *fresh.Find("tc").ValueOrDie());
   }
 }
 
-TEST(ParallelFixpoint, StringClosureBitIdenticalAcrossThreadCounts) {
-  FactDatabase db = StringEdges(100);
-  Program p = TcProgram();
-  auto baseline = MakeEngine(1).EvalAutoSignatures(p, db);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  const Relation* tc1 = baseline.ValueOrDie().Find("tc").ValueOrDie();
-
-  for (size_t threads : {2u, 8u}) {
-    auto parallel = MakeEngine(threads).EvalAutoSignatures(p, db);
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    ExpectBitIdentical(*tc1, *parallel.ValueOrDie().Find("tc").ValueOrDie());
-  }
-}
-
-TEST(ParallelFixpoint, NonRecursivePassZeroBitIdentical) {
-  // Pass-0 full plans take the same chunked path as delta plans; a plain
-  // two-way join covers the non-recursive synthesizer workload, over both
-  // uniform and Zipf-skewed join keys.
+TEST(SkewedInputs, TwoWayJoinMatchesReference) {
   Program p = Program::Parse("j(x, z) :- edge(x, y), edge(y, z).").ValueOrDie();
-  for (bool skewed : {false, true}) {
-    FactDatabase db = skewed ? SkewedEdges(600) : IntEdges(400);
-    auto baseline = MakeEngine(1).EvalAutoSignatures(p, db);
-    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-    const Relation* j1 = baseline.ValueOrDie().Find("j").ValueOrDie();
-    ASSERT_GT(j1->size(), 0u);
-
-    for (size_t threads : {2u, 8u}) {
-      auto parallel = MakeEngine(threads).EvalAutoSignatures(p, db);
-      ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-      ExpectBitIdentical(*j1, *parallel.ValueOrDie().Find("j").ValueOrDie());
+  const std::vector<Edge> edges = SkewedEdges(600);
+  std::set<Edge> want;
+  for (const auto& [x, y] : edges) {
+    for (const auto& [y2, z] : edges) {
+      if (y == y2) want.emplace(x, z);
     }
   }
+  ASSERT_FALSE(want.empty());
+
+  FactDatabase db = EdgeFacts(edges);
+  ASSERT_OK_AND_ASSIGN(FactDatabase first, DatalogEngine().EvalAutoSignatures(p, db));
+  const Relation& j = *first.Find("j").ValueOrDie();
+  EXPECT_EQ(PairsOf(j), want);
+  ASSERT_OK_AND_ASSIGN(FactDatabase again, DatalogEngine().EvalAutoSignatures(p, db));
+  ExpectBitIdentical(j, *again.Find("j").ValueOrDie());
 }
 
-TEST(ParallelFixpoint, MultiHeadRuleBitIdentical) {
-  // Multi-head rules exercise the head_seq interleaving in the chunk merge.
-  FactDatabase db = IntEdges(300);
-  Program p = Program::Parse(R"(
-    out(x, y), rev(y, x) :- edge(x, y), edge(y, _).
-  )")
-                  .ValueOrDie();
-  auto baseline = MakeEngine(1).EvalAutoSignatures(p, db);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  for (size_t threads : {2u, 8u}) {
-    auto parallel = MakeEngine(threads).EvalAutoSignatures(p, db);
-    ASSERT_TRUE(parallel.ok());
-    for (const char* rel : {"out", "rev"}) {
-      ExpectBitIdentical(*baseline.ValueOrDie().Find(rel).ValueOrDie(),
-                         *parallel.ValueOrDie().Find(rel).ValueOrDie());
-    }
-  }
-}
+// -------------------------------------------------- cancellation latency --
 
-TEST(ParallelFixpoint, StatsCountersIdenticalAcrossThreadCounts) {
-  // The IDB-drift replan scenario at every thread count: same refresh
-  // decisions, same counters, same (set-equal) outputs.
-  Program p = Program::Parse(R"(
-    p(x, y) :- base(x, y).
-    p(x, y) :- p(x, z), link(z, y).
-  )")
-                  .ValueOrDie();
-  std::vector<size_t> refreshes;
-  std::vector<FactDatabase> outputs;
-  for (size_t threads : {1u, 2u, 8u}) {
-    FactDatabase db;
-    db.DeclareRelation("base", {"x", "y"}).ValueOrDie();
-    db.DeclareRelation("link", {"z", "y"}).ValueOrDie();
-    for (int i = 0; i < 3; ++i) {
-      db.AddFact("link", Tuple({Value::Int(i), Value::Int(i + 1)}));
-    }
-    for (int i = 0; i < 40; ++i) {
-      db.AddFact("base", Tuple({Value::Int(i), Value::Int(i % 4)}));
-    }
-    DatalogEngine engine = MakeEngine(threads);
-    ASSERT_TRUE(engine.EvalAutoSignatures(p, db).ok());
-    for (int i = 40; i < 640; ++i) {
-      db.AddFact("base", Tuple({Value::Int(i), Value::Int(i % 4)}));
-    }
-    auto second = engine.EvalAutoSignatures(p, db);
-    ASSERT_TRUE(second.ok());
-    refreshes.push_back(engine.stats().plan_refreshes);
-    outputs.push_back(std::move(second).ValueOrDie());
-  }
-  EXPECT_EQ(refreshes[0], refreshes[1]);
-  EXPECT_EQ(refreshes[0], refreshes[2]);
-  EXPECT_GT(refreshes[0], 0u);  // the drift really happened
-  EXPECT_TRUE(outputs[0].SetEquals(outputs[1]));
-  EXPECT_TRUE(outputs[0].SetEquals(outputs[2]));
-  ExpectBitIdentical(*outputs[0].Find("p").ValueOrDie(),
-                     *outputs[2].Find("p").ValueOrDie());
-}
-
-TEST(ParallelFixpoint, EvalBudgetErrorIdenticalAcrossThreadCounts) {
-  FactDatabase db = IntEdges(200);
-  Program p = TcProgram();
-  for (size_t threads : {1u, 2u, 8u}) {
-    DatalogEngine::Options opts;
-    opts.num_threads = threads;
-    opts.max_derived_tuples = 1000;  // closure is 40000: always exceeded
-    auto result = DatalogEngine(opts).EvalAutoSignatures(p, db);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kEvalBudget) << "threads " << threads;
-  }
-}
-
-// -------------------------------------- cancellation latency (satellite) --
-
-TEST(ParallelCancellation, MidFixpointCancelLandsWithinOneStride) {
+TEST(Cancellation, MidFixpointCancelLandsWithinOneStride) {
   // A closure large enough to run for many seconds if never interrupted;
-  // cancelling mid-fixpoint must unwind within one per-worker 1024-tick
-  // stride — microseconds of work — at 1 worker and at 4. The wall-clock
-  // bound is deliberately loose for sanitizer builds; the hard assertion is
+  // cancelling mid-fixpoint from another thread must unwind within one
+  // 1024-tick stride — microseconds of work. The wall-clock bound is
+  // deliberately loose for sanitizer builds; the hard assertion is
   // kCancelled (the fixpoint did not run to completion).
-  for (size_t threads : {1u, 4u}) {
-    FactDatabase db = StringEdges(600);
-    Program p = TcProgram();
-    DatalogEngine engine = MakeEngine(threads);
-    CancelSource source;
-    RunContext ctx;
-    ctx.cancel = source.token();
+  FactDatabase db = StringEdges(600);
+  DatalogEngine engine;
+  CancelSource source;
+  RunContext ctx;
+  ctx.cancel = source.token();
 
-    std::atomic<bool> cancelled{false};
-    std::chrono::steady_clock::time_point cancel_at;
-    std::thread canceller([&] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      cancel_at = std::chrono::steady_clock::now();
-      cancelled.store(true);
-      source.RequestCancel();
-    });
-    auto result = engine.EvalAutoSignatures(p, db, &ctx);
-    auto returned_at = std::chrono::steady_clock::now();
-    canceller.join();
+  std::atomic<bool> cancelled{false};
+  std::chrono::steady_clock::time_point cancel_at;
+  std::thread canceller([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    cancel_at = std::chrono::steady_clock::now();
+    cancelled.store(true);
+    source.RequestCancel();
+  });
+  auto result = engine.EvalAutoSignatures(TcProgram(), db, &ctx);
+  auto returned_at = std::chrono::steady_clock::now();
+  canceller.join();
 
-    ASSERT_FALSE(result.ok()) << "threads " << threads;
-    EXPECT_EQ(result.status().code(), StatusCode::kCancelled) << "threads " << threads;
-    ASSERT_TRUE(cancelled.load());
-    double latency = std::chrono::duration<double>(returned_at - cancel_at).count();
-    EXPECT_LT(latency, 10.0) << "threads " << threads
-                             << ": cancellation latency " << latency << "s";
-  }
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  ASSERT_TRUE(cancelled.load());
+  double latency = std::chrono::duration<double>(returned_at - cancel_at).count();
+  EXPECT_LT(latency, 10.0) << "cancellation latency " << latency << "s";
 }
 
-TEST(ParallelCancellation, PreCancelledContextReturnsImmediately) {
-  for (size_t threads : {1u, 4u}) {
-    FactDatabase db = StringEdges(600);
-    DatalogEngine engine = MakeEngine(threads);
-    CancelSource source;
-    source.RequestCancel();
-    RunContext ctx;
-    ctx.cancel = source.token();
-    auto start = std::chrono::steady_clock::now();
-    auto result = engine.EvalAutoSignatures(TcProgram(), db, &ctx);
-    double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
-    EXPECT_LT(elapsed, 10.0) << "threads " << threads;
-  }
+TEST(Cancellation, PreCancelledContextReturnsImmediately) {
+  FactDatabase db = StringEdges(600);
+  DatalogEngine engine;
+  CancelSource source;
+  source.RequestCancel();
+  RunContext ctx;
+  ctx.cancel = source.token();
+  auto start = std::chrono::steady_clock::now();
+  auto result = engine.EvalAutoSignatures(TcProgram(), db, &ctx);
+  double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kCancelled);
+  EXPECT_LT(elapsed, 10.0);
 }
 
 // ------------------------------------------ StringPool under concurrency --
@@ -332,32 +278,84 @@ TEST(ParallelStringPool, ConcurrentInternsAreConsistent) {
   EXPECT_EQ(distinct_ids.size(), static_cast<size_t>(kDistinct));
 }
 
-// ------------------------------------- synthesizer end-to-end (satellite) --
+// ------------------------------------------- one Session per thread, twice --
 
-TEST(ParallelSession, SynthesizeAndMigrateDeterministicAcrossThreadCounts) {
-  const auto* bench = workload::FindBenchmark("Tencent-1");
-  ASSERT_NE(bench, nullptr);
-  ASSERT_OK_AND_ASSIGN(Example example, workload::MakeExample(*bench, 7, 3));
-  ASSERT_OK_AND_ASSIGN(RecordForest source, workload::GenerateSource(*bench, 77, 300));
+struct PipelineCase {
+  const workload::Benchmark* bench = nullptr;
+  Example example;
+  RecordForest source;
+};
 
-  std::string program_at_one;
-  size_t records_at_one = 0;
-  for (size_t threads : {1u, 8u}) {
-    SessionOptions options;
-    options.num_threads = threads;
-    ASSERT_OK_AND_ASSIGN(Session session,
-                         Session::Create(bench->source, bench->target, options));
-    ASSERT_OK_AND_ASSIGN(PipelineResult result,
-                         session.SynthesizeAndMigrate(example, source));
-    if (threads == 1) {
-      program_at_one = result.synthesis.program.ToString();
-      records_at_one = result.migrated.TotalRecords();
-      EXPECT_GT(records_at_one, 0u);
-    } else {
-      EXPECT_EQ(result.synthesis.program.ToString(), program_at_one);
-      EXPECT_EQ(result.migrated.TotalRecords(), records_at_one);
-    }
+PipelineCase MakePipelineCase(const char* name) {
+  PipelineCase pc;
+  pc.bench = workload::FindBenchmark(name);
+  EXPECT_NE(pc.bench, nullptr) << name;
+  if (pc.bench == nullptr) return pc;
+  pc.example = workload::MakeExample(*pc.bench, 7, 3).ValueOrDie();
+  pc.source = workload::GenerateSource(*pc.bench, 77, 300).ValueOrDie();
+  return pc;
+}
+
+Result<PipelineResult> RunPipeline(const PipelineCase& pc) {
+  DYNAMITE_ASSIGN_OR_RETURN(Session session,
+                            Session::Create(pc.bench->source, pc.bench->target));
+  return session.SynthesizeAndMigrate(pc.example, pc.source);
+}
+
+TEST(ParallelSession, ConcurrentSessionsMatchSoloRuns) {
+  const std::vector<PipelineCase> cases = {MakePipelineCase("Tencent-1"),
+                                           MakePipelineCase("Soccer-1")};
+  for (const PipelineCase& pc : cases) ASSERT_NE(pc.bench, nullptr);
+
+  std::vector<PipelineResult> solo;
+  for (const PipelineCase& pc : cases) {
+    ASSERT_OK_AND_ASSIGN(PipelineResult result, RunPipeline(pc));
+    EXPECT_GT(result.migrated.TotalRecords(), 0u);
+    solo.push_back(std::move(result));
   }
+
+  // Both Sessions run at once, each on its own thread, with tracing armed:
+  // the shared StringPool, metrics registry, trace rings and failpoint
+  // table all see concurrent traffic.
+  trace::Clear();
+  trace::Arm();
+  std::vector<Result<PipelineResult>> concurrent(
+      cases.size(), Result<PipelineResult>(Status::Internal("not run")));
+  std::atomic<size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < cases.size(); ++i) {
+    threads.emplace_back([&, i] {
+      ready.fetch_add(1);
+      while (ready.load() < cases.size()) std::this_thread::yield();
+      concurrent[i] = RunPipeline(cases[i]);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  trace::Disarm();
+  std::vector<trace::Event> events = trace::CollectEvents();
+  trace::Clear();
+
+  for (size_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(cases[i].bench->name);
+    ASSERT_TRUE(concurrent[i].ok()) << concurrent[i].status().ToString();
+    const PipelineResult& got = concurrent[i].ValueOrDie();
+    EXPECT_EQ(got.synthesis.program.ToString(), solo[i].synthesis.program.ToString());
+    EXPECT_EQ(got.synthesis.iterations, solo[i].synthesis.iterations);
+    EXPECT_TRUE(ForestEquals(got.migrated, solo[i].migrated));
+  }
+
+  // Each run recorded on its own thread under its own trace id, and every
+  // span a thread recorded carries that thread's id.
+  std::map<uint32_t, std::set<uint64_t>> ids_by_tid;
+  for (const trace::Event& e : events) ids_by_tid[e.tid].insert(e.trace_id);
+  ASSERT_EQ(ids_by_tid.size(), cases.size());
+  std::set<uint64_t> run_ids;
+  for (const auto& [tid, ids] : ids_by_tid) {
+    ASSERT_EQ(ids.size(), 1u) << "tid " << tid << " mixes trace ids";
+    EXPECT_NE(*ids.begin(), 0u);
+    run_ids.insert(*ids.begin());
+  }
+  EXPECT_EQ(run_ids.size(), cases.size());
 }
 
 }  // namespace

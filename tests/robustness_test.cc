@@ -1,6 +1,5 @@
 // Failure-semantics suite (ISSUE 6): injected faults must surface as typed
-// Statuses — never crashes — and must leave the engine reusable; worker
-// faults degrade to the sequential path with bit-identical results; memory
+// Statuses — never crashes — and must leave the engine reusable; memory
 // budgets trip kResourceExhausted with the documented precedence (a budget in
 // RunContext::memory wins over Options::max_memory_bytes); overflow paths
 // that used to abort now return kOutOfRange; DYNAMITE_CHECK aborts in every
@@ -27,9 +26,8 @@
 namespace dynamite {
 namespace {
 
-// Fixtures mirror tests/parallel_test.cc: a cyclic fan-out-2 edge relation
-// whose transitive closure is all-pairs — 300 EDB rows at n=150, fat enough
-// that every round takes the parallel chunked path when num_threads > 1.
+// A cyclic fan-out-2 edge relation whose transitive closure is all-pairs:
+// 300 EDB rows at n=150, a fixpoint of many rounds with fat deltas.
 FactDatabase IntEdges(int n) {
   FactDatabase db;
   db.DeclareRelation("edge", {"s", "t"}).ValueOrDie();
@@ -46,12 +44,6 @@ Program TcProgram() {
     tc(x, y) :- tc(x, z), edge(z, y).
   )")
       .ValueOrDie();
-}
-
-DatalogEngine MakeEngine(size_t num_threads) {
-  DatalogEngine::Options opts;
-  opts.num_threads = num_threads;
-  return DatalogEngine(opts);
 }
 
 void ExpectBitIdentical(const Relation& a, const Relation& b) {
@@ -91,27 +83,19 @@ TEST_F(RobustnessTest, ArmFromStringRejectsMalformedSpecs) {
 // ---------------------------------------- typed injection + engine reuse --
 
 // An injected cancellation mid-run must come back as kCancelled, and after
-// disarming, the SAME engine (caches warm, pool alive) must evaluate to the
-// bit-identical clean result. threads=1 trips the sequential-path sites,
-// threads>1 trips the site between chunk evaluation and the canonical merge.
+// disarming, the SAME engine (caches warm) must evaluate to the
+// bit-identical clean result.
 TEST_F(RobustnessTest, InjectedCancelMidRunLeavesEngineReusable) {
   FactDatabase db = IntEdges(150);
   Program p = TcProgram();
-  auto baseline = MakeEngine(1).EvalAutoSignatures(p, db);
+  auto baseline = DatalogEngine().EvalAutoSignatures(p, db);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   const Relation* tc0 = baseline.ValueOrDie().Find("tc").ValueOrDie();
 
-  struct Case {
-    size_t threads;
-    const char* site;
-  };
-  for (const Case& c : {Case{1, "engine.plan.entry"},
-                        Case{1, "engine.fixpoint.round"},
-                        Case{4, "engine.merge.alloc"},
-                        Case{8, "engine.merge.alloc"}}) {
-    SCOPED_TRACE(std::string(c.site) + " @threads=" + std::to_string(c.threads));
-    DatalogEngine engine = MakeEngine(c.threads);
-    ASSERT_TRUE(failpoint::ArmFromString(c.site, "hit_1:cancel").ok());
+  for (const char* site : {"engine.plan.entry", "engine.fixpoint.round"}) {
+    SCOPED_TRACE(site);
+    DatalogEngine engine;
+    ASSERT_TRUE(failpoint::ArmFromString(site, "hit_1:cancel").ok());
     auto faulted = engine.EvalAutoSignatures(p, db);
     ASSERT_FALSE(faulted.ok());
     EXPECT_EQ(faulted.status().code(), StatusCode::kCancelled);
@@ -120,17 +104,16 @@ TEST_F(RobustnessTest, InjectedCancelMidRunLeavesEngineReusable) {
     auto recovered = engine.EvalAutoSignatures(p, db);
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
     ExpectBitIdentical(*tc0, *recovered.ValueOrDie().Find("tc").ValueOrDie());
-    // The injected cancel is a typed outcome, not a worker failure — it must
-    // not be counted (or masked) as a parallel fallback.
-    EXPECT_EQ(engine.stats().parallel_fallbacks, 0u);
   }
 }
 
+// relation.insert.alloc has no Status channel: it throws out of the first
+// head-row insert, and the engine's exception boundary types it.
 TEST_F(RobustnessTest, InjectedResourceExhaustionIsTypedAndRecoverable) {
   FactDatabase db = IntEdges(150);
   Program p = TcProgram();
-  DatalogEngine engine = MakeEngine(4);
-  ASSERT_TRUE(failpoint::ArmFromString("engine.merge.alloc", "hit_1").ok());
+  DatalogEngine engine;
+  ASSERT_TRUE(failpoint::ArmFromString("relation.insert.alloc", "hit_1").ok());
   auto faulted = engine.EvalAutoSignatures(p, db);
   ASSERT_FALSE(faulted.ok());
   EXPECT_EQ(faulted.status().code(), StatusCode::kResourceExhausted);
@@ -140,48 +123,12 @@ TEST_F(RobustnessTest, InjectedResourceExhaustionIsTypedAndRecoverable) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
 }
 
-// ------------------------------------------------- graceful degradation --
-
-// A worker that dies (simulated OOM inside the pool task) must not fail the
-// Eval: the engine retries the plan on the exact sequential path, counts the
-// fallback, and the results stay bit-identical to a sequential run.
-TEST_F(RobustnessTest, WorkerBadAllocFallsBackToSequential) {
-  FactDatabase db = IntEdges(150);
-  Program p = TcProgram();
-  auto baseline = MakeEngine(1).EvalAutoSignatures(p, db);
-  ASSERT_TRUE(baseline.ok());
-  const Relation* tc0 = baseline.ValueOrDie().Find("tc").ValueOrDie();
-
-  DatalogEngine engine = MakeEngine(4);
-  ASSERT_TRUE(failpoint::ArmFromString("thread_pool.worker", "hit_1:badalloc").ok());
-  auto result = engine.EvalAutoSignatures(p, db);
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectBitIdentical(*tc0, *result.ValueOrDie().Find("tc").ValueOrDie());
-  EXPECT_GE(engine.stats().parallel_fallbacks, 1u);
-}
-
-// The fallback retries the work, not the budget: if the run also exceeds
-// max_derived_tuples, the typed kEvalBudget still wins after degradation.
-TEST_F(RobustnessTest, EvalBudgetStillTrippedAfterWorkerFallback) {
-  FactDatabase db = IntEdges(150);
-  Program p = TcProgram();
-  DatalogEngine::Options opts;
-  opts.num_threads = 4;
-  opts.max_derived_tuples = 1000;  // closure is 22500 tuples
-  DatalogEngine engine{opts};
-  ASSERT_TRUE(failpoint::ArmFromString("thread_pool.worker", "hit_1:badalloc").ok());
-  auto result = engine.EvalAutoSignatures(p, db);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kEvalBudget);
-}
-
 // -------------------------------------------------------- memory budgets --
 
 TEST_F(RobustnessTest, EngineMemoryBudgetReturnsResourceExhausted) {
   FactDatabase db = IntEdges(150);
   Program p = TcProgram();
   DatalogEngine::Options opts;
-  opts.num_threads = 1;
   opts.max_memory_bytes = 4096;  // the closure alone allocates ~700 KiB
   DatalogEngine engine{opts};
   auto result = engine.EvalAutoSignatures(p, db);
@@ -263,30 +210,27 @@ TEST_F(RobustnessTest, InternFailpointSurfacesThroughTryString) {
 TEST_F(RobustnessTest, CancelRacingInjectedTimeoutStaysTyped) {
   FactDatabase db = IntEdges(150);
   Program p = TcProgram();
-  auto baseline = MakeEngine(1).EvalAutoSignatures(p, db);
+  auto baseline = DatalogEngine().EvalAutoSignatures(p, db);
   ASSERT_TRUE(baseline.ok());
   const Relation* tc0 = baseline.ValueOrDie().Find("tc").ValueOrDie();
 
-  for (size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    DatalogEngine engine = MakeEngine(threads);
-    ASSERT_TRUE(
-        failpoint::ArmFromString("engine.fixpoint.round", "p=0.5@42:timeout").ok());
-    CancelSource cancel;
-    cancel.RequestCancel();
-    RunContext ctx;
-    ctx.cancel = cancel.token();
-    auto raced = engine.EvalAutoSignatures(p, db, &ctx);
-    ASSERT_FALSE(raced.ok());
-    EXPECT_TRUE(raced.status().code() == StatusCode::kCancelled ||
-                raced.status().code() == StatusCode::kTimeout)
-        << raced.status().ToString();
+  DatalogEngine engine;
+  ASSERT_TRUE(
+      failpoint::ArmFromString("engine.fixpoint.round", "p=0.5@42:timeout").ok());
+  CancelSource cancel;
+  cancel.RequestCancel();
+  RunContext ctx;
+  ctx.cancel = cancel.token();
+  auto raced = engine.EvalAutoSignatures(p, db, &ctx);
+  ASSERT_FALSE(raced.ok());
+  EXPECT_TRUE(raced.status().code() == StatusCode::kCancelled ||
+              raced.status().code() == StatusCode::kTimeout)
+      << raced.status().ToString();
 
-    failpoint::DisarmAll();
-    auto recovered = engine.EvalAutoSignatures(p, db);
-    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-    ExpectBitIdentical(*tc0, *recovered.ValueOrDie().Find("tc").ValueOrDie());
-  }
+  failpoint::DisarmAll();
+  auto recovered = engine.EvalAutoSignatures(p, db);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ExpectBitIdentical(*tc0, *recovered.ValueOrDie().Find("tc").ValueOrDie());
 }
 
 // ------------------------------------------------------- hard invariants --
