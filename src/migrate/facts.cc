@@ -1,7 +1,7 @@
 #include "migrate/facts.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <optional>
 
 #include "datalog/index.h"
 #include "util/failpoint.h"
@@ -29,72 +29,29 @@ std::map<std::string, std::vector<std::string>> FactSignatures(const Schema& sch
 
 namespace {
 
-/// Per-record-type conversion state, resolved once per ToFacts call: the
-/// target relation, the (stable) schema attribute list, and per-attribute
-/// primitive/record classification. Resolving these per record instead
-/// makes name lookups dominate ingest on wide schemas.
-struct TypeInfo {
-  Relation* rel = nullptr;
-  const std::vector<std::string>* attrs = nullptr;  // Schema::AttrsOf, stable
-  std::vector<bool> is_prim;         // parallel to *attrs
-  std::vector<size_t> record_attrs;  // indices into *attrs of record attrs
-  size_t arity = 0;
-};
-
-using TypeInfoMap = std::unordered_map<std::string, TypeInfo>;
-
-/// Declares one relation per record type, in schema RecordNames() order,
-/// and resolves each TypeInfo.
-Result<TypeInfoMap> DeclareRelations(const Schema& schema, FactDatabase* db) {
-  TypeInfoMap types;
-  for (const std::string& rec : schema.RecordNames()) {
-    DYNAMITE_ASSIGN_OR_RETURN(Relation * rel,
-                              db->DeclareRelation(rec, FactSignature(schema, rec)));
-    TypeInfo info;
-    info.rel = rel;
-    info.attrs = &schema.AttrsOf(rec);
-    info.arity = rel->arity();
-    info.is_prim.reserve(info.attrs->size());
-    for (size_t i = 0; i < info.attrs->size(); ++i) {
-      bool prim = schema.IsPrimitive((*info.attrs)[i]);
-      info.is_prim.push_back(prim);
-      if (!prim && schema.IsRecord((*info.attrs)[i])) info.record_attrs.push_back(i);
-    }
-    types.emplace(rec, std::move(info));
-  }
-  return types;
-}
-
 /// Columnar fact emission: rows are appended straight into the relations
-/// through one reused value buffer — no per-record Tuple, no per-record name
-/// lookup beyond the single TypeInfo probe.
+/// through one reused value buffer. Each record's layout comes from its
+/// parent's attribute, so the walk does no name lookup below the roots.
 struct FactsEmitter {
-  const TypeInfoMap& types;
+  std::vector<Relation*> rels;  // by RecordLayout::index
   uint64_t* next_id;
   std::vector<Value> row_buf;
 
-  Status Emit(const RecordNode& node, const Value* parent_id) {
+  void Emit(const RecordNode& node, const RecordLayout& rl, const Value* parent_id) {
     Value my_id = Value::Id((*next_id)++);
-    auto it = types.find(node.type);
-    if (it == types.end()) return Status::NotFound("no relation named " + node.type);
-    const TypeInfo& info = it->second;
-    const std::vector<std::string>& attrs = *info.attrs;
+    RecordReader reader(node);
     row_buf.clear();
     if (parent_id != nullptr) row_buf.push_back(*parent_id);
-    for (size_t i = 0; i < attrs.size(); ++i) {
-      row_buf.push_back(info.is_prim[i] ? node.Prim(attrs[i]) : my_id);
+    for (const AttrLayout& attr : rl.attrs) {
+      row_buf.push_back(attr.record == nullptr ? reader.Prim(attr) : my_id);
     }
-    if (row_buf.size() != info.arity) {
-      return Status::InvalidArgument("arity mismatch adding fact to " + node.type);
-    }
-    info.rel->InsertRow(row_buf.data(), row_buf.size());
+    rels[rl.index]->InsertRow(row_buf.data(), row_buf.size());
     // row_buf is free to reuse below: the row was appended column-wise.
-    for (size_t ai : info.record_attrs) {
-      for (const RecordNode& child : node.Children(attrs[ai])) {
-        DYNAMITE_RETURN_NOT_OK(Emit(child, &my_id));
+    for (const AttrLayout* group : rl.groups) {
+      for (const RecordNode& child : reader.Children(*group)) {
+        Emit(child, *group->record, &my_id);
       }
     }
-    return Status::OK();
   }
 };
 
@@ -103,17 +60,24 @@ struct FactsEmitter {
 Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
                              uint64_t* next_id, const RunContext* ctx) {
   DYNAMITE_TRACE_SPAN("ingest.to_facts");
-  DYNAMITE_RETURN_NOT_OK(ValidateForest(forest, schema));
+  const SchemaLayout layout(schema);
+  DYNAMITE_RETURN_NOT_OK(ValidateForest(forest, layout));
   FactDatabase db;
-  DYNAMITE_ASSIGN_OR_RETURN(TypeInfoMap types, DeclareRelations(schema, &db));
-  FactsEmitter emitter{types, next_id, {}};
+  FactsEmitter emitter{{}, next_id, {}};
+  // One relation per record type, declared in schema RecordNames() order.
+  for (const RecordLayout& rl : layout.records()) {
+    DYNAMITE_ASSIGN_OR_RETURN(Relation * rel,
+                              db.DeclareRelation(*rl.type, FactSignature(schema, *rl.type)));
+    emitter.rels.push_back(rel);
+  }
   size_t ticks = 0;
   for (const RecordNode& root : forest.roots) {
     DYNAMITE_FAILPOINT("facts.emit");
     if (ctx != nullptr && (++ticks & 0xff) == 0) {
       DYNAMITE_RETURN_NOT_OK(ctx->Check("facts conversion"));
     }
-    DYNAMITE_RETURN_NOT_OK(emitter.Emit(root, nullptr));
+    // ValidateForest resolved every root's type.
+    emitter.Emit(root, *layout.Find(root.type), nullptr);
   }
   return db;
 }
@@ -148,40 +112,41 @@ class ChildIndex {
 
 struct Rebuilder {
   const FactDatabase& db;
-  const Schema& schema;
   IngestStats* stats;  // may be null
-  std::map<std::string, ChildIndex> child_indexes;
+  std::vector<std::optional<ChildIndex>> child_indexes;  // by RecordLayout::index
 
-  const ChildIndex& IndexFor(const std::string& record) {
-    auto it = child_indexes.find(record);
-    if (it == child_indexes.end()) {
+  const ChildIndex& IndexFor(const RecordLayout& record) {
+    std::optional<ChildIndex>& index = child_indexes[record.index];
+    if (!index.has_value()) {
       const Relation* rel = nullptr;
-      auto found = db.Find(record);
+      auto found = db.Find(*record.type);
       if (found.ok()) rel = found.ValueOrDie();
-      it = child_indexes.emplace(record, ChildIndex(rel)).first;
+      index.emplace(rel);
       if (stats != nullptr) ++stats->child_index_builds;
     }
-    return it->second;
+    return *index;
   }
 
   /// BuildRecord (§3.3): reconstructs one record from its fact row.
   /// `offset` = 1 when the relation has a parent column.
-  RecordNode Build(const std::string& record, RowRef fact, size_t offset) {
+  RecordNode Build(const RecordLayout& rl, RowRef fact, size_t offset) {
     RecordNode node;
-    node.type = record;
-    const auto& attrs = schema.AttrsOf(record);
-    for (size_t i = 0; i < attrs.size(); ++i) {
+    node.type = *rl.type;
+    node.prims.reserve(rl.num_prims);
+    node.children.reserve(rl.groups.size());
+    for (size_t i = 0; i < rl.attrs.size(); ++i) {
+      const AttrLayout& attr = rl.attrs[i];
       const Value& cell = fact[offset + i];
-      if (schema.IsPrimitive(attrs[i])) {
-        node.prims.push_back({attrs[i], cell});
+      if (attr.record == nullptr) {
+        node.prims.push_back({*attr.name, cell});
       } else {
         std::vector<RecordNode> kids;
-        const ChildIndex& index = IndexFor(attrs[i]);
+        const ChildIndex& index = IndexFor(*attr.record);
         if (stats != nullptr) ++stats->child_index_lookups;
         for (uint32_t child_row : index.Lookup(cell)) {
-          kids.push_back(Build(attrs[i], index.relation()->row(child_row), 1));
+          kids.push_back(Build(*attr.record, index.relation()->row(child_row), 1));
         }
-        node.children.push_back({attrs[i], std::move(kids)});
+        node.children.push_back({*attr.name, std::move(kids)});
       }
     }
     return node;
@@ -197,25 +162,27 @@ Result<RecordForest> BuildForest(const FactDatabase& db, const Schema& schema,
   // by one; the registry gets the run's delta in bulk on success.
   const size_t builds_before = stats != nullptr ? stats->child_index_builds : 0;
   const size_t lookups_before = stats != nullptr ? stats->child_index_lookups : 0;
-  Rebuilder rb{db, schema, stats, {}};
+  const SchemaLayout layout(schema);
+  Rebuilder rb{db, stats, std::vector<std::optional<ChildIndex>>(layout.records().size())};
   RecordForest forest;
   size_t ticks = 0;
-  for (const std::string& rec : schema.TopLevelRecords()) {
-    auto found = db.Find(rec);
+  // Top-level types in schema order: Schema::TopLevelRecords().
+  for (const RecordLayout& rl : layout.records()) {
+    if (rl.nested) continue;
+    auto found = db.Find(*rl.type);
     if (!found.ok()) continue;  // absent relation: no records of this type
     const Relation* rel = found.ValueOrDie();
-    size_t expected_arity = FactSignature(schema, rec).size();
-    if (rel->arity() != expected_arity) {
-      return Status::InvalidArgument("relation " + rec + " has arity " +
+    if (rel->arity() != rl.attrs.size()) {
+      return Status::InvalidArgument("relation " + *rl.type + " has arity " +
                                      std::to_string(rel->arity()) + ", schema expects " +
-                                     std::to_string(expected_arity));
+                                     std::to_string(rl.attrs.size()));
     }
     for (size_t r = 0; r < rel->size(); ++r) {
       DYNAMITE_FAILPOINT("facts.build");
       if (ctx != nullptr && (++ticks & 0xff) == 0) {
         DYNAMITE_RETURN_NOT_OK(ctx->Check("forest reconstruction"));
       }
-      forest.roots.push_back(rb.Build(rec, rel->row(r), 0));
+      forest.roots.push_back(rb.Build(rl, rel->row(r), 0));
     }
   }
   if (stats != nullptr) {
@@ -281,19 +248,27 @@ bool ForestEquals(const RecordForest& a, const RecordForest& b) {
 
 namespace {
 
+/// Number of primitive attributes in the record tree rooted at `rl` (the
+/// width of its flattened rows), stored for `rl` and every nested type.
+size_t TreeWidth(const RecordLayout& rl, std::vector<size_t>* widths) {
+  size_t width = rl.num_prims;
+  for (const AttrLayout* group : rl.groups) width += TreeWidth(*group->record, widths);
+  (*widths)[rl.index] = width;
+  return width;
+}
+
 /// Recursively produces the flattened rows for one record subtree.
-void FlattenNode(const RecordNode& node, const Schema& schema,
-                 std::vector<Value>* prefix, std::vector<std::vector<Value>>* out) {
+/// `widths` holds TreeWidth for every type in the subtree.
+void FlattenNode(const RecordNode& node, const RecordLayout& rl,
+                 const std::vector<size_t>& widths, std::vector<Value>* prefix,
+                 std::vector<std::vector<Value>>* out) {
   size_t mark = prefix->size();
-  for (const std::string& attr : schema.PrimAttrbsOf(node.type)) {
-    prefix->push_back(node.Prim(attr));
+  RecordReader reader(node);
+  for (const AttrLayout& attr : rl.attrs) {
+    if (attr.record == nullptr) prefix->push_back(reader.Prim(attr));
   }
   // Cross product over nested collections (outer join: empty -> null pad).
-  std::vector<std::string> nested;
-  for (const std::string& attr : schema.AttrsOf(node.type)) {
-    if (schema.IsRecord(attr)) nested.push_back(attr);
-  }
-  if (nested.empty()) {
+  if (rl.groups.empty()) {
     out->push_back(*prefix);
     prefix->resize(mark);
     return;
@@ -301,17 +276,16 @@ void FlattenNode(const RecordNode& node, const Schema& schema,
   // For each nested attribute, compute the flattened sub-rows of each child
   // and pad with nulls when there are none.
   std::vector<std::vector<std::vector<Value>>> per_attr;  // attr -> rows
-  for (const std::string& attr : nested) {
+  for (const AttrLayout* group : rl.groups) {
     std::vector<std::vector<Value>> sub_rows;
-    for (const RecordNode& child : node.Children(attr)) {
+    for (const RecordNode& child : reader.Children(*group)) {
       std::vector<Value> sub_prefix;
       std::vector<std::vector<Value>> child_rows;
-      FlattenNode(child, schema, &sub_prefix, &child_rows);
+      FlattenNode(child, *group->record, widths, &sub_prefix, &child_rows);
       for (auto& r : child_rows) sub_rows.push_back(std::move(r));
     }
     if (sub_rows.empty()) {
-      size_t width = schema.PrimAttrbsOfTree(attr).size();
-      sub_rows.push_back(std::vector<Value>(width, Value::Null()));
+      sub_rows.push_back(std::vector<Value>(widths[group->record->index], Value::Null()));
     }
     per_attr.push_back(std::move(sub_rows));
   }
@@ -341,9 +315,13 @@ void FlattenNode(const RecordNode& node, const Schema& schema,
 Result<Relation> FlattenForestView(const RecordForest& forest, const Schema& schema,
                                    const std::string& top_record,
                                    const RunContext* ctx) {
-  if (!schema.IsRecord(top_record)) {
+  const SchemaLayout layout(schema);
+  const RecordLayout* top = layout.Find(top_record);
+  if (top == nullptr) {
     return Status::InvalidArgument("not a record type: " + top_record);
   }
+  std::vector<size_t> widths(layout.records().size());
+  TreeWidth(*top, &widths);
   Relation view("flat_" + top_record, schema.PrimAttrbsOfTree(top_record));
   size_t ticks = 0;
   for (const RecordNode& root : forest.roots) {
@@ -353,7 +331,7 @@ Result<Relation> FlattenForestView(const RecordForest& forest, const Schema& sch
     }
     std::vector<Value> prefix;
     std::vector<std::vector<Value>> rows;
-    FlattenNode(root, schema, &prefix, &rows);
+    FlattenNode(root, *top, widths, &prefix, &rows);
     for (const auto& r : rows) view.InsertRow(r.data(), r.size());
   }
   return view;

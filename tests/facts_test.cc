@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "migrate/facts.h"
 #include "migrate/migrator.h"
 #include "testing.h"
@@ -72,6 +74,46 @@ TEST(ToFactsBuildForest, ChildIndexIsBuiltOncePerRelation) {
   EXPECT_EQ(stats.child_index_lookups, 2u);
 }
 
+RecordForest WithReversedPrims(RecordForest forest) {
+  std::vector<RecordNode*> stack;
+  for (RecordNode& root : forest.roots) stack.push_back(&root);
+  while (!stack.empty()) {
+    RecordNode* node = stack.back();
+    stack.pop_back();
+    std::reverse(node->prims.begin(), node->prims.end());
+    for (auto& [attr, kids] : node->children) {
+      for (RecordNode& k : kids) stack.push_back(&k);
+    }
+  }
+  return forest;
+}
+
+void ExpectSameRows(const Relation& a, const Relation& b) {
+  EXPECT_EQ(a.attributes(), b.attributes());
+  ASSERT_EQ(a.size(), b.size()) << a.name();
+  for (size_t r = 0; r < a.size(); ++r) {
+    for (size_t c = 0; c < a.arity(); ++c) {
+      EXPECT_EQ(a.row(r)[c], b.row(r)[c]) << a.name() << " row " << r << " column " << c;
+    }
+  }
+}
+
+TEST(ToFacts, PrimOrderDoesNotChangeTheFacts) {
+  // Prims out of schema order take the name-scan path; the facts, their
+  // row order and their record ids must not depend on it.
+  Example e = testing::MotivatingExample();
+  RecordForest reversed = WithReversedPrims(e.input);
+  uint64_t next_id = 1, reversed_next_id = 1;
+  ASSERT_OK_AND_ASSIGN(FactDatabase db, ToFacts(e.input, testing::UnivSchema(), &next_id));
+  ASSERT_OK_AND_ASSIGN(FactDatabase rdb,
+                       ToFacts(reversed, testing::UnivSchema(), &reversed_next_id));
+  EXPECT_EQ(next_id, reversed_next_id);
+  ASSERT_EQ(db.RelationNames(), rdb.RelationNames());
+  for (const std::string& name : db.RelationNames()) {
+    ExpectSameRows(*db.Find(name).ValueOrDie(), *rdb.Find(name).ValueOrDie());
+  }
+}
+
 TEST(FactSignatures, CoverAllRecords) {
   auto sigs = FactSignatures(testing::UnivSchema());
   ASSERT_EQ(sigs.size(), 2u);
@@ -95,6 +137,15 @@ TEST(FlattenView, NestedTreeJoinsParentAndChildren) {
   EXPECT_EQ(view.size(), 4u);  // 2 universities x 2 admits each
   EXPECT_TRUE(view.Contains(Tuple(
       {Value::Int(1), Value::String("U1"), Value::Int(2), Value::Int(50)})));
+}
+
+TEST(FlattenView, PrimOrderDoesNotChangeTheRows) {
+  Example e = testing::MotivatingExample();
+  ASSERT_OK_AND_ASSIGN(Relation view,
+                       FlattenForestView(e.input, testing::UnivSchema(), "Univ"));
+  ASSERT_OK_AND_ASSIGN(Relation reversed, FlattenForestView(WithReversedPrims(e.input),
+                                                            testing::UnivSchema(), "Univ"));
+  ExpectSameRows(view, reversed);
 }
 
 TEST(FlattenView, ChildlessParentPadsWithNulls) {

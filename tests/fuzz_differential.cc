@@ -14,6 +14,8 @@
 //          set — never a crash, never an untyped error.
 //       3. Recovery: after DisarmAll, the same Session/engine objects
 //          reproduce the baseline (no stale state from the aborted run).
+//     Every round also migrates the source again with each record's prims
+//     shuffled: the target forest and the migration counts must not change.
 //     Golden rounds also pad one random rule with an all-wildcard atom. Over
 //     a non-empty source relation the padded program must reproduce the
 //     baseline, also under the armed failpoint (the engine output row for
@@ -356,6 +358,47 @@ bool RowsInOrderEqual(const FactDatabase& a, const FactDatabase& b) {
   return true;
 }
 
+/// `forest` with every record's prims shuffled: the same instance, read
+/// through the name-scan path instead of the positional one.
+RecordForest PermutePrims(RecordForest forest, Rng* rng) {
+  std::vector<RecordNode*> stack;
+  for (RecordNode& root : forest.roots) stack.push_back(&root);
+  while (!stack.empty()) {
+    RecordNode* node = stack.back();
+    stack.pop_back();
+    rng->Shuffle(&node->prims);
+    for (auto& [attr, kids] : node->children) {
+      for (RecordNode& k : kids) stack.push_back(&k);
+    }
+  }
+  return forest;
+}
+
+/// Same records in the same order, down to prim and child-group order.
+bool SameNodes(const std::vector<RecordNode>& a, const std::vector<RecordNode>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].type != b[i].type || a[i].prims != b[i].prims ||
+        a[i].children.size() != b[i].children.size()) {
+      return false;
+    }
+    for (size_t g = 0; g < a[i].children.size(); ++g) {
+      if (a[i].children[g].first != b[i].children[g].first ||
+          !SameNodes(a[i].children[g].second, b[i].children[g].second)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+bool SameCounts(const MigrationStats& a, const MigrationStats& b) {
+  return a.source_records == b.source_records && a.source_facts == b.source_facts &&
+         a.target_facts == b.target_facts && a.target_records == b.target_records &&
+         a.ingest.child_index_builds == b.ingest.child_index_builds &&
+         a.ingest.child_index_lookups == b.ingest.child_index_lookups;
+}
+
 /// Golden-round padding invariant, checked on the engine directly (the
 /// existential atom must be invisible in the output) and through the
 /// Session. Returns the padded program for the fault-injected rerun.
@@ -445,11 +488,26 @@ void RunDifferentialIteration(Rng* rng) {
   Status st = RunPipeline(session, fc, &base_program, &base_out);
   FUZZ_ASSERT(st.ok(), "[%s] baseline failed: %s", fc.label.c_str(), st.ToString().c_str());
   Migrator stage(fc.source, fc.target);
-  auto stage_out = stage.Migrate(base_program, fc.instance);
+  MigrationStats stage_stats;
+  auto stage_out = stage.Migrate(base_program, fc.instance, &stage_stats);
   FUZZ_ASSERT(stage_out.ok(), "[%s] bare Migrator failed: %s", fc.label.c_str(),
               stage_out.status().ToString().c_str());
   FUZZ_ASSERT(ForestEquals(base_out, stage_out.ValueOrDie()),
               "[%s] bare Migrator output diverges", fc.label.c_str());
+  {
+    // Prim order is not part of the instance. A stream of its own keeps the
+    // other invariants' draws the same with or without this check.
+    Rng perm_rng(g_seed * 0x9e3779b97f4a7c15ULL + g_iteration + 0x9e3);
+    MigrationStats permuted_stats;
+    auto permuted_out =
+        stage.Migrate(base_program, PermutePrims(fc.instance, &perm_rng), &permuted_stats);
+    FUZZ_ASSERT(permuted_out.ok(), "[%s] migrating permuted prims failed: %s",
+                fc.label.c_str(), permuted_out.status().ToString().c_str());
+    FUZZ_ASSERT(SameNodes(permuted_out.ValueOrDie().roots, stage_out.ValueOrDie().roots),
+                "[%s] permuting prims changed the target forest", fc.label.c_str());
+    FUZZ_ASSERT(SameCounts(permuted_stats, stage_stats),
+                "[%s] permuting prims changed the migration stats", fc.label.c_str());
+  }
   Program padded;
   if (!fc.synthesized) {
     Rng pad_rng(g_seed * 0x9e3779b97f4a7c15ULL + g_iteration + 0x5eed);

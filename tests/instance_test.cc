@@ -30,30 +30,124 @@ TEST(ValidateForest, AcceptsMotivatingInstance) {
   EXPECT_OK(ValidateForest(e.output, testing::AdmissionSchema()));
 }
 
+/// ValidateForest's status on a one-root forest under UnivSchema.
+Status ValidateOne(RecordNode root) {
+  RecordForest f;
+  f.roots.push_back(std::move(root));
+  return ValidateForest(f, testing::UnivSchema());
+}
+
+RecordNode AdmitRecord(int64_t uid, int64_t count) {
+  return testing::FlatRecord("Admit", {{"uid", Value::Int(uid)}, {"count", Value::Int(count)}});
+}
+
+void ExpectRejected(const Status& st, StatusCode code, const std::string& message) {
+  EXPECT_EQ(st.code(), code) << st.ToString();
+  EXPECT_EQ(st.message(), message);
+}
+
 TEST(ValidateForest, RejectsBadShapes) {
-  Schema s = testing::UnivSchema();
-  {  // unknown type
-    RecordForest f;
-    f.roots.push_back(testing::FlatRecord("Ghost", {}));
-    EXPECT_FALSE(ValidateForest(f, s).ok());
+  ExpectRejected(ValidateOne(testing::FlatRecord("Ghost", {})), StatusCode::kInvalidArgument,
+                 "unknown record type in instance: Ghost");
+  ExpectRejected(ValidateOne(testing::FlatRecord("Univ", {{"id", Value::Int(1)}})),
+                 StatusCode::kInvalidArgument, "record Univ missing attribute name");
+  ExpectRejected(ValidateOne(testing::FlatRecord(
+                     "Univ", {{"id", Value::String("one")}, {"name", Value::String("U")}})),
+                 StatusCode::kTypeError,
+                 "record Univ attribute id has value \"one\" incompatible with Int");
+  ExpectRejected(ValidateOne(AdmitRecord(1, 2)), StatusCode::kInvalidArgument,
+                 "nested record type Admit cannot appear at the top level");
+  {  // children under a primitive attribute
+    RecordNode univ = testing::UnivRecord(1, "U", {});
+    univ.children.push_back({"name", {AdmitRecord(1, 2)}});
+    ExpectRejected(ValidateOne(std::move(univ)), StatusCode::kInvalidArgument,
+                   "record Univ has children under name which is not a record type");
   }
-  {  // missing attribute
-    RecordForest f;
-    f.roots.push_back(testing::FlatRecord("Univ", {{"id", Value::Int(1)}}));
-    EXPECT_FALSE(ValidateForest(f, s).ok());
+  {  // a child of the wrong type
+    RecordNode univ = testing::UnivRecord(1, "U", {});
+    univ.children[0].second.push_back(testing::UnivRecord(2, "V", {}));
+    ExpectRejected(ValidateOne(std::move(univ)), StatusCode::kInvalidArgument,
+                   "child of type Univ stored under attribute Admit");
   }
-  {  // type error
-    RecordForest f;
-    f.roots.push_back(testing::FlatRecord(
-        "Univ", {{"id", Value::String("one")}, {"name", Value::String("U")}}));
-    EXPECT_FALSE(ValidateForest(f, s).ok());
+  {  // the nested record's own attributes are checked too
+    RecordNode univ = testing::UnivRecord(1, "U", {});
+    univ.children[0].second.push_back(
+        testing::FlatRecord("Admit", {{"uid", Value::Int(1)}, {"count", Value::Bool(true)}}));
+    ExpectRejected(ValidateOne(std::move(univ)), StatusCode::kTypeError,
+                   "record Admit attribute count has value true incompatible with Int");
   }
-  {  // nested record at top level
-    RecordForest f;
-    f.roots.push_back(
-        testing::FlatRecord("Admit", {{"uid", Value::Int(1)}, {"count", Value::Int(2)}}));
-    EXPECT_FALSE(ValidateForest(f, s).ok());
-  }
+}
+
+TEST(ValidateForest, ReadsPrimsByNameWhenOutOfSchemaOrder) {
+  // GraphInstance::ToForest writes node properties in their own order.
+  EXPECT_OK(ValidateOne(testing::FlatRecord(
+      "Univ", {{"name", Value::String("U")}, {"id", Value::Int(1)}})));
+  ExpectRejected(ValidateOne(testing::FlatRecord(
+                     "Univ", {{"name", Value::Int(7)}, {"id", Value::Int(1)}})),
+                 StatusCode::kTypeError,
+                 "record Univ attribute name has value 7 incompatible with String");
+  RecordNode univ = testing::UnivRecord(1, "U", {});
+  univ.children[0].second.push_back(
+      testing::FlatRecord("Admit", {{"count", Value::Int(3)}, {"uid", Value::Int(2)}}));
+  EXPECT_OK(ValidateOne(std::move(univ)));
+}
+
+TEST(ValidateForest, FirstOfDuplicatePrimsWins) {
+  // As in RecordNode::Prim, the first entry with a name is its value.
+  EXPECT_OK(ValidateOne(testing::FlatRecord(
+      "Univ",
+      {{"id", Value::Int(1)}, {"id", Value::String("x")}, {"name", Value::String("U")}})));
+  ExpectRejected(
+      ValidateOne(testing::FlatRecord(
+          "Univ",
+          {{"id", Value::String("x")}, {"id", Value::Int(1)}, {"name", Value::String("U")}})),
+      StatusCode::kTypeError, "record Univ attribute id has value \"x\" incompatible with Int");
+  // `name` sits at its schema slot (1) only as a second duplicate: the first
+  // one, a string, is the value.
+  EXPECT_OK(ValidateOne(testing::FlatRecord(
+      "Univ",
+      {{"name", Value::String("U")}, {"name", Value::Int(5)}, {"id", Value::Int(1)}})));
+}
+
+TEST(ValidateForest, IgnoresPrimsOutsideTheSchema) {
+  EXPECT_OK(ValidateOne(testing::FlatRecord(
+      "Univ",
+      {{"id", Value::Int(1)}, {"extra", Value::Bool(true)}, {"name", Value::String("U")}})));
+  EXPECT_OK(ValidateOne(testing::FlatRecord(
+      "Univ",
+      {{"id", Value::Int(1)}, {"name", Value::String("U")}, {"extra", Value::Bool(true)}})));
+}
+
+TEST(ValidateForest, RejectsSecondGroupUnderOneAttribute) {
+  // Children("Admit") sees only the first group: the second one's records
+  // would be counted but never become facts.
+  RecordNode univ = testing::UnivRecord(1, "U", {{1, 10}});
+  univ.children.push_back({"Admit", {AdmitRecord(2, 20), AdmitRecord(3, 30)}});
+  RecordForest f;
+  f.roots.push_back(std::move(univ));
+  ExpectRejected(ValidateForest(f, testing::UnivSchema()), StatusCode::kInvalidArgument,
+                 "record Univ has a second child group under Admit");
+  uint64_t next_id = 1;
+  EXPECT_EQ(ToFacts(f, testing::UnivSchema(), &next_id).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(next_id, 1u);
+}
+
+TEST(ValidateForest, RejectsGroupUnderAForeignRecordType) {
+  // Univ is a record type, but not one of Univ's own attributes.
+  RecordNode univ = testing::UnivRecord(1, "U", {{1, 10}});
+  univ.children.push_back({"Univ", {testing::UnivRecord(2, "V", {})}});
+  RecordForest f;
+  f.roots.push_back(std::move(univ));
+  ExpectRejected(ValidateForest(f, testing::UnivSchema()), StatusCode::kInvalidArgument,
+                 "record Univ has children under Univ which is not one of its attributes");
+  uint64_t next_id = 1;
+  EXPECT_EQ(ToFacts(f, testing::UnivSchema(), &next_id).status().code(),
+            StatusCode::kInvalidArgument);
+  // Any other defect in the forest keeps its own message.
+  f.roots.push_back(testing::FlatRecord("Univ", {{"id", Value::Int(3)}}));
+  ExpectRejected(ValidateForest(f, testing::UnivSchema()), StatusCode::kInvalidArgument,
+                 "record Univ missing attribute name");
 }
 
 TEST(DocumentInstance, JsonRoundTrip) {

@@ -275,6 +275,26 @@ TEST(Session, MigrateRejectsForeignInstanceWithSchemaMismatch) {
   EXPECT_EQ(result.status().code(), ErrorCode::kSchemaMismatch);
 }
 
+TEST(Session, MigrateRejectsSecondChildGroupWithSchemaMismatch) {
+  // A second Admit group would be dropped by the fact emitter; Migrate must
+  // refuse the instance rather than migrate only the first group.
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(testing::UnivSchema(),
+                                                        testing::AdmissionSchema()));
+  Example e = testing::MotivatingExample();
+  RecordForest source = e.input;
+  source.roots[0].children.push_back({"Admit", source.roots[1].children[0].second});
+  ASSERT_OK_AND_ASSIGN(Program golden, Program::Parse(R"(
+    Admission(grad, ug, num) :- Univ(id1, grad, v1), Admit(v1, id2, num),
+                                Univ(id2, ug, _).
+  )"));
+  auto result = session.Migrate(golden, source);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), ErrorCode::kSchemaMismatch);
+  EXPECT_EQ(result.status().message(),
+            "source instance vs source schema: record Univ has a second child group under "
+            "Admit");
+}
+
 TEST(Session, InconsistentExampleFailsWithSynthesisFailure) {
   // Output value absent from the input: no program can produce it.
   Schema src = RelationalSchemaBuilder()
