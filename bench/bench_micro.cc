@@ -513,7 +513,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   // Annotate the run with the process-wide metrics snapshot: the counters
-  // say what the measured runs actually did (plan refreshes, memo hits,
+  // say what the measured runs actually did (solver solves, memo hits,
   // fallbacks), which is what makes threshold re-tunes explainable from the
   // JSON alone.
   dynamite::metrics::MetricsSnapshot snapshot = dynamite::metrics::Snapshot();

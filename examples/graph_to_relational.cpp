@@ -63,8 +63,8 @@ int main() {
   }
   std::printf("Synthesized mapping:\n%s\n", result->program.ToString().c_str());
 
-  // Migrate a bigger graph with the same session: the shared migration
-  // engine keeps its join indexes and compiled rules across Migrate calls.
+  // Migrate a bigger graph with the same session and the synthesized
+  // program.
   GraphInstance big;
   const char* names[] = {"u0", "u1", "u2", "u3", "u4"};
   for (int i = 0; i < 5; ++i) {

@@ -58,9 +58,6 @@ struct ProgressEvent {
   size_t queries = 0;
   /// Seconds since the stage driving this run started.
   double elapsed_seconds = 0;
-  /// Engine statistic: cached join plans recompiled due to stale
-  /// cardinality statistics (see DatalogEngine::stats()).
-  size_t plan_refreshes = 0;
 };
 
 /// Receives ProgressEvents. Called synchronously from the pipeline's own

@@ -75,13 +75,11 @@ Status CheckAgainstSchema(const RecordForest& forest, const Schema& schema, cons
 }  // namespace
 
 Session::Session(Schema source, Schema target, SessionOptions options)
-    : source_(std::move(source)), target_(std::move(target)), options_(options) {
-  // The synthesis stage owns its per-candidate evaluation engine; the
-  // migration engine below is the one shared across Migrate calls and
-  // interactive probes.
-  migrator_ = std::make_unique<Migrator>(source_, target_, options_.engine);
-  synthesizer_ = std::make_unique<Synthesizer>(source_, target_, options_.synthesis);
-}
+    : source_(std::move(source)),
+      target_(std::move(target)),
+      options_(options),
+      migrator_(source_, target_, options_.engine),
+      synthesizer_(source_, target_, options_.synthesis) {}
 
 Result<Session> Session::Create(Schema source, Schema target, SessionOptions options) {
   // Re-validate both schemas here, once for the session's lifetime — also
@@ -113,7 +111,7 @@ Result<RecordForest> Session::MigrateStage(const Program& program, const RecordF
   // so a second walk here would add that again. Instead, classify failures
   // after the fact — if the forest is what's wrong, the caller gets the
   // typed kSchemaMismatch; otherwise the original error.
-  auto result = migrator_->Migrate(program, source, stats, ctx);
+  auto result = migrator_.Migrate(program, source, stats, ctx);
   if (!result.ok() && (result.status().code() == StatusCode::kInvalidArgument ||
                        result.status().code() == StatusCode::kTypeError)) {
     DYNAMITE_RETURN_NOT_OK(
@@ -128,7 +126,7 @@ Result<SynthesisResult> Session::Synthesize(const Example& example,
                     [&](const RunContext& bounded) -> Result<SynthesisResult> {
                       DYNAMITE_FAILPOINT("session.synthesize");
                       DYNAMITE_RETURN_NOT_OK(CheckExample(example));
-                      return synthesizer_->Synthesize(example, bounded);
+                      return synthesizer_.Synthesize(example, bounded);
                     });
 }
 
@@ -142,10 +140,10 @@ Result<InteractiveResult> Session::SynthesizeInteractive(const Example& example,
         DYNAMITE_RETURN_NOT_OK(CheckExample(example));
         DYNAMITE_RETURN_NOT_OK(CheckAgainstSchema(validation_pool, source_,
                                                   "validation pool vs source schema"));
-        InteractiveSynthesizer interactive(*synthesizer_, options_.interactive);
+        InteractiveSynthesizer interactive(synthesizer_, options_.interactive);
         DYNAMITE_ASSIGN_OR_RETURN(
             InteractiveResult result,
-            interactive.Run(example, validation_pool, oracle, *migrator_, bounded));
+            interactive.Run(example, validation_pool, oracle, migrator_, bounded));
         if (options_.fail_on_ambiguity && !result.unique && !result.cancelled) {
           return Status::Ambiguous(
               "validation pool cannot distinguish the remaining candidate programs");
@@ -173,7 +171,7 @@ Result<PipelineResult> Session::SynthesizeAndMigrate(const Example& example,
       [&](const RunContext& bounded) -> Result<PipelineResult> {
         PipelineResult out;
         DYNAMITE_RETURN_NOT_OK(CheckExample(example));
-        DYNAMITE_ASSIGN_OR_RETURN(out.synthesis, synthesizer_->Synthesize(example, bounded));
+        DYNAMITE_ASSIGN_OR_RETURN(out.synthesis, synthesizer_.Synthesize(example, bounded));
 
         // Migration progress events carry the synthesis totals forward so
         // the run's cumulative counters (iterations, coverage) stay monotone

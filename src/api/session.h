@@ -6,9 +6,8 @@
 // at that point, and exposes every pipeline stage as composable calls that
 // share state:
 //
-//   * one DatalogEngine for all migrations — its persistent EDB join
-//     indexes and compiled-rule cache survive across Migrate calls and the
-//     distinguishing-input probes of interactive mode;
+//   * one Migrator and one Synthesizer, built once from the validated
+//     schemas and the session's options;
 //   * the process-wide interned-string pool (values interned while reading
 //     the example are reused when migrating the full instance);
 //   * schemas validated once, instead of re-copied and re-trusted by three
@@ -41,7 +40,6 @@
 #ifndef DYNAMITE_API_SESSION_H_
 #define DYNAMITE_API_SESSION_H_
 
-#include <memory>
 #include <string>
 
 #include "api/run_context.h"
@@ -95,9 +93,9 @@ struct PipelineResult {
 };
 
 /// One synthesis-and-migration session over a fixed (source, target) schema
-/// pair. Re-entrant in the sense that calls can be issued repeatedly and
-/// reuse the session's engine caches; not thread-safe (one Session per
-/// thread, matching the engine's single-threaded contract).
+/// pair. Re-entrant in the sense that calls can be issued repeatedly; not
+/// thread-safe (one Session per thread, matching the engine's
+/// single-threaded contract).
 class Session {
  public:
   /// Validates both schemas (kSchemaMismatch on failure) and builds the
@@ -120,9 +118,8 @@ class Session {
       const Example& example, const RecordForest& validation_pool, const Oracle& oracle,
       const RunContext& ctx = RunContext()) const;
 
-  /// Executes `program` on a full source instance using the session's
-  /// shared engine (join indexes and compiled rules persist across calls).
-  /// Fills `*stats` if non-null.
+  /// Executes `program` on a full source instance with the session's
+  /// engine options. Fills `*stats` if non-null.
   Result<RecordForest> Migrate(const Program& program, const RecordForest& source,
                                MigrationStats* stats = nullptr,
                                const RunContext& ctx = RunContext()) const;
@@ -138,15 +135,12 @@ class Session {
   const Schema& target_schema() const { return target_; }
   const SessionOptions& options() const { return options_; }
 
-  /// Cumulative statistics of the shared migration engine.
-  DatalogEngine::Stats engine_stats() const { return migrator_->engine_stats(); }
-
   /// Snapshot of the process-wide metrics registry (util/metrics.h):
-  /// counters like "engine.plan_refreshes" / "ingest.child_index_lookups",
-  /// plus gauges and histograms.
+  /// counters like "solver.solves" / "ingest.child_index_lookups", plus
+  /// gauges and histograms.
   /// Process-wide — spans every Session and engine in the process,
-  /// cumulative since start; the per-object stats() structs remain the
-  /// per-run source of truth.
+  /// cumulative since start; the per-call stats structs (MigrationStats,
+  /// SynthesisResult) remain the per-run source of truth.
   metrics::MetricsSnapshot Metrics() const { return metrics::Snapshot(); }
 
   /// Dumps every trace span recorded since arming (trace::Arm() or
@@ -170,10 +164,8 @@ class Session {
   Schema source_;
   Schema target_;
   SessionOptions options_;
-  /// unique_ptr: Migrator owns a move-only DatalogEngine, and Session must
-  /// stay movable for Result<Session>.
-  std::unique_ptr<Migrator> migrator_;
-  std::unique_ptr<Synthesizer> synthesizer_;
+  Migrator migrator_;
+  Synthesizer synthesizer_;
 };
 
 }  // namespace dynamite

@@ -1,11 +1,7 @@
 #include "datalog/engine.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <functional>
 #include <set>
-#include <unordered_map>
 
 #include "datalog/index.h"
 #include "util/failpoint.h"
@@ -28,7 +24,7 @@ struct Slot {
 /// One body atom inside a join plan, with a static matching strategy
 /// relative to its position in the plan's atom order.
 struct PlanAtom {
-  std::string relation;
+  const std::string* relation = nullptr;  // names live in the evaluated Program
   bool is_idb = false;
   /// Restricted to the delta suffix [lo, hi) of its relation during
   /// semi-naive iteration (at most one per plan).
@@ -58,37 +54,33 @@ struct JoinPlan {
 
 /// A rule compiled to one full plan (every atom reads its full relation)
 /// plus one delta plan per IDB body atom occurrence (that atom reads only
-/// the semi-naive delta). Plans share the variable-slot numbering.
+/// the semi-naive delta). Plans share the variable-slot numbering. A
+/// compiled rule lives for one Eval and points into its Program's atoms.
 struct CompiledRule {
   struct Head {
-    std::string relation;
+    const std::string* relation = nullptr;
     std::vector<Slot> slots;
   };
   std::vector<Head> heads;
   int num_slots = 0;
   bool has_idb_body = false;
-  std::vector<std::string> idb_body_relations;  // parallel to delta_plans
+  std::vector<const std::string*> idb_body_relations;  // parallel to delta_plans
   JoinPlan full;
   std::vector<JoinPlan> delta_plans;
-  /// EDB body relation cardinalities observed when the join order was
-  /// chosen; the statistics-refresh check compares them against current
-  /// sizes to decide whether a cached plan is stale (≥4x drift).
-  std::vector<std::pair<std::string, size_t>> edb_stats;
-  /// Round-0 sizes of this rule's IDB body relations, recorded after pass 0
-  /// of the first Eval that ran it (empty until then). The IDB half of the
-  /// statistics refresh: recursion-heavy programs never drift their EDB
-  /// stats, so without this a cached recursive plan was pinned to the
-  /// kIdbCardinality guess forever (the pre-ISSUE-4 bug).
-  std::vector<std::pair<std::string, size_t>> idb_stats;
 };
 
 /// Uncompiled body atom with its variable slots resolved.
 struct RawAtom {
-  std::string relation;
+  const std::string* relation = nullptr;
   bool is_idb = false;
   size_t cardinality = 0;  // estimated; IDB atoms get a large constant
   std::vector<Slot> slots;
 };
+
+/// A set of variable slots, indexed by slot number. Rules have a handful of
+/// variables, so a flag per slot beats a node-based set: every Eval compiles
+/// its rules, and on small inputs compiling is a visible share of the call.
+using SlotSet = std::vector<bool>;
 
 /// IDB relations grow during evaluation; rank them behind any EDB relation
 /// of plausible size when ordering joins.
@@ -100,40 +92,46 @@ constexpr size_t kIdbCardinality = size_t{1} << 40;
 /// (`head_vars`) read, so they are recomputed per order; slot numbering is
 /// shared across plans.
 JoinPlan MakePlan(const std::vector<RawAtom>& raws, const std::vector<size_t>& order,
-                  int delta_atom, const std::set<int>& head_vars) {
+                  int delta_atom, const SlotSet& head_vars) {
   JoinPlan plan;
-  std::set<int> bound;
+  plan.atoms.reserve(order.size());
+  // The plan position of the atom that binds each slot; -1 while unbound.
+  std::vector<int> bound_at(head_vars.size(), -1);
   for (size_t ai : order) {
     const RawAtom& raw = raws[ai];
+    const int here = static_cast<int>(plan.atoms.size());
     PlanAtom pa;
     pa.relation = raw.relation;
     pa.is_idb = raw.is_idb;
     pa.is_delta = static_cast<int>(ai) == delta_atom;
     pa.slots = raw.slots;
-    std::set<int> bound_here;
     for (size_t i = 0; i < pa.slots.size(); ++i) {
       const Slot& s = pa.slots[i];
       if (s.is_wildcard) continue;
-      if (s.is_const || bound.count(s.var) > 0) {
+      if (s.is_const) {
         pa.key_positions.push_back(i);
-      } else if (bound_here.count(s.var) > 0) {
+        continue;
+      }
+      int& at = bound_at[static_cast<size_t>(s.var)];
+      if (at < 0) {
+        pa.bind_positions.push_back(i);
+        at = here;
+      } else if (at == here) {
         pa.check_positions.push_back(i);
       } else {
-        pa.bind_positions.push_back(i);
-        bound_here.insert(s.var);
+        pa.key_positions.push_back(i);
       }
     }
-    bound.insert(bound_here.begin(), bound_here.end());
     plan.atoms.push_back(std::move(pa));
   }
   // Walk the plan backwards: `live` holds the variables read after atom k.
-  std::set<int> live = head_vars;
+  SlotSet live = head_vars;
   for (size_t k = plan.atoms.size(); k-- > 0;) {
     PlanAtom& pa = plan.atoms[k];
     pa.exists_only = std::none_of(pa.bind_positions.begin(), pa.bind_positions.end(),
-                                  [&](size_t p) { return live.count(pa.slots[p].var) > 0; });
+                                  [&](size_t p) { return live[pa.slots[p].var]; });
     for (const Slot& s : pa.slots) {
-      if (!s.is_const && !s.is_wildcard) live.insert(s.var);
+      if (!s.is_const && !s.is_wildcard) live[s.var] = true;
     }
   }
   return plan;
@@ -144,15 +142,17 @@ JoinPlan MakePlan(const std::vector<RawAtom>& raws, const std::vector<size_t>& o
 /// ties by smaller estimated cardinality, then by original position.
 /// `forced_first` (an index into raws, or -1) pins the delta atom up front —
 /// deltas are the smallest view by construction.
-std::vector<size_t> SelectivityOrder(const std::vector<RawAtom>& raws, int forced_first) {
+std::vector<size_t> SelectivityOrder(const std::vector<RawAtom>& raws, size_t num_slots,
+                                     int forced_first) {
   std::vector<size_t> order;
-  std::set<int> bound;
+  order.reserve(raws.size());
+  SlotSet bound(num_slots, false);
   std::vector<bool> used(raws.size(), false);
   auto take = [&](size_t ai) {
     used[ai] = true;
     order.push_back(ai);
     for (const Slot& s : raws[ai].slots) {
-      if (!s.is_const && !s.is_wildcard) bound.insert(s.var);
+      if (!s.is_const && !s.is_wildcard) bound[s.var] = true;
     }
   };
   if (forced_first >= 0) take(static_cast<size_t>(forced_first));
@@ -164,7 +164,7 @@ std::vector<size_t> SelectivityOrder(const std::vector<RawAtom>& raws, int force
       if (used[ai]) continue;
       size_t score = 0;
       for (const Slot& s : raws[ai].slots) {
-        if (s.is_const || (!s.is_wildcard && bound.count(s.var) > 0)) ++score;
+        if (s.is_const || (!s.is_wildcard && bound[s.var])) ++score;
       }
       if (best == raws.size() || score > best_score ||
           (score == best_score && raws[ai].cardinality < best_card)) {
@@ -184,50 +184,38 @@ std::vector<size_t> IdentityOrder(size_t n) {
   return order;
 }
 
-/// Compiles `rule` into join plans. `idb_sizes`, when non-null, supplies
-/// observed IDB relation cardinalities (round-0 sizes from a running
-/// fixpoint) to replace the kIdbCardinality guess when ordering joins; the
-/// sizes used are recorded in the result's idb_stats for later drift checks.
-Result<CompiledRule> CompileRule(const Rule& rule, const std::set<std::string>& idb,
-                                 const FactDatabase& edb, bool reorder,
-                                 const std::map<std::string, size_t>* idb_sizes = nullptr) {
+/// Compiles `rule` into join plans, estimating each EDB body atom's
+/// cardinality from `edb`. The rule must have passed Rule::Validate: every
+/// head term is a constant or a variable of the body.
+CompiledRule CompileRule(const Rule& rule, const std::set<std::string>& idb,
+                         const FactDatabase& edb, bool reorder) {
   CompiledRule out;
-  std::map<std::string, int> var_slot;
+  // Variable names in slot order; a rule has few, so a linear scan is the
+  // cheapest lookup.
+  std::vector<const std::string*> slot_names;
   auto slot_of = [&](const std::string& v) {
-    auto it = var_slot.find(v);
-    if (it != var_slot.end()) return it->second;
-    int s = static_cast<int>(var_slot.size());
-    var_slot[v] = s;
-    return s;
+    for (size_t s = 0; s < slot_names.size(); ++s) {
+      if (*slot_names[s] == v) return static_cast<int>(s);
+    }
+    slot_names.push_back(&v);
+    return static_cast<int>(slot_names.size() - 1);
   };
 
   std::vector<RawAtom> raws;
-  std::set<int> body_vars;
-  std::set<int> head_vars;
+  raws.reserve(rule.body.size());
   std::vector<size_t> idb_atom_indices;
   for (const Atom& atom : rule.body) {
     RawAtom raw;
-    raw.relation = atom.relation;
+    raw.relation = &atom.relation;
     raw.is_idb = idb.count(atom.relation) > 0;
     if (raw.is_idb) {
       raw.cardinality = kIdbCardinality;
-      if (idb_sizes != nullptr) {
-        auto it = idb_sizes->find(atom.relation);
-        if (it != idb_sizes->end()) {
-          raw.cardinality = it->second;
-          bool seen = false;
-          for (const auto& [name, size] : out.idb_stats) seen = seen || name == atom.relation;
-          if (!seen) out.idb_stats.emplace_back(atom.relation, it->second);
-        }
-      }
       idb_atom_indices.push_back(raws.size());
     } else {
       auto rel = edb.Find(atom.relation);
       raw.cardinality = rel.ok() ? rel.ValueOrDie()->size() : kIdbCardinality;
-      bool seen = false;
-      for (const auto& [name, size] : out.edb_stats) seen = seen || name == atom.relation;
-      if (!seen && rel.ok()) out.edb_stats.emplace_back(atom.relation, raw.cardinality);
     }
+    raw.slots.reserve(atom.terms.size());
     for (const Term& t : atom.terms) {
       Slot s;
       if (t.is_constant()) {
@@ -237,133 +225,47 @@ Result<CompiledRule> CompileRule(const Rule& rule, const std::set<std::string>& 
         s.is_wildcard = true;
       } else {
         s.var = slot_of(t.var());
-        body_vars.insert(s.var);
       }
-      raw.slots.push_back(std::move(s));
+      raw.slots.push_back(s);
     }
     raws.push_back(std::move(raw));
   }
 
+  const size_t num_slots = slot_names.size();
+  SlotSet head_vars(num_slots, false);
+  out.heads.reserve(rule.heads.size());
   for (const Atom& h : rule.heads) {
     CompiledRule::Head head;
-    head.relation = h.relation;
+    head.relation = &h.relation;
+    head.slots.reserve(h.terms.size());
     for (const Term& t : h.terms) {
       Slot s;
       if (t.is_constant()) {
         s.is_const = true;
         s.constant = t.constant();
-      } else if (t.is_variable()) {
-        s.var = slot_of(t.var());
-        head_vars.insert(s.var);
-        if (body_vars.count(s.var) == 0) {
-          return Status::InvalidArgument("head variable " + t.var() + " unbound in body");
-        }
       } else {
-        return Status::InvalidArgument("wildcard in rule head");
+        s.var = slot_of(t.var());
+        head_vars[s.var] = true;
       }
-      head.slots.push_back(std::move(s));
+      head.slots.push_back(s);
     }
     out.heads.push_back(std::move(head));
   }
-  out.num_slots = static_cast<int>(var_slot.size());
+  out.num_slots = static_cast<int>(num_slots);
   out.has_idb_body = !idb_atom_indices.empty();
 
-  out.full = MakePlan(raws, reorder ? SelectivityOrder(raws, -1) : IdentityOrder(raws.size()),
-                      -1, head_vars);
+  out.full = MakePlan(
+      raws, reorder ? SelectivityOrder(raws, num_slots, -1) : IdentityOrder(raws.size()), -1,
+      head_vars);
   for (size_t ai : idb_atom_indices) {
     out.idb_body_relations.push_back(raws[ai].relation);
-    std::vector<size_t> order = reorder ? SelectivityOrder(raws, static_cast<int>(ai))
-                                        : IdentityOrder(raws.size());
+    std::vector<size_t> order = reorder
+                                    ? SelectivityOrder(raws, num_slots, static_cast<int>(ai))
+                                    : IdentityOrder(raws.size());
     out.delta_plans.push_back(MakePlan(raws, order, static_cast<int>(ai), head_vars));
   }
   return out;
 }
-
-/// Injective serialization of a rule for the compiled-rule cache.
-/// Rule::ToString() is ambiguous — Float(1.0) prints as "1" just like
-/// Int(1), and string constants embed unescaped — so it must not key the
-/// cache (a collision would replay another rule's compiled constants).
-/// Constants are encoded as kind tag + exact payload bits (string pool ids
-/// are stable for the process, which is the cache's lifetime).
-void AppendCacheKey(const Atom& atom, std::string* key) {
-  *key += atom.relation;
-  *key += '\x02';
-  char buf[32];
-  for (const Term& t : atom.terms) {
-    if (t.is_wildcard()) {
-      *key += 'W';
-    } else if (t.is_variable()) {
-      *key += 'V';
-      *key += t.var();
-    } else {
-      const Value& v = t.constant();
-      uint64_t bits = 0;
-      switch (v.kind()) {
-        case ValueKind::kNull:
-          break;
-        case ValueKind::kInt:
-          bits = static_cast<uint64_t>(v.AsInt());
-          break;
-        case ValueKind::kFloat: {
-          double d = v.AsFloat();
-          static_assert(sizeof(d) == sizeof(bits));
-          std::memcpy(&bits, &d, sizeof(bits));
-          break;
-        }
-        case ValueKind::kBool:
-          bits = v.AsBool() ? 1 : 0;
-          break;
-        case ValueKind::kString:
-          bits = v.string_id();
-          break;
-        case ValueKind::kId:
-          bits = v.AsId();
-          break;
-      }
-      std::snprintf(buf, sizeof(buf), "C%u:%016llx", static_cast<unsigned>(v.kind()),
-                    static_cast<unsigned long long>(bits));
-      *key += buf;
-    }
-    *key += '\x03';
-  }
-  *key += '\x04';
-}
-
-/// True when `current` has drifted ≥4x from `planned` in either direction
-/// (including empty -> non-empty, where any join order chosen for an empty
-/// relation is uninformed).
-bool CardinalityDrifted(size_t planned, size_t current) {
-  if (planned == current) return false;
-  size_t lo = std::min(planned, current);
-  size_t hi = std::max(planned, current);
-  return hi >= lo * 4;
-}
-
-/// A cached plan is stale when any EDB body relation's cardinality has
-/// drifted ≥4x from the size seen when the join order was chosen.
-bool PlanIsStale(const CompiledRule& rule, const FactDatabase& edb) {
-  for (const auto& [name, planned] : rule.edb_stats) {
-    auto rel = edb.Find(name);
-    size_t current = rel.ok() ? rel.ValueOrDie()->size() : 0;
-    if (CardinalityDrifted(planned, current)) return true;
-  }
-  return false;
-}
-
-std::string RuleCacheKey(const Rule& rule, const std::string& idb_key) {
-  std::string key;
-  for (const Atom& h : rule.heads) AppendCacheKey(h, &key);
-  key += '\x05';
-  for (const Atom& b : rule.body) AppendCacheKey(b, &key);
-  key += '\x01';
-  key += idb_key;
-  return key;
-}
-
-/// Recompiles rule `rule_index` against observed IDB round-0 sizes, updates
-/// the engine's rule cache + refresh counter, and returns the new rule.
-using IdbRefreshFn = std::function<Result<std::shared_ptr<CompiledRule>>(
-    size_t rule_index, const std::map<std::string, size_t>& idb_sizes)>;
 
 class Evaluator {
  public:
@@ -379,9 +281,9 @@ class Evaluator {
         cancel_(ctx != nullptr ? ctx->cancel : CancelToken()),
         budget_(budget) {}
 
-  Status Run(std::vector<std::shared_ptr<CompiledRule>>& rules, const FactDatabase& edb,
+  Status Run(const std::vector<CompiledRule>& rules, const FactDatabase& edb,
              const std::map<std::string, std::vector<std::string>>& idb_sigs,
-             FactDatabase* out, const IdbRefreshFn& refresh_idb) {
+             FactDatabase* out) {
     for (const auto& [name, attrs] : idb_sigs) {
       DYNAMITE_ASSIGN_OR_RETURN(Relation * rel, out->DeclareRelation(name, attrs));
       (void)rel;
@@ -395,8 +297,8 @@ class Evaluator {
     // Pass 0: every rule over full views.
     {
       DYNAMITE_TRACE_SPAN("engine.pass0");
-      for (const auto& rule : rules) {
-        DYNAMITE_RETURN_NOT_OK(EvalPlan(*rule, rule->full, delta, edb, out));
+      for (const CompiledRule& rule : rules) {
+        DYNAMITE_RETURN_NOT_OK(EvalPlan(rule, rule.full, delta, edb, out));
       }
     }
     bool any_delta = false;
@@ -406,40 +308,7 @@ class Evaluator {
     }
 
     bool any_recursive = false;
-    for (const auto& rule : rules) any_recursive = any_recursive || rule->has_idb_body;
-
-    // Statistics refresh, IDB half. Round-0 sizes are the first real
-    // cardinality signal recursive rules ever get (their EDB stats don't
-    // move when only the derived relations grow): record them on the
-    // rule's first Eval, and on later Evals replan when they have drifted
-    // ≥4x.
-    if (any_recursive) {
-      std::map<std::string, size_t> idb_sizes;
-      for (const auto& [name, range] : delta) idb_sizes[name] = range.second;
-      for (size_t ri = 0; ri < rules.size(); ++ri) {
-        CompiledRule& rule = *rules[ri];
-        if (!rule.has_idb_body) continue;
-        if (rule.idb_stats.empty()) {
-          std::set<std::string> seen;
-          for (const std::string& name : rule.idb_body_relations) {
-            if (seen.insert(name).second) {
-              rule.idb_stats.emplace_back(name, idb_sizes.at(name));
-            }
-          }
-          continue;
-        }
-        if (refresh_idb == nullptr) continue;
-        bool stale = false;
-        for (const auto& [name, planned] : rule.idb_stats) {
-          auto it = idb_sizes.find(name);
-          stale = stale || (it != idb_sizes.end() &&
-                            CardinalityDrifted(planned, it->second));
-        }
-        if (stale) {
-          DYNAMITE_ASSIGN_OR_RETURN(rules[ri], refresh_idb(ri, idb_sizes));
-        }
-      }
-    }
+    for (const CompiledRule& rule : rules) any_recursive = any_recursive || rule.has_idb_body;
 
     // Semi-naive fixpoint for recursive programs.
     size_t iterations = 0;
@@ -449,12 +318,12 @@ class Evaluator {
       }
       DYNAMITE_FAILPOINT("engine.fixpoint.round");
       DYNAMITE_TRACE_SPAN("engine.fixpoint.round");
-      for (const auto& rule : rules) {
-        if (!rule->has_idb_body) continue;
-        for (size_t k = 0; k < rule->delta_plans.size(); ++k) {
-          const auto& range = delta.at(rule->idb_body_relations[k]);
+      for (const CompiledRule& rule : rules) {
+        if (!rule.has_idb_body) continue;
+        for (size_t k = 0; k < rule.delta_plans.size(); ++k) {
+          const auto& range = delta.at(*rule.idb_body_relations[k]);
           if (range.first == range.second) continue;
-          DYNAMITE_RETURN_NOT_OK(EvalPlan(*rule, rule->delta_plans[k], delta, edb, out));
+          DYNAMITE_RETURN_NOT_OK(EvalPlan(rule, rule.delta_plans[k], delta, edb, out));
         }
       }
       any_delta = false;
@@ -583,13 +452,10 @@ class Evaluator {
           const Slot& s = pa.slots[p];
           key_vals.push_back(s.is_const ? s.constant : env[static_cast<size_t>(s.var)]);
         }
-        const std::vector<uint32_t>* matches =
-            v.index->Lookup(*v.rel, key_vals.data(), key_vals.size());
-        if (matches == nullptr) return;
+        PostingList matches = v.index->Lookup(*v.rel, key_vals.data(), key_vals.size());
         // Posting lists are sorted ascending; restrict to [lo, hi).
-        auto it = std::lower_bound(matches->begin(), matches->end(),
-                                   static_cast<uint32_t>(v.lo));
-        for (; it != matches->end() && *it < v.hi && !sink.Stopped(); ++it) {
+        auto it = std::lower_bound(matches.begin(), matches.end(), static_cast<uint32_t>(v.lo));
+        for (; it != matches.end() && *it < v.hi && !sink.Stopped(); ++it) {
           if (try_row_at(*it)) return;
         }
       }
@@ -610,12 +476,12 @@ class Evaluator {
       const PlanAtom& pa = plan.atoms[i];
       AtomView& v = views[i];
       if (pa.is_idb) {
-        v.rel = out->Find(pa.relation).ValueOrDie();
+        v.rel = out->Find(*pa.relation).ValueOrDie();
       } else {
-        DYNAMITE_ASSIGN_OR_RETURN(v.rel, edb.Find(pa.relation));
+        DYNAMITE_ASSIGN_OR_RETURN(v.rel, edb.Find(*pa.relation));
       }
       if (pa.is_delta) {
-        auto range = delta.at(pa.relation);
+        auto range = delta.at(*pa.relation);
         v.lo = range.first;
         v.hi = range.second;
       } else {
@@ -633,7 +499,7 @@ class Evaluator {
     // emitted tuple (FactDatabase map nodes are stable under insertion).
     std::vector<Relation*> head_rels(rule.heads.size());
     for (size_t i = 0; i < rule.heads.size(); ++i) {
-      DYNAMITE_ASSIGN_OR_RETURN(head_rels[i], out->FindMutable(rule.heads[i].relation));
+      DYNAMITE_ASSIGN_OR_RETURN(head_rels[i], out->FindMutable(*rule.heads[i].relation));
     }
 
     std::vector<Value> env(static_cast<size_t>(rule.num_slots));
@@ -661,31 +527,9 @@ class Evaluator {
 
 }  // namespace
 
-/// Persistent evaluation state: EDB join indexes and compiled rules reused
-/// across Eval calls (see header comment on staleness trade-offs).
-struct DatalogEngine::Caches {
-  IndexCache edb_indexes;
-  /// Entries are mutable (non-const CompiledRule) so a rule's idb_stats can
-  /// be recorded after round 0 of its first Eval; the engine is externally
-  /// single-threaded, so no locking is needed.
-  std::unordered_map<std::string, std::shared_ptr<CompiledRule>> rules;
-  /// Times a cached plan was recompiled because its cardinality statistics
-  /// drifted ≥4x — EDB drift at cache-hit time or IDB round-0 drift
-  /// mid-fixpoint (exposed via DatalogEngine::stats()).
-  size_t plan_refreshes = 0;
-
-  static constexpr size_t kMaxRules = 8192;
-};
-
-DatalogEngine::Stats DatalogEngine::stats() const {
-  Stats s;
-  s.plan_refreshes = caches_->plan_refreshes;
-  return s;
-}
-
 DatalogEngine::DatalogEngine() : DatalogEngine(Options()) {}
 DatalogEngine::DatalogEngine(Options options)
-    : options_(options), caches_(std::make_unique<Caches>()) {}
+    : options_(options), edb_indexes_(std::make_unique<IndexCache>()) {}
 DatalogEngine::~DatalogEngine() = default;
 DatalogEngine::DatalogEngine(DatalogEngine&&) noexcept = default;
 DatalogEngine& DatalogEngine::operator=(DatalogEngine&&) noexcept = default;
@@ -721,12 +565,7 @@ Result<FactDatabase> DatalogEngine::EvalImpl(
   DYNAMITE_TRACE_SPAN("engine.eval");
   trace::Span compile_span("engine.compile");
   std::set<std::string> idb;
-  std::string idb_key;
-  for (const auto& [name, attrs] : idb_signatures) {
-    idb.insert(name);
-    idb_key += name;
-    idb_key += ',';
-  }
+  for (const auto& [name, attrs] : idb_signatures) idb.insert(name);
 
   // Validate heads against signatures and body atoms against storage.
   for (const Rule& rule : program.rules) {
@@ -758,72 +597,17 @@ Result<FactDatabase> DatalogEngine::EvalImpl(
     }
   }
 
-  // Compile (or fetch cached) rules.
-  std::vector<std::shared_ptr<CompiledRule>> rules;
+  std::vector<CompiledRule> rules;
   rules.reserve(program.rules.size());
   for (const Rule& rule : program.rules) {
-    if (options_.cache_compiled_rules) {
-      std::string key = RuleCacheKey(rule, idb_key);
-      auto it = caches_->rules.find(key);
-      if (it != caches_->rules.end()) {
-        // Statistics refresh: a cached join order chosen against very
-        // different relation sizes can be arbitrarily bad. Re-plan when any
-        // EDB body cardinality drifted ≥4x; stale plans are only a
-        // performance hazard, so the check is skipped when reordering is
-        // off (the plan would come out identical). The IDB half of the
-        // check has to wait for round-0 sizes — see Evaluator::Run and the
-        // refresh_idb callback below.
-        if (options_.reorder_joins && PlanIsStale(*it->second, edb)) {
-          DYNAMITE_ASSIGN_OR_RETURN(CompiledRule cr,
-                                    CompileRule(rule, idb, edb, options_.reorder_joins));
-          it->second = std::make_shared<CompiledRule>(std::move(cr));
-          ++caches_->plan_refreshes;
-          DYNAMITE_METRIC_INC("engine.plan_refreshes");
-        }
-        rules.push_back(it->second);
-        continue;
-      }
-      DYNAMITE_ASSIGN_OR_RETURN(CompiledRule cr,
-                                CompileRule(rule, idb, edb, options_.reorder_joins));
-      if (caches_->rules.size() >= Caches::kMaxRules) caches_->rules.clear();
-      auto shared = std::make_shared<CompiledRule>(std::move(cr));
-      caches_->rules.emplace(std::move(key), shared);
-      rules.push_back(std::move(shared));
-    } else {
-      DYNAMITE_ASSIGN_OR_RETURN(CompiledRule cr,
-                                CompileRule(rule, idb, edb, options_.reorder_joins));
-      rules.push_back(std::make_shared<CompiledRule>(std::move(cr)));
-    }
-  }
-
-  // Mid-fixpoint replan hook for the IDB statistics refresh: recompile the
-  // rule with observed round-0 IDB sizes in place of the kIdbCardinality
-  // guess, and swap the cache entry so later Evals inherit the new plan.
-  // Disabled (like the EDB check) when reordering is off — the plan would
-  // come out identical — or when rules are not cached (no stats survive to
-  // drift against).
-  IdbRefreshFn refresh_idb;
-  if (options_.cache_compiled_rules && options_.reorder_joins) {
-    refresh_idb = [this, &program, &idb, &edb, &idb_key](
-                      size_t rule_index, const std::map<std::string, size_t>& idb_sizes)
-        -> Result<std::shared_ptr<CompiledRule>> {
-      const Rule& rule = program.rules[rule_index];
-      DYNAMITE_ASSIGN_OR_RETURN(
-          CompiledRule cr, CompileRule(rule, idb, edb, /*reorder=*/true, &idb_sizes));
-      auto shared = std::make_shared<CompiledRule>(std::move(cr));
-      auto it = caches_->rules.find(RuleCacheKey(rule, idb_key));
-      if (it != caches_->rules.end()) it->second = shared;
-      ++caches_->plan_refreshes;
-      DYNAMITE_METRIC_INC("engine.plan_refreshes");
-      return shared;
-    };
+    rules.push_back(CompileRule(rule, idb, edb, options_.reorder_joins));
   }
 
   compile_span.End();
   FactDatabase out;
-  caches_->edb_indexes.MaybeEvict();  // safe here: no plan holds index pointers
-  Evaluator evaluator(options_, &caches_->edb_indexes, ctx, budget);
-  DYNAMITE_RETURN_NOT_OK(evaluator.Run(rules, edb, idb_signatures, &out, refresh_idb));
+  edb_indexes_->MaybeEvict();  // safe here: no plan holds index pointers
+  Evaluator evaluator(options_, edb_indexes_.get(), ctx, budget);
+  DYNAMITE_RETURN_NOT_OK(evaluator.Run(rules, edb, idb_signatures, &out));
   return out;
 }
 

@@ -27,14 +27,13 @@
 //     example instance, paying each index build once. IDB indexes are
 //     extended, never rebuilt, as the fixpoint derives tuples; semi-naive
 //     deltas are suffix ranges of the append-only tuple vectors.
-//   * Compiled rules are cached across Eval calls (keyed by rule text and
-//     IDB signature), so repeated candidate checks skip recompilation. Join
-//     orders are chosen with the cardinalities seen at first compile; stale
-//     statistics trigger a re-plan (EDB drift at cache-hit time, IDB drift
-//     after round 0 of the fixpoint) but never cost correctness.
+//   * Every Eval compiles the rules of the program it is given, with the
+//     cardinalities of that call's EDB. Synthesis evaluates each candidate
+//     program once (a blocked model never comes back), so compiled plans
+//     are not kept across calls.
 //
-// Evaluation is sequential: one engine per thread. It owns the caches above,
-// so the public API is move-only and not safe for concurrent use.
+// Evaluation is sequential: one engine per thread. It owns the EDB index
+// cache, so the public API is move-only and not safe for concurrent use.
 
 #ifndef DYNAMITE_DATALOG_ENGINE_H_
 #define DYNAMITE_DATALOG_ENGINE_H_
@@ -50,6 +49,8 @@
 #include "value/database.h"
 
 namespace dynamite {
+
+class IndexCache;
 
 /// Bottom-up Datalog evaluator: compiles rules to join plans, matches each
 /// plan with one row-at-a-time recursive matcher, and iterates recursive
@@ -72,13 +73,6 @@ class DatalogEngine {
     double timeout_seconds = 0;
     /// Reorder body atoms by estimated selectivity at compile time.
     bool reorder_joins = true;
-    /// Cache compiled rules across Eval calls on this engine. Cached plans
-    /// are re-planned automatically when any EDB body relation's
-    /// cardinality drifts ≥4x from the size seen at planning time, or —
-    /// for recursive rules — when an IDB body relation's round-0 size
-    /// drifts ≥4x from the size recorded on the first Eval (the
-    /// statistics-refresh checks; see stats().plan_refreshes).
-    bool cache_compiled_rules = true;
     /// Ignored: evaluation is always sequential. Kept only because
     /// perfbench/replay.cc still assigns it; it goes together with
     /// replay.cc (ROADMAP item 4).
@@ -90,17 +84,6 @@ class DatalogEngine {
     /// MemoryBudget (a Session run), that budget is charged instead and
     /// this knob is ignored — one budget per run, not per stage.
     size_t max_memory_bytes = 0;
-  };
-
-  /// Counters accumulated across Eval calls on this engine. Deterministic:
-  /// identical for the same Eval sequence.
-  struct Stats {
-    /// Cached rules recompiled because their join-order statistics went
-    /// stale: ≥4x cardinality drift on an EDB body relation (checked at
-    /// cache-hit time) or on a recursive rule's IDB body relation's
-    /// round-0 size (checked after pass 0 of each fixpoint, against the
-    /// sizes recorded on the rule's first Eval).
-    size_t plan_refreshes = 0;
   };
 
   DatalogEngine();
@@ -128,9 +111,6 @@ class DatalogEngine {
                                           const FactDatabase& edb,
                                           const RunContext* ctx = nullptr) const;
 
-  /// Snapshot of the engine's cumulative counters (see Stats).
-  Stats stats() const;
-
  private:
   /// Eval minus the crash-free boundary: Eval resolves the run's
   /// MemoryBudget, installs it, and wraps this in an exception guard that
@@ -141,10 +121,9 @@ class DatalogEngine {
       const RunContext* ctx, MemoryBudget* budget) const;
 
   Options options_;
-  /// Persistent EDB join indexes + compiled-rule cache; logically part of
-  /// evaluation state, hence mutable behind const Eval.
-  struct Caches;
-  mutable std::unique_ptr<Caches> caches_;
+  /// Persistent EDB join indexes; logically part of evaluation state,
+  /// hence mutable behind const Eval.
+  mutable std::unique_ptr<IndexCache> edb_indexes_;
 };
 
 }  // namespace dynamite

@@ -41,6 +41,22 @@
 
 namespace dynamite {
 
+/// The rows of one key, ascending: a view into a JoinIndex, valid until the
+/// index's next Refresh. Empty when the key is absent.
+class PostingList {
+ public:
+  PostingList() = default;
+  PostingList(const uint32_t* begin, const uint32_t* end) : begin_(begin), end_(end) {}
+  const uint32_t* begin() const { return begin_; }
+  const uint32_t* end() const { return end_; }
+  size_t size() const { return static_cast<size_t>(end_ - begin_); }
+  bool empty() const { return begin_ == end_; }
+
+ private:
+  const uint32_t* begin_ = nullptr;
+  const uint32_t* end_ = nullptr;
+};
+
 /// Hash index of one relation on a fixed set of key positions, extended
 /// incrementally as the relation grows.
 class JoinIndex {
@@ -76,28 +92,32 @@ class JoinIndex {
         group_slots_[s] = static_cast<uint32_t>(groups_.size());
         MemoryBudget::ChargeCurrent(sizeof(Group));
         groups_.push_back(Group{h, static_cast<uint32_t>(i), {}});
+      } else {
+        Group& g = groups_[group_slots_[s]];
+        if (g.rows.empty()) g.rows.push_back(g.head_row);
+        g.rows.push_back(static_cast<uint32_t>(i));
       }
-      groups_[group_slots_[s]].rows.push_back(static_cast<uint32_t>(i));
     }
     indexed_upto_ = n;
   }
 
   /// Row indices whose key columns equal `key[0..count)`, sorted ascending;
-  /// nullptr if none. `rel` must be the relation this index was built over
-  /// (key verification reads its columns). The returned pointer is stable
-  /// until the next Refresh.
-  const std::vector<uint32_t>* Lookup(const Relation& rel, const Value* key,
-                                      size_t count) const {
-    if (group_slots_.empty()) return nullptr;
+  /// empty if none. `rel` must be the relation this index was built over
+  /// (key verification reads its columns).
+  PostingList Lookup(const Relation& rel, const Value* key, size_t count) const {
+    if (group_slots_.empty()) return PostingList();
     size_t seed = HashValueRange(key, count);
     size_t mask = group_slots_.size() - 1;
     size_t s = seed & mask;
     while (group_slots_[s] != kEmptySlot) {
       const Group& g = groups_[group_slots_[s]];
-      if (g.hash == seed && KeysEqualValues(rel, g.head_row, key)) return &g.rows;
+      if (g.hash == seed && KeysEqualValues(rel, g.head_row, key)) {
+        if (g.rows.empty()) return PostingList(&g.head_row, &g.head_row + 1);
+        return PostingList(g.rows.data(), g.rows.data() + g.rows.size());
+      }
       s = (s + 1) & mask;
     }
-    return nullptr;
+    return PostingList();
   }
 
   size_t indexed_upto() const { return indexed_upto_; }
@@ -106,8 +126,12 @@ class JoinIndex {
  private:
   static constexpr uint32_t kEmptySlot = UINT32_MAX;
 
-  /// One distinct key: its hash, a representative row (the key cells live in
-  /// the relation's columns — no copy), and the posting list.
+  /// One distinct key: its hash, its first row (the key cells live in the
+  /// relation's columns — no copy), and the posting list. Most keys of a
+  /// migration's facts are unique ids, so a key's only row is head_row
+  /// itself; `rows` is allocated when a second row arrives and then holds
+  /// them all. Building and freeing an index thus costs an allocation per
+  /// repeated key, not per key.
   struct Group {
     size_t hash;
     uint32_t head_row;

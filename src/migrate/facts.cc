@@ -96,11 +96,9 @@ class ChildIndex {
     if (rel_ != nullptr) index_.Refresh(*rel_);
   }
 
-  const std::vector<uint32_t>& Lookup(const Value& parent) const {
-    static const std::vector<uint32_t> kEmpty;
-    if (rel_ == nullptr) return kEmpty;
-    const std::vector<uint32_t>* rows = index_.Lookup(*rel_, &parent, 1);
-    return rows == nullptr ? kEmpty : *rows;
+  PostingList Lookup(const Value& parent) const {
+    if (rel_ == nullptr) return PostingList();
+    return index_.Lookup(*rel_, &parent, 1);
   }
 
   const Relation* relation() const { return rel_; }
@@ -164,19 +162,28 @@ Result<RecordForest> BuildForest(const FactDatabase& db, const Schema& schema,
   const size_t lookups_before = stats != nullptr ? stats->child_index_lookups : 0;
   const SchemaLayout layout(schema);
   Rebuilder rb{db, stats, std::vector<std::optional<ChildIndex>>(layout.records().size())};
+  // Every relation's arity is checked before any is read: Rebuilder::Build
+  // reads a nested relation's columns without bounds checks. A nested type
+  // carries its parent id in column 0.
+  for (const RecordLayout& rl : layout.records()) {
+    auto found = db.Find(*rl.type);
+    if (!found.ok()) continue;  // absent relation: no records of this type
+    const size_t arity = found.ValueOrDie()->arity();
+    const size_t expected = rl.attrs.size() + (rl.nested ? 1 : 0);
+    if (arity != expected) {
+      return Status::InvalidArgument("relation " + *rl.type + " has arity " +
+                                     std::to_string(arity) + ", schema expects " +
+                                     std::to_string(expected));
+    }
+  }
   RecordForest forest;
   size_t ticks = 0;
   // Top-level types in schema order: Schema::TopLevelRecords().
   for (const RecordLayout& rl : layout.records()) {
     if (rl.nested) continue;
     auto found = db.Find(*rl.type);
-    if (!found.ok()) continue;  // absent relation: no records of this type
+    if (!found.ok()) continue;
     const Relation* rel = found.ValueOrDie();
-    if (rel->arity() != rl.attrs.size()) {
-      return Status::InvalidArgument("relation " + *rl.type + " has arity " +
-                                     std::to_string(rel->arity()) + ", schema expects " +
-                                     std::to_string(rl.attrs.size()));
-    }
     for (size_t r = 0; r < rel->size(); ++r) {
       DYNAMITE_FAILPOINT("facts.build");
       if (ctx != nullptr && (++ticks & 0xff) == 0) {

@@ -34,7 +34,6 @@ Result<RecordForest> Migrator::MigrateImpl(const Program& program,
   auto report = [&](const char* stage) {
     event.detail = stage;
     event.elapsed_seconds = total.ElapsedSeconds();
-    event.plan_refreshes = engine_.stats().plan_refreshes;
     ctx.Report(event);
   };
 
@@ -60,7 +59,8 @@ Result<RecordForest> Migrator::MigrateImpl(const Program& program,
   timer.Reset();
   trace::Span eval_span("migrate.eval");
   DYNAMITE_ASSIGN_OR_RETURN(
-      FactDatabase idb, engine_.Eval(program, edb, FactSignatures(target_schema_), &ctx));
+      FactDatabase idb,
+      DatalogEngine(engine_options_).Eval(program, edb, FactSignatures(target_schema_), &ctx));
   DYNAMITE_RETURN_NOT_OK(ctx.Check("fixpoint evaluation"));
   local.target_facts = idb.TotalFacts();
   local.eval_seconds = timer.ElapsedSeconds();

@@ -32,16 +32,16 @@ struct MigrationStats {
 /// Migrates a source instance (as a record forest) to the target schema by
 /// executing `program`; returns the target instance as a record forest.
 /// This is the migration stage of the pipeline; applications reach it
-/// through dynamite::Session (src/api/session.h), which shares one Migrator
-/// (and its engine's join indexes and compiled-rule cache) across repeated
-/// migrations and interactive probes.
+/// through dynamite::Session (src/api/session.h). Each Migrate call builds
+/// its own DatalogEngine: the call's facts are fresh relations, so no join
+/// index of an earlier call could be reused.
 class Migrator {
  public:
   Migrator(Schema source_schema, Schema target_schema,
            DatalogEngine::Options engine_options = DatalogEngine::Options())
       : source_schema_(std::move(source_schema)),
         target_schema_(std::move(target_schema)),
-        engine_(engine_options) {}
+        engine_options_(engine_options) {}
 
   /// Runs the migration; fills `*stats` if non-null. `ctx`'s deadline,
   /// cancellation and memory budget are honored in all three stages (facts
@@ -50,9 +50,6 @@ class Migrator {
   Result<RecordForest> Migrate(const Program& program, const RecordForest& source,
                                MigrationStats* stats = nullptr,
                                const RunContext& ctx = RunContext()) const;
-
-  /// Cumulative statistics of the owned engine (see DatalogEngine::Stats).
-  DatalogEngine::Stats engine_stats() const { return engine_.stats(); }
 
  private:
   /// Migrate minus the crash-free boundary: the public entry installs the
@@ -63,7 +60,7 @@ class Migrator {
 
   Schema source_schema_;
   Schema target_schema_;
-  DatalogEngine engine_;
+  DatalogEngine::Options engine_options_;
 };
 
 }  // namespace dynamite

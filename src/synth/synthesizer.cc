@@ -191,8 +191,8 @@ class RuleSynthesizer {
   RuleSketch sketch_;
   const FactDatabase& edb_;
   const SynthesisOptions& options_;
-  /// One engine for the whole enumeration: EDB join indexes and compiled
-  /// candidate rules persist across the thousands of Eval calls below.
+  /// One engine for the whole enumeration: the example's EDB join indexes
+  /// persist across the thousands of Eval calls below.
   DatalogEngine engine_;
 
   RecordForest expected_;

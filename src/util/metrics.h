@@ -1,16 +1,16 @@
 // dynamite::metrics — the process-wide registry of named counters, gauges,
 // and histograms behind Session::Metrics().
 //
-// The pipeline's stats used to live in disjoint structs
-// (DatalogEngine::stats(), IngestStats, the interactive result) that a
-// caller had to know about individually and that a future service shell
-// (ROADMAP item 4) could not export uniformly. This
-// registry absorbs those counters behind one flat namespace of dotted names
-// ("engine.plan_refreshes", "ingest.child_index_builds", ...) without touching
-// the structs themselves: the legacy stats remain the per-object source of
-// truth — and keep their bit-identity contracts — while the same increment
-// sites ALSO bump the process-wide metric, so `metrics::Snapshot()` sees the
-// whole process and `stats()` still sees one engine.
+// The pipeline's stats used to live in disjoint structs (IngestStats,
+// MigrationStats, the interactive result) that a caller had to know about
+// individually and that a future service shell (ROADMAP item 4) could not
+// export uniformly. This registry absorbs those counters behind one flat
+// namespace of dotted names ("solver.solves", "ingest.child_index_builds",
+// ...) without touching the structs themselves: the legacy stats remain the
+// per-object source of truth — and keep their bit-identity contracts —
+// while the same increment sites ALSO bump the process-wide metric, so
+// `metrics::Snapshot()` sees the whole process and each stats struct still
+// sees one run.
 //
 // Cost model, in line with the failpoint standard (util/failpoint.h):
 //

@@ -74,6 +74,37 @@ TEST(ToFactsBuildForest, ChildIndexIsBuiltOncePerRelation) {
   EXPECT_EQ(stats.child_index_lookups, 2u);
 }
 
+TEST(ToFactsBuildForest, RejectsNestedRelationOfWrongArity) {
+  // Admit's fact signature is (_parent_Admit, uid, count). A relation that
+  // carries only the parent column is rejected up front, whether or not a
+  // Univ record would lead into it.
+  Example e = testing::MotivatingExample();
+  uint64_t next_id = 1;
+  ASSERT_OK_AND_ASSIGN(FactDatabase facts,
+                       ToFacts(e.input, testing::UnivSchema(), &next_id));
+  const Relation* univ = facts.Find("Univ").ValueOrDie();
+  const Relation* admit = facts.Find("Admit").ValueOrDie();
+
+  FactDatabase alone;
+  ASSERT_OK(alone.DeclareRelation("Admit", {"_parent_Admit"}).status());
+  for (const Value& parent : admit->column(0)) alone.AddFact("Admit", Tuple({parent}));
+  Result<RecordForest> out = BuildForest(alone, testing::UnivSchema());
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(out.status().message(), "relation Admit has arity 1, schema expects 3");
+
+  FactDatabase with_parents = std::move(alone);
+  ASSERT_OK(with_parents.DeclareRelation("Univ", univ->attributes()).status());
+  for (size_t r = 0; r < univ->size(); ++r) {
+    with_parents.AddFact("Univ",
+                         Tuple({univ->cell(r, 0), univ->cell(r, 1), univ->cell(r, 2)}));
+  }
+  out = BuildForest(with_parents, testing::UnivSchema());
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(out.status().message(), "relation Admit has arity 1, schema expects 3");
+}
+
 RecordForest WithReversedPrims(RecordForest forest) {
   std::vector<RecordNode*> stack;
   for (RecordNode& root : forest.roots) stack.push_back(&root);

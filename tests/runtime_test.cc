@@ -182,16 +182,16 @@ TEST(JoinIndex, IncrementalRefreshMatchesFromScratch) {
   scratch.Refresh(r);
   for (int round = 0; round < 5; ++round) {
     Value key = Value::Int(round);
-    const std::vector<uint32_t>* a = incremental.Lookup(r, &key, 1);
-    const std::vector<uint32_t>* b = scratch.Lookup(r, &key, 1);
-    ASSERT_NE(a, nullptr);
-    ASSERT_NE(b, nullptr);
-    EXPECT_EQ(*a, *b);
+    PostingList a = incremental.Lookup(r, &key, 1);
+    PostingList b = scratch.Lookup(r, &key, 1);
+    ASSERT_FALSE(a.empty());
+    EXPECT_EQ(std::vector<uint32_t>(a.begin(), a.end()),
+              std::vector<uint32_t>(b.begin(), b.end()));
     // Posting lists are sorted ascending (required by delta range views).
-    EXPECT_TRUE(std::is_sorted(a->begin(), a->end()));
+    EXPECT_TRUE(std::is_sorted(a.begin(), a.end()));
   }
   Value missing = Value::Int(99);
-  EXPECT_EQ(incremental.Lookup(r, &missing, 1), nullptr);
+  EXPECT_TRUE(incremental.Lookup(r, &missing, 1).empty());
 }
 
 TEST(IndexCache, ReusesByUidAndExtends) {
@@ -200,13 +200,15 @@ TEST(IndexCache, ReusesByUidAndExtends) {
   IndexCache cache;
   JoinIndex* idx = cache.Get(r, {0});
   EXPECT_EQ(idx->indexed_upto(), 1u);
+  Value key = Value::Int(1);
+  PostingList single = idx->Lookup(r, &key, 1);  // a key's only row
+  EXPECT_EQ(std::vector<uint32_t>(single.begin(), single.end()), std::vector<uint32_t>{0});
   r.Insert(Tuple({Value::Int(1), Value::Int(3)}));
   JoinIndex* again = cache.Get(r, {0});
   EXPECT_EQ(again, idx);  // same (uid, positions) -> same index, extended
   EXPECT_EQ(again->indexed_upto(), 2u);
-  Value key = Value::Int(1);
-  ASSERT_NE(again->Lookup(r, &key, 1), nullptr);
-  EXPECT_EQ(again->Lookup(r, &key, 1)->size(), 2u);
+  PostingList both = again->Lookup(r, &key, 1);  // its second row arrived
+  EXPECT_EQ(std::vector<uint32_t>(both.begin(), both.end()), (std::vector<uint32_t>{0, 1}));
   // A copy is a different instance: it must not share the cached index.
   Relation copy = r;
   JoinIndex* copy_idx = cache.Get(copy, {0});
@@ -302,8 +304,8 @@ TEST(SemiNaive, StringClosureMatchesIntClosure) {
 }
 
 TEST(SemiNaive, RepeatedEvalOnSameEngineIsStable) {
-  // The engine caches EDB indexes and compiled rules across Eval calls (the
-  // synthesizer's usage pattern); results must be identical every time.
+  // The engine keeps its EDB indexes across Eval calls (the synthesizer's
+  // usage pattern); results must be identical every time.
   FactDatabase db;
   db.DeclareRelation("edge", {"s", "t"}).ValueOrDie();
   for (int i = 0; i < 20; ++i) {
@@ -323,9 +325,10 @@ TEST(SemiNaive, RepeatedEvalOnSameEngineIsStable) {
   }
 }
 
-TEST(RuleCache, IntAndFloatConstantRulesDoNotCollide) {
+TEST(EngineConstants, IntAndFloatConstantsStayDistinct) {
   // Rule::ToString() prints Float(1.0) as "1", identical to Int(1); the
-  // compiled-rule cache must key on exact constants, not the printout.
+  // engine must match on exact constants, not the printout, also when one
+  // engine evaluates both rules.
   FactDatabase db;
   db.DeclareRelation("r", {"a", "b"}).ValueOrDie();
   db.AddFact("r", Tuple({Value::String("introw"), Value::Int(1)}));
@@ -333,7 +336,7 @@ TEST(RuleCache, IntAndFloatConstantRulesDoNotCollide) {
   Program int_rule = Program::Parse("q(x) :- r(x, 1).").ValueOrDie();
   Program float_rule = Program::Parse("q(x) :- r(x, 1.0).").ValueOrDie();
 
-  DatalogEngine engine;  // same engine: second Eval may hit the rule cache
+  DatalogEngine engine;
   auto a = engine.EvalAutoSignatures(int_rule, db);
   auto b = engine.EvalAutoSignatures(float_rule, db);
   ASSERT_TRUE(a.ok() && b.ok());
