@@ -504,9 +504,12 @@ int main(int argc, char** argv) {
   dynamite::JsonTeeReporter reporter(&writer);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
+  // Results go to the console only, unless DYNAMITE_BENCH_JSON names a file:
+  // a default path would let a run from the repository root overwrite the
+  // checked-in BENCH_micro.json.
   const char* path = std::getenv("DYNAMITE_BENCH_JSON");
   const char* label = std::getenv("DYNAMITE_BENCH_LABEL");
-  if (path == nullptr) path = "BENCH_micro.json";
+  if (path == nullptr || *path == '\0') return 0;
   if (label == nullptr) label = "";
   if (writer.empty()) {
     std::fprintf(stderr, "no benchmark results; %s not written\n", path);

@@ -269,17 +269,15 @@ CompiledRule CompileRule(const Rule& rule, const std::set<std::string>& idb,
 
 class Evaluator {
  public:
-  /// `budget` (may be null) is the run's byte budget, polled at the same
-  /// stride as cancel/deadline.
-  Evaluator(const DatalogEngine::Options& options, IndexCache* edb_indexes,
-            const RunContext* ctx, MemoryBudget* budget)
+  /// `ctx` (may be null) supplies the deadline, cancel token and byte
+  /// budget, all polled at the same stride.
+  Evaluator(const DatalogEngine::Options& options, const RunContext* ctx)
       : options_(options),
-        edb_indexes_(edb_indexes),
         deadline_(Deadline::Earliest(
             Deadline::AfterOrInfinite(options.timeout_seconds),
             ctx != nullptr ? ctx->deadline : Deadline::Infinite())),
         cancel_(ctx != nullptr ? ctx->cancel : CancelToken()),
-        budget_(budget) {}
+        budget_(ctx != nullptr ? ctx->memory : nullptr) {}
 
   Status Run(const std::vector<CompiledRule>& rules, const FactDatabase& edb,
              const std::map<std::string, std::vector<std::string>>& idb_sigs,
@@ -490,8 +488,10 @@ class Evaluator {
       }
       if (v.lo >= v.hi) return Status::OK();  // no matches possible
       if (!pa.key_positions.empty()) {
-        IndexCache& cache = pa.is_idb ? idb_indexes_ : *edb_indexes_;
-        v.index = cache.Get(*v.rel, pa.key_positions);
+        JoinIndex& index =
+            indexes_[v.rel].try_emplace(pa.key_positions, pa.key_positions).first->second;
+        index.Refresh(*v.rel);
+        v.index = &index;
       }
     }
 
@@ -516,8 +516,11 @@ class Evaluator {
   }
 
   DatalogEngine::Options options_;
-  IndexCache* edb_indexes_;   // persistent across Eval calls (engine-owned)
-  IndexCache idb_indexes_;    // per-Eval: IDB relations are fresh each run
+  /// Every join index of this Eval, EDB and IDB alike, by relation, then by
+  /// key positions. Relation addresses hold for the whole call (the EDB is
+  /// const; FactDatabase map nodes never move), and map nodes keep each
+  /// JoinIndex in place while later plans add entries.
+  std::map<const Relation*, std::map<std::vector<size_t>, JoinIndex>> indexes_;
   Deadline deadline_;         // options timeout composed with RunContext
   CancelToken cancel_;
   MemoryBudget* budget_ = nullptr;  // run-wide byte budget (may be null)
@@ -527,40 +530,25 @@ class Evaluator {
 
 }  // namespace
 
-DatalogEngine::DatalogEngine() : DatalogEngine(Options()) {}
-DatalogEngine::DatalogEngine(Options options)
-    : options_(options), edb_indexes_(std::make_unique<IndexCache>()) {}
-DatalogEngine::~DatalogEngine() = default;
-DatalogEngine::DatalogEngine(DatalogEngine&&) noexcept = default;
-DatalogEngine& DatalogEngine::operator=(DatalogEngine&&) noexcept = default;
-
 Result<FactDatabase> DatalogEngine::Eval(
     const Program& program, const FactDatabase& edb,
     const std::map<std::string, std::vector<std::string>>& idb_signatures,
     const RunContext* ctx) const {
-  // One byte budget per run: the RunContext's if the caller installed one
-  // (a Session run sharing the budget across stages), else a per-Eval one
-  // from Options::max_memory_bytes.
-  MemoryBudget* budget = ctx != nullptr ? ctx->memory : nullptr;
-  std::unique_ptr<MemoryBudget> local_budget;
-  if (budget == nullptr && options_.max_memory_bytes > 0) {
-    local_budget = std::make_unique<MemoryBudget>(options_.max_memory_bytes);
-    budget = local_budget.get();
-  }
-  // Installed for the whole evaluation: compile, index refresh and match.
-  MemoryBudgetScope mem_scope(budget);
+  // The caller's byte budget (a Session run shares one across its stages),
+  // installed for the whole evaluation: compile, index refresh and match.
+  MemoryBudgetScope mem_scope(ctx != nullptr ? ctx->memory : nullptr);
   // Crash-free boundary: a bad_alloc (real or injected) or an InjectedError
   // from a throwing failpoint site anywhere below becomes a typed Status.
   return failpoint::GuardExceptions(
       "datalog evaluation", [&]() -> Result<FactDatabase> {
-        return EvalImpl(program, edb, idb_signatures, ctx, budget);
+        return EvalImpl(program, edb, idb_signatures, ctx);
       });
 }
 
 Result<FactDatabase> DatalogEngine::EvalImpl(
     const Program& program, const FactDatabase& edb,
     const std::map<std::string, std::vector<std::string>>& idb_signatures,
-    const RunContext* ctx, MemoryBudget* budget) const {
+    const RunContext* ctx) const {
   DYNAMITE_FAILPOINT("engine.compile");
   DYNAMITE_TRACE_SPAN("engine.eval");
   trace::Span compile_span("engine.compile");
@@ -605,8 +593,7 @@ Result<FactDatabase> DatalogEngine::EvalImpl(
 
   compile_span.End();
   FactDatabase out;
-  edb_indexes_->MaybeEvict();  // safe here: no plan holds index pointers
-  Evaluator evaluator(options_, edb_indexes_.get(), ctx, budget);
+  Evaluator evaluator(options_, ctx);
   DYNAMITE_RETURN_NOT_OK(evaluator.Run(rules, edb, idb_signatures, &out));
   return out;
 }

@@ -21,25 +21,24 @@
 //     continuation and derive only duplicates, so outputs, row order,
 //     stats and error codes are unchanged; the cut only ends the
 //     cross-product blow-up of padded synthesized programs.
-//   * Join indexes are persistent and incremental (src/datalog/index.h).
-//     EDB indexes survive across Eval calls on the same engine — the
-//     synthesizer evaluates thousands of candidate programs against one
-//     example instance, paying each index build once. IDB indexes are
-//     extended, never rebuilt, as the fixpoint derives tuples; semi-naive
-//     deltas are suffix ranges of the append-only tuple vectors.
+//   * Join indexes are incremental (src/datalog/index.h) and live for one
+//     Eval, EDB and IDB relations alike. IDB indexes are extended, never
+//     rebuilt, as the fixpoint derives tuples; semi-naive deltas are suffix
+//     ranges of the append-only tuple vectors.
 //   * Every Eval compiles the rules of the program it is given, with the
 //     cardinalities of that call's EDB. Synthesis evaluates each candidate
-//     program once (a blocked model never comes back), so compiled plans
-//     are not kept across calls.
+//     program once (a blocked model never comes back), so neither compiled
+//     plans nor indexes are kept across calls.
 //
-// Evaluation is sequential: one engine per thread. It owns the EDB index
-// cache, so the public API is move-only and not safe for concurrent use.
+// Each Eval is sequential, and all of its state (compiled plans, join
+// indexes, derived relations) belongs to that call. An engine holds only its
+// Options: it is an ordinary copyable value, and several threads may call
+// Eval on one const engine at once.
 
 #ifndef DYNAMITE_DATALOG_ENGINE_H_
 #define DYNAMITE_DATALOG_ENGINE_H_
 
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -49,8 +48,6 @@
 #include "value/database.h"
 
 namespace dynamite {
-
-class IndexCache;
 
 /// Bottom-up Datalog evaluator: compiles rules to join plans, matches each
 /// plan with one row-at-a-time recursive matcher, and iterates recursive
@@ -77,20 +74,10 @@ class DatalogEngine {
     /// perfbench/replay.cc still assigns it; it goes together with
     /// replay.cc (ROADMAP item 4).
     size_t num_threads = 0;
-    /// Per-Eval byte budget covering relation growth, join-index posting
-    /// lists and interned strings; exceeding it aborts with
-    /// kResourceExhausted instead of OOM-killing the process. 0 disables
-    /// the check. When the caller's RunContext already carries a
-    /// MemoryBudget (a Session run), that budget is charged instead and
-    /// this knob is ignored — one budget per run, not per stage.
-    size_t max_memory_bytes = 0;
   };
 
-  DatalogEngine();
-  explicit DatalogEngine(Options options);
-  ~DatalogEngine();
-  DatalogEngine(DatalogEngine&&) noexcept;
-  DatalogEngine& operator=(DatalogEngine&&) noexcept;
+  DatalogEngine() = default;
+  explicit DatalogEngine(Options options) : options_(options) {}
 
   /// Evaluates `program` on `edb`. `idb_signatures` names the attributes of
   /// every intensional relation (relation -> attribute names); arities must
@@ -98,8 +85,11 @@ class DatalogEngine {
   /// relations.
   ///
   /// `ctx` (optional) bounds the evaluation: its deadline is composed with
-  /// Options::timeout_seconds (kTimeout on expiry) and its CancelToken is
-  /// polled at the same fixed stride (kCancelled on request).
+  /// Options::timeout_seconds (kTimeout on expiry), and its CancelToken and
+  /// MemoryBudget are polled at the same fixed stride (kCancelled on
+  /// request, kResourceExhausted once the budget's bytes are spent). The
+  /// budget covers relation growth, join-index posting lists and interned
+  /// strings; it is the only byte bound an Eval has.
   Result<FactDatabase> Eval(
       const Program& program, const FactDatabase& edb,
       const std::map<std::string, std::vector<std::string>>& idb_signatures,
@@ -112,18 +102,15 @@ class DatalogEngine {
                                           const RunContext* ctx = nullptr) const;
 
  private:
-  /// Eval minus the crash-free boundary: Eval resolves the run's
-  /// MemoryBudget, installs it, and wraps this in an exception guard that
-  /// maps bad_alloc / injected faults to typed Statuses.
+  /// Eval minus the crash-free boundary: Eval installs the caller's
+  /// MemoryBudget and wraps this in an exception guard that maps bad_alloc /
+  /// injected faults to typed Statuses.
   Result<FactDatabase> EvalImpl(
       const Program& program, const FactDatabase& edb,
       const std::map<std::string, std::vector<std::string>>& idb_signatures,
-      const RunContext* ctx, MemoryBudget* budget) const;
+      const RunContext* ctx) const;
 
   Options options_;
-  /// Persistent EDB join indexes; logically part of evaluation state,
-  /// hence mutable behind const Eval.
-  mutable std::unique_ptr<IndexCache> edb_indexes_;
 };
 
 }  // namespace dynamite

@@ -1,4 +1,4 @@
-// Persistent, incrementally-maintained join indexes for the Datalog engine.
+// Incrementally-maintained join indexes for the Datalog engine.
 //
 // A JoinIndex groups a relation's rows by a key projection (fixed column
 // positions) and maps each distinct key to the list of row indices carrying
@@ -10,20 +10,16 @@
 //
 // Because Relations are append-only, an index is extended by scanning only
 // the row-index suffix added since the last Refresh — it is never rebuilt.
-// The engine keeps one index per (relation instance, key positions):
-//
-//   * EDB indexes live in the engine and survive across Eval calls, so the
-//     synthesizer's thousands of candidate evaluations against the same
-//     example instance pay the index build exactly once.
-//   * IDB indexes live for one Eval and are extended as the fixpoint derives
-//     new rows; semi-naive deltas are *views* — suffix ranges [lo, hi) of
-//     the row space — not separate materialized relations.
+// The engine keeps one index per (relation, key positions) for the length
+// of one Eval, EDB and IDB relations alike. IDB indexes are extended as the
+// fixpoint derives new rows; semi-naive deltas are *views* — suffix ranges
+// [lo, hi) of the row space — not separate materialized relations.
 //
 // Per-key posting lists are sorted ascending by construction (rows are
 // indexed in insertion order), which is what makes range-restricted lookups
 // (the delta views) a lower_bound away.
 //
-// Thread-safety: none. An index belongs to one engine, and an engine to one
+// Thread-safety: none. An index belongs to one Eval, which runs on one
 // thread. The engine resolves and refreshes every index a plan needs at plan
 // entry, so the match loop only calls the const Lookup.
 
@@ -31,8 +27,6 @@
 #define DYNAMITE_DATALOG_INDEX_H_
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "util/failpoint.h"
@@ -173,57 +167,6 @@ class JoinIndex {
   std::vector<Group> groups_;
   /// Open-addressing (linear probing) table of indices into groups_.
   std::vector<uint32_t> group_slots_;
-};
-
-/// Cache of JoinIndexes keyed by (relation uid, key positions). Get()
-/// refreshes the index to cover the relation's current size, so callers
-/// always see a complete index up to their snapshot point.
-class IndexCache {
- public:
-  /// The index for (rel, key_positions), created on first use and refreshed
-  /// to rel.size(). The returned pointer is stable until Clear(); Get never
-  /// evicts (callers hold raw pointers across a join plan — see
-  /// MaybeEvict).
-  JoinIndex* Get(const Relation& rel, const std::vector<size_t>& key_positions) {
-    Key key{rel.uid(), key_positions};
-    auto it = entries_.find(key);
-    if (it == entries_.end()) {
-      it = entries_.emplace(std::move(key), std::make_unique<JoinIndex>(key_positions)).first;
-    }
-    it->second->Refresh(rel);
-    return it->second.get();
-  }
-
-  /// Bounds memory across long synthesizer sessions: a stale uid (destroyed
-  /// relation) can never be queried again, so wholesale clearing is safe —
-  /// but only between evaluations, when no JoinIndex pointers are live.
-  /// The engine calls this at Eval entry, never mid-plan.
-  void MaybeEvict() {
-    if (entries_.size() > kMaxEntries) Clear();
-  }
-
-  void Clear() { entries_.clear(); }
-  size_t size() const { return entries_.size(); }
-
- private:
-  static constexpr size_t kMaxEntries = 1024;
-
-  struct Key {
-    uint64_t uid;
-    std::vector<size_t> positions;
-    bool operator==(const Key& o) const {
-      return uid == o.uid && positions == o.positions;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      size_t seed = k.uid;
-      for (size_t p : k.positions) HashCombine(&seed, p);
-      return seed;
-    }
-  };
-
-  std::unordered_map<Key, std::unique_ptr<JoinIndex>, KeyHash> entries_;
 };
 
 }  // namespace dynamite

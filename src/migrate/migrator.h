@@ -32,9 +32,8 @@ struct MigrationStats {
 /// Migrates a source instance (as a record forest) to the target schema by
 /// executing `program`; returns the target instance as a record forest.
 /// This is the migration stage of the pipeline; applications reach it
-/// through dynamite::Session (src/api/session.h). Each Migrate call builds
-/// its own DatalogEngine: the call's facts are fresh relations, so no join
-/// index of an earlier call could be reused.
+/// through dynamite::Session (src/api/session.h). Each Migrate call
+/// evaluates the program over its own fresh facts.
 class Migrator {
  public:
   Migrator(Schema source_schema, Schema target_schema,

@@ -191,8 +191,8 @@ class RuleSynthesizer {
   RuleSketch sketch_;
   const FactDatabase& edb_;
   const SynthesisOptions& options_;
-  /// One engine for the whole enumeration: the example's EDB join indexes
-  /// persist across the thousands of Eval calls below.
+  /// Evaluates every candidate under the synthesis limits; each Eval builds
+  /// its own join indexes over the example.
   DatalogEngine engine_;
 
   RecordForest expected_;

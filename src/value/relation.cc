@@ -1,7 +1,6 @@
 #include "value/relation.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "util/check.h"
@@ -13,14 +12,6 @@ namespace dynamite {
 
 namespace {
 
-uint64_t NextUid() {
-  // Lock-free uid allocation: the only cross-thread state in this file
-  // (Sessions on different threads create relations concurrently).
-  // Relations themselves are externally synchronized.
-  static std::atomic<uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
 size_t PowerOfTwoAtLeast(size_t n) {
   size_t cap = 16;
   while (cap < n) cap *= 2;
@@ -29,60 +20,9 @@ size_t PowerOfTwoAtLeast(size_t n) {
 
 }  // namespace
 
-Relation::Relation() : uid_(NextUid()) {}
-
 Relation::Relation(std::string name, std::vector<std::string> attributes)
-    : name_(std::move(name)), attributes_(std::move(attributes)), uid_(NextUid()) {
+    : name_(std::move(name)), attributes_(std::move(attributes)) {
   columns_.resize(attributes_.size());
-}
-
-Relation::Relation(const Relation& other)
-    : name_(other.name_),
-      attributes_(other.attributes_),
-      columns_(other.columns_),
-      row_hashes_(other.row_hashes_),
-      slots_(other.slots_),
-      num_rows_(other.num_rows_),
-      uid_(NextUid()) {}
-
-Relation& Relation::operator=(const Relation& other) {
-  if (this != &other) {
-    name_ = other.name_;
-    attributes_ = other.attributes_;
-    columns_ = other.columns_;
-    row_hashes_ = other.row_hashes_;
-    slots_ = other.slots_;
-    num_rows_ = other.num_rows_;
-    uid_ = NextUid();
-  }
-  return *this;
-}
-
-Relation::Relation(Relation&& other) noexcept
-    : name_(std::move(other.name_)),
-      attributes_(std::move(other.attributes_)),
-      columns_(std::move(other.columns_)),
-      row_hashes_(std::move(other.row_hashes_)),
-      slots_(std::move(other.slots_)),
-      num_rows_(other.num_rows_),
-      uid_(other.uid_) {
-  other.num_rows_ = 0;
-  other.uid_ = NextUid();
-}
-
-Relation& Relation::operator=(Relation&& other) noexcept {
-  if (this != &other) {
-    name_ = std::move(other.name_);
-    attributes_ = std::move(other.attributes_);
-    columns_ = std::move(other.columns_);
-    row_hashes_ = std::move(other.row_hashes_);
-    slots_ = std::move(other.slots_);
-    num_rows_ = other.num_rows_;
-    uid_ = other.uid_;
-    other.num_rows_ = 0;
-    other.uid_ = NextUid();
-  }
-  return *this;
 }
 
 void Relation::Rehash(size_t new_slot_count) {
@@ -92,7 +32,7 @@ void Relation::Rehash(size_t new_slot_count) {
   }
   slots_.assign(new_slot_count, kEmptySlot);
   size_t mask = new_slot_count - 1;
-  for (size_t idx = 0; idx < num_rows_; ++idx) {
+  for (size_t idx = 0; idx < size(); ++idx) {
     size_t i = row_hashes_[idx] & mask;
     while (slots_[i] != kEmptySlot) i = (i + 1) & mask;
     slots_[i] = static_cast<uint32_t>(idx);
@@ -114,7 +54,7 @@ bool Relation::InsertRow(const Value* vals, size_t count) {
   // Grow at 3/4 load (slot count is a power of two).
   if (slots_.empty()) {
     Rehash(16);
-  } else if ((num_rows_ + 1) * 4 > slots_.size() * 3) {
+  } else if ((size() + 1) * 4 > slots_.size() * 3) {
     Rehash(slots_.size() * 2);
   }
   size_t mask = slots_.size() - 1;
@@ -124,12 +64,11 @@ bool Relation::InsertRow(const Value* vals, size_t count) {
     if (row_hashes_[idx] == h && RowEqualsValues(idx, vals)) return false;
     i = (i + 1) & mask;
   }
-  slots_[i] = static_cast<uint32_t>(num_rows_);
+  slots_[i] = static_cast<uint32_t>(size());
   MemoryBudget::ChargeCurrent(columns_.size() * sizeof(Value) +
                               sizeof(size_t));
   for (size_t c = 0; c < columns_.size(); ++c) columns_[c].push_back(vals[c]);
   row_hashes_.push_back(h);
-  ++num_rows_;
   return true;
 }
 
@@ -180,16 +119,6 @@ Result<RelationView> Relation::Project(const std::vector<std::string>& attrs) co
   return RelationView(this, std::move(cols), attrs);
 }
 
-RelationView Relation::ViewColumns(std::vector<size_t> columns,
-                                   std::vector<std::string> new_attrs) const {
-  return RelationView(this, std::move(columns), std::move(new_attrs));
-}
-
-Relation Relation::ProjectColumns(const std::vector<size_t>& columns,
-                                  std::vector<std::string> new_attrs) const {
-  return ViewColumns(columns, std::move(new_attrs)).Materialize();
-}
-
 bool Relation::RowsEqual(size_t idx, const Relation& other, size_t other_row) const {
   for (size_t c = 0; c < columns_.size(); ++c) {
     if (columns_[c][idx] != other.columns_[c][other_row]) return false;
@@ -197,64 +126,34 @@ bool Relation::RowsEqual(size_t idx, const Relation& other, size_t other_row) co
   return true;
 }
 
-bool Relation::SetEquals(const Relation& other, bool by_position) const {
+bool Relation::SetEquals(const Relation& other) const {
   if (arity() != other.arity() || size() != other.size()) return false;
-  if (by_position) {
-    if (slots_.empty()) return other.empty();
-    // Probe this relation's row table with other's *memoized* row hashes
-    // (both sides use the canonical HashValueRange algorithm); cells are
-    // compared column-against-column, so no row is copied or re-hashed.
-    size_t mask = slots_.size() - 1;
-    for (size_t r = 0; r < other.num_rows_; ++r) {
-      size_t h = other.row_hashes_[r];
-      size_t i = h & mask;
-      bool found = false;
-      while (slots_[i] != kEmptySlot) {
-        size_t idx = slots_[i];
-        if (row_hashes_[idx] == h && RowsEqual(idx, other, r)) {
-          found = true;
-          break;
-        }
-        i = (i + 1) & mask;
-      }
-      if (!found) return false;
-    }
-    return true;
-  }
-  // Align other's columns to this relation's attribute names via an
-  // occurrence-matched bijection: each column of `this` claims the first
-  // unclaimed column of `other` with the same name (duplicate names pair up
-  // in order), and every column of `other` must end up claimed — the
-  // arities are equal and the matching is injective, so full coverage of
-  // `this` implies full coverage of `other`.
-  std::vector<size_t> remap(arity());
-  std::vector<char> claimed(arity(), 0);
-  for (size_t c = 0; c < attributes_.size(); ++c) {
-    bool matched = false;
-    for (size_t oc = 0; oc < other.attributes_.size(); ++oc) {
-      if (!claimed[oc] && other.attributes_[oc] == attributes_[c]) {
-        remap[c] = oc;
-        claimed[oc] = 1;
-        matched = true;
+  if (slots_.empty()) return other.empty();
+  // Probe this relation's row table with other's *memoized* row hashes
+  // (both sides use the canonical HashValueRange algorithm); cells are
+  // compared column-against-column, so no row is copied or re-hashed.
+  size_t mask = slots_.size() - 1;
+  for (size_t r = 0; r < other.size(); ++r) {
+    size_t h = other.row_hashes_[r];
+    size_t i = h & mask;
+    bool found = false;
+    while (slots_[i] != kEmptySlot) {
+      size_t idx = slots_[i];
+      if (row_hashes_[idx] == h && RowsEqual(idx, other, r)) {
+        found = true;
         break;
       }
+      i = (i + 1) & mask;
     }
-    if (!matched) return false;
-  }
-  // Permuted rows must be re-hashed (the memoized hash covers the original
-  // column order).
-  std::vector<Value> buf(arity());
-  for (size_t r = 0; r < other.num_rows_; ++r) {
-    for (size_t c = 0; c < buf.size(); ++c) buf[c] = other.columns_[remap[c]][r];
-    if (!ContainsRow(buf.data(), buf.size())) return false;
+    if (!found) return false;
   }
   return true;
 }
 
 std::string Relation::ToString() const {
   std::vector<Tuple> sorted;
-  sorted.reserve(num_rows_);
-  for (size_t i = 0; i < num_rows_; ++i) sorted.push_back(TupleAt(i));
+  sorted.reserve(size());
+  for (size_t i = 0; i < size(); ++i) sorted.push_back(TupleAt(i));
   std::sort(sorted.begin(), sorted.end());
   std::string out = name_ + "(" + Join(attributes_, ", ") + ") {\n";
   for (const Tuple& t : sorted) {

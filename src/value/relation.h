@@ -10,10 +10,10 @@
 // hash table of row indices for set semantics. Fixed-width interned values
 // (see value.h) make each column a dense array the Datalog engine can scan
 // touching only the columns a join actually needs, and make projections
-// zero-copy column-slice views (RelationView). Relations are append-only,
-// which is what lets the engine maintain incremental join indexes as suffix
-// extensions (see src/datalog/index.h): `uid()` identifies this relation
-// instance and rows are only ever appended, never reordered or removed.
+// zero-copy column-slice views (RelationView). Relations are append-only —
+// rows are never reordered or removed — which is what lets the engine
+// maintain incremental join indexes as suffix extensions (see
+// src/datalog/index.h).
 //
 // Row access goes through `RowRef`, a cursor of (relation, row index) that
 // re-fetches column storage on every cell read — safe to hold across
@@ -21,9 +21,10 @@
 // relation mid-scan).
 //
 // Thread-safety: concurrent const reads (cell/column/ContainsRow/row_hash/
-// SetEquals/...) are safe; any mutation requires exclusive access. A
-// relation belongs to one engine or Session, which evaluates on one thread,
-// so there is deliberately no locking on the probe or insert paths.
+// SetEquals/...) are safe, so several Evals may read one EDB at once; any
+// mutation requires exclusive access. A relation being written belongs to
+// one Eval or Session on one thread, so there is deliberately no locking on
+// the probe or insert paths.
 
 #ifndef DYNAMITE_VALUE_RELATION_H_
 #define DYNAMITE_VALUE_RELATION_H_
@@ -43,31 +44,17 @@ class RelationView;
 /// A named set of equal-arity rows, stored column-major.
 class Relation {
  public:
-  Relation();
+  Relation() = default;
 
   /// Creates an empty relation with the given name and attribute names.
   Relation(std::string name, std::vector<std::string> attributes);
 
-  /// Copies take a fresh uid: the copy's contents diverge from the
-  /// original's, so cached indexes keyed on uid must not apply to it.
-  Relation(const Relation& other);
-  Relation& operator=(const Relation& other);
-  /// Moves transfer the uid to the moved-to object (same logical relation);
-  /// the moved-from object gets a fresh uid so that, if reused, it cannot
-  /// impersonate the transferred identity in uid-keyed index caches.
-  Relation(Relation&& other) noexcept;
-  Relation& operator=(Relation&& other) noexcept;
-
   const std::string& name() const { return name_; }
   const std::vector<std::string>& attributes() const { return attributes_; }
   size_t arity() const { return attributes_.size(); }
-  size_t size() const { return num_rows_; }
-  bool empty() const { return num_rows_ == 0; }
-
-  /// Process-unique identity of this relation instance; used as a cache key
-  /// by the engine's persistent join indexes. Stable under moves and
-  /// appends, refreshed on copy.
-  uint64_t uid() const { return uid_; }
+  /// One memoized hash per row, so a moved-from relation reads empty.
+  size_t size() const { return row_hashes_.size(); }
+  bool empty() const { return row_hashes_.empty(); }
 
   /// Appends the row `vals[0..arity())`; returns true if it was not already
   /// present. The hot insertion path: no Tuple is materialized.
@@ -119,25 +106,9 @@ class Relation {
   /// materializing.
   Result<RelationView> Project(const std::vector<std::string>& attrs) const;
 
-  /// Zero-copy projection onto column indices.
-  RelationView ViewColumns(std::vector<size_t> columns,
-                           std::vector<std::string> new_attrs) const;
-
-  /// Materialized projection onto column indices (set semantics: duplicates
-  /// fold). Equivalent to ViewColumns(...).Materialize().
-  Relation ProjectColumns(const std::vector<size_t>& columns,
-                          std::vector<std::string> new_attrs) const;
-
-  /// Set equality with another relation.
-  ///
-  /// With `by_position` (the default) rows are compared positionally:
-  /// arities must match and attribute names are ignored. With
-  /// `by_position = false`, `other`'s columns are first aligned to this
-  /// relation's attribute names via an occurrence-matched bijection (every
-  /// attribute of `this` must exist in `other` and vice versa, duplicated
-  /// names pairing up in order; otherwise the relations are unequal), so
-  /// the two relations may list their attributes in different orders.
-  bool SetEquals(const Relation& other, bool by_position = true) const;
+  /// Set equality with another relation, comparing rows positionally:
+  /// arities must match and attribute names are ignored.
+  bool SetEquals(const Relation& other) const;
 
   /// Canonical multi-line printout, rows sorted.
   std::string ToString() const;
@@ -158,16 +129,15 @@ class Relation {
   std::string name_;
   std::vector<std::string> attributes_;
   /// Column-major payload: columns_[c][r] is the cell at row r, column c.
-  /// All columns have length num_rows_.
+  /// Every column holds one cell per row.
   std::vector<std::vector<Value>> columns_;
   /// Memoized per-row hashes (same algorithm as Tuple::Hash); parallel to
-  /// the columns. Dedup, indexing, and set comparison all start from these.
+  /// the columns, so its length is the row count. Dedup, indexing, and set
+  /// comparison all start from these.
   std::vector<size_t> row_hashes_;
   /// Open-addressing (linear probing) table of row indices; kEmptySlot
   /// marks a free slot. Size is always a power of two.
   std::vector<uint32_t> slots_;
-  size_t num_rows_ = 0;
-  uint64_t uid_;
 };
 
 /// Lightweight row cursor: (relation, row index). Cell reads re-fetch the

@@ -2,7 +2,7 @@
 // invariants, zero-copy projection views vs. materialized projections,
 // RowRef stability across appends, engine fixpoint equivalence across plan
 // configurations, repeated Evals on one engine, facts round-trips over all
-// three instance kinds, and SetEquals attribute semantics.
+// three instance kinds, and positional SetEquals.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "datalog/engine.h"
-#include "datalog/index.h"
 #include "instance/document.h"
 #include "instance/graph.h"
 #include "instance/relational.h"
@@ -157,33 +156,6 @@ TEST(SetEquals, PositionalByDefaultIgnoresAttributeNames) {
   EXPECT_TRUE(a.SetEquals(b));  // names differ, positions agree
 }
 
-TEST(SetEquals, ByNameAlignsColumnOrder) {
-  Relation a("A", {"x", "y"}), b("B", {"y", "x"});
-  a.Insert(Tuple({Value::Int(1), Value::Int(2)}));
-  b.Insert(Tuple({Value::Int(2), Value::Int(1)}));  // same row, columns swapped
-  EXPECT_FALSE(a.SetEquals(b));                     // positional: different
-  EXPECT_TRUE(a.SetEquals(b, /*by_position=*/false));
-  // Disjoint attribute names can never be aligned.
-  Relation c("C", {"p", "q"});
-  c.Insert(Tuple({Value::Int(1), Value::Int(2)}));
-  EXPECT_FALSE(a.SetEquals(c, /*by_position=*/false));
-}
-
-TEST(SetEquals, ByNameRequiresAttributeBijection) {
-  // Duplicate attribute names must pair up one-to-one: R("x", "x") cannot
-  // align with S("x", "y") even though every attribute of S's "x" column
-  // exists in R — S's "y" column would never be compared.
-  Relation r("R", {"x", "x"}), s("S", {"x", "y"});
-  r.Insert(Tuple({Value::Int(1), Value::Int(1)}));
-  s.Insert(Tuple({Value::Int(1), Value::Int(5)}));
-  EXPECT_FALSE(r.SetEquals(s, /*by_position=*/false));
-  EXPECT_FALSE(s.SetEquals(r, /*by_position=*/false));
-  // Matching duplicate names on both sides align occurrence-by-occurrence.
-  Relation t("T", {"x", "x"});
-  t.Insert(Tuple({Value::Int(1), Value::Int(1)}));
-  EXPECT_TRUE(r.SetEquals(t, /*by_position=*/false));
-}
-
 // ------------------------------------- engine fixpoints across plan configs
 
 /// Programs mirroring tests/datalog_test.cc's engine coverage: joins,
@@ -214,7 +186,7 @@ TEST(ColumnarEngine, FixpointsInvariantUnderPlanConfiguration) {
     plain.reorder_joins = false;
     DatalogEngine reused_engine(reordered);
     auto a = reused_engine.EvalAutoSignatures(p, db);
-    auto b = reused_engine.EvalAutoSignatures(p, db);  // warm EDB indexes
+    auto b = reused_engine.EvalAutoSignatures(p, db);  // a second call
     auto c = DatalogEngine(plain).EvalAutoSignatures(p, db);
     ASSERT_TRUE(a.ok()) << text << ": " << a.status().ToString();
     ASSERT_TRUE(b.ok()) << text << ": " << b.status().ToString();
@@ -226,9 +198,9 @@ TEST(ColumnarEngine, FixpointsInvariantUnderPlanConfiguration) {
 
 // --------------------------------------------- repeated Evals on one engine
 
-// An engine reused across Evals keeps its EDB join indexes and extends them
-// (JoinIndex::Refresh) when the relation grows between calls; each Eval
-// plans its join order for the sizes it sees. Results must follow the data.
+// An engine reused across Evals keeps nothing between them: each Eval builds
+// its join indexes and plans its join order for the sizes it sees. Results
+// must follow the data as it grows between calls.
 
 TEST(RepeatedEval, SameEngineFollowsEdbGrowth) {
   FactDatabase db;

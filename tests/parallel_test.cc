@@ -1,11 +1,12 @@
 // Concurrency suite. Evaluation is sequential, but Sessions on different
 // threads share the process-wide StringPool, metrics registry, trace rings
 // and failpoint table (session.h: one Session per thread). Two Sessions
-// running at once must each produce what the same call produces alone, the
-// sharded StringPool must survive concurrent interning, and a cancel from
-// another thread must land within one 1024-tick stride. The skewed inputs
-// that stress posting-list fan-out are checked against brute-force
-// references. This binary is the core of the TSan CI job.
+// running at once must each produce what the same call produces alone, as
+// must two Evals on one shared engine, the sharded StringPool must survive
+// concurrent interning, and a cancel from another thread must land within
+// one 1024-tick stride. The skewed inputs that stress posting-list fan-out
+// are checked against brute-force references. This binary is the core of
+// the TSan CI job.
 
 #include <gtest/gtest.h>
 
@@ -152,10 +153,10 @@ TEST(SkewedInputs, TransitiveClosureMatchesReference) {
       EXPECT_EQ(tc.size(), 150u * 150u);
     }
 
-    // A repeat on the warm engine and a fresh engine reproduce the rows in
+    // A repeat on the same engine and a fresh engine reproduce the rows in
     // the same order.
-    ASSERT_OK_AND_ASSIGN(FactDatabase warm, engine.EvalAutoSignatures(p, db));
-    ExpectBitIdentical(tc, *warm.Find("tc").ValueOrDie());
+    ASSERT_OK_AND_ASSIGN(FactDatabase again, engine.EvalAutoSignatures(p, db));
+    ExpectBitIdentical(tc, *again.Find("tc").ValueOrDie());
     ASSERT_OK_AND_ASSIGN(FactDatabase fresh, DatalogEngine().EvalAutoSignatures(p, db));
     ExpectBitIdentical(tc, *fresh.Find("tc").ValueOrDie());
   }
@@ -178,6 +179,46 @@ TEST(SkewedInputs, TwoWayJoinMatchesReference) {
   EXPECT_EQ(PairsOf(j), want);
   ASSERT_OK_AND_ASSIGN(FactDatabase again, DatalogEngine().EvalAutoSignatures(p, db));
   ExpectBitIdentical(j, *again.Find("j").ValueOrDie());
+}
+
+// ------------------------------------------ one engine shared by threads --
+
+TEST(SharedEngine, ConcurrentEvalsMatchSoloRuns) {
+  // An engine keeps no state between Evals, so two threads may call Eval on
+  // one const engine at once over one EDB; each must derive exactly the
+  // rows, in the order, that the same call derives alone.
+  const DatalogEngine engine;
+  const FactDatabase db = EdgeFacts(SkewedEdges(150));
+  const std::vector<std::pair<const char*, Program>> programs = {
+      {"j", Program::Parse("j(x, z) :- edge(x, y), edge(y, z).").ValueOrDie()},
+      {"tc", TcProgram()},
+  };
+  for (const auto& named : programs) {
+    const char* relation = named.first;
+    const Program& program = named.second;
+    SCOPED_TRACE(relation);
+    ASSERT_OK_AND_ASSIGN(FactDatabase solo, engine.EvalAutoSignatures(program, db));
+
+    constexpr size_t kThreads = 2;
+    std::vector<Result<FactDatabase>> concurrent(
+        kThreads, Result<FactDatabase>(Status::Internal("not run")));
+    std::atomic<size_t> ready{0};
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        concurrent[i] = engine.EvalAutoSignatures(program, db);
+      });
+    }
+    for (std::thread& t : threads) t.join();
+
+    for (const Result<FactDatabase>& got : concurrent) {
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ExpectBitIdentical(*solo.Find(relation).ValueOrDie(),
+                         *got.ValueOrDie().Find(relation).ValueOrDie());
+    }
+  }
 }
 
 // -------------------------------------------------- cancellation latency --

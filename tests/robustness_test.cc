@@ -1,7 +1,7 @@
 // Failure-semantics suite (ISSUE 6): injected faults must surface as typed
 // Statuses — never crashes — and must leave the engine reusable; memory
-// budgets trip kResourceExhausted with the documented precedence (a budget in
-// RunContext::memory wins over Options::max_memory_bytes); overflow paths
+// budgets trip kResourceExhausted, the engine's through RunContext::memory
+// and a Session's over its whole pipeline; overflow paths
 // that used to abort now return kOutOfRange; DYNAMITE_CHECK aborts in every
 // build type. Each test arms failpoints programmatically and DisarmAll()s in
 // teardown so tests stay independent.
@@ -83,8 +83,8 @@ TEST_F(RobustnessTest, ArmFromStringRejectsMalformedSpecs) {
 // ---------------------------------------- typed injection + engine reuse --
 
 // An injected cancellation mid-run must come back as kCancelled, and after
-// disarming, the SAME engine (caches warm) must evaluate to the
-// bit-identical clean result.
+// disarming, the SAME engine must evaluate to the bit-identical clean
+// result.
 TEST_F(RobustnessTest, InjectedCancelMidRunLeavesEngineReusable) {
   FactDatabase db = IntEdges(150);
   Program p = TcProgram();
@@ -128,28 +128,24 @@ TEST_F(RobustnessTest, InjectedResourceExhaustionIsTypedAndRecoverable) {
 TEST_F(RobustnessTest, EngineMemoryBudgetReturnsResourceExhausted) {
   FactDatabase db = IntEdges(150);
   Program p = TcProgram();
-  DatalogEngine::Options opts;
-  opts.max_memory_bytes = 4096;  // the closure alone allocates ~700 KiB
-  DatalogEngine engine{opts};
-  auto result = engine.EvalAutoSignatures(p, db);
+  DatalogEngine engine;
+  MemoryBudget tight(4096);  // the closure alone allocates ~700 KiB
+  RunContext tight_ctx;
+  tight_ctx.memory = &tight;
+  auto result = engine.EvalAutoSignatures(p, db, &tight_ctx);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_TRUE(tight.exhausted());
 
-  // Precedence: a budget the caller installed in RunContext::memory governs
-  // the run even when Options::max_memory_bytes is tighter — one budget per
-  // run, the caller's. With an ample caller budget the same engine succeeds.
+  // The same engine, given an ample budget, runs the closure to completion
+  // and charges what it allocated.
   MemoryBudget ample(size_t{1} << 32);
   RunContext ctx;
   ctx.memory = &ample;
   auto governed = engine.EvalAutoSignatures(p, db, &ctx);
   ASSERT_TRUE(governed.ok()) << governed.status().ToString();
   EXPECT_GT(ample.used(), 0u);
-
-  // And without the caller budget the option applies again: the exhausted
-  // outcome is deterministic and the engine stays reusable throughout.
-  auto again = engine.EvalAutoSignatures(p, db);
-  ASSERT_FALSE(again.ok());
-  EXPECT_EQ(again.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_FALSE(ample.exhausted());
 }
 
 TEST_F(RobustnessTest, SessionMemoryBudgetGovernsWholePipeline) {

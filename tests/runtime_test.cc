@@ -153,16 +153,23 @@ TEST(RelationStorage, SurvivesRehashGrowth) {
   EXPECT_EQ(r.size(), 10000u);
 }
 
-TEST(RelationStorage, CopiesGetFreshUidMovesKeepIt) {
+TEST(RelationStorage, CopiesAndMovesKeepRows) {
   Relation r("r", {"a"});
   r.Insert(Tuple({Value::Int(1)}));
-  uint64_t uid = r.uid();
+  r.Insert(Tuple({Value::Int(2)}));
   Relation copy = r;
-  EXPECT_NE(copy.uid(), uid);
-  EXPECT_TRUE(copy.Contains(Tuple({Value::Int(1)})));
+  EXPECT_EQ(copy.size(), 2u);
+  EXPECT_TRUE(copy.SetEquals(r));
+  // The copy owns its storage: growing it leaves the original as it was.
+  EXPECT_TRUE(copy.Insert(Tuple({Value::Int(3)})));
+  EXPECT_EQ(r.size(), 2u);
+  EXPECT_FALSE(r.Contains(Tuple({Value::Int(3)})));
+
   Relation moved = std::move(r);
-  EXPECT_EQ(moved.uid(), uid);
+  EXPECT_EQ(moved.size(), 2u);
   EXPECT_TRUE(moved.Contains(Tuple({Value::Int(1)})));
+  EXPECT_TRUE(moved.Contains(Tuple({Value::Int(2)})));
+  EXPECT_FALSE(moved.Insert(Tuple({Value::Int(2)})));  // dedup table moved too
 }
 
 // ------------------------------------------------------------ join index ---
@@ -194,25 +201,22 @@ TEST(JoinIndex, IncrementalRefreshMatchesFromScratch) {
   EXPECT_TRUE(incremental.Lookup(r, &missing, 1).empty());
 }
 
-TEST(IndexCache, ReusesByUidAndExtends) {
+TEST(JoinIndex, RefreshExtendsOneRowKeyToItsSecondRow) {
   Relation r("edge", {"s", "t"});
   r.Insert(Tuple({Value::Int(1), Value::Int(2)}));
-  IndexCache cache;
-  JoinIndex* idx = cache.Get(r, {0});
-  EXPECT_EQ(idx->indexed_upto(), 1u);
+  JoinIndex idx({0});
+  idx.Refresh(r);
+  EXPECT_EQ(idx.indexed_upto(), 1u);
   Value key = Value::Int(1);
-  PostingList single = idx->Lookup(r, &key, 1);  // a key's only row
+  PostingList single = idx.Lookup(r, &key, 1);  // a key's only row
   EXPECT_EQ(std::vector<uint32_t>(single.begin(), single.end()), std::vector<uint32_t>{0});
   r.Insert(Tuple({Value::Int(1), Value::Int(3)}));
-  JoinIndex* again = cache.Get(r, {0});
-  EXPECT_EQ(again, idx);  // same (uid, positions) -> same index, extended
-  EXPECT_EQ(again->indexed_upto(), 2u);
-  PostingList both = again->Lookup(r, &key, 1);  // its second row arrived
+  idx.Refresh(r);  // indexes only the appended row
+  EXPECT_EQ(idx.indexed_upto(), 2u);
+  PostingList both = idx.Lookup(r, &key, 1);  // its second row arrived
   EXPECT_EQ(std::vector<uint32_t>(both.begin(), both.end()), (std::vector<uint32_t>{0, 1}));
-  // A copy is a different instance: it must not share the cached index.
-  Relation copy = r;
-  JoinIndex* copy_idx = cache.Get(copy, {0});
-  EXPECT_NE(copy_idx, idx);
+  idx.Refresh(r);  // up to date: a no-op
+  EXPECT_EQ(idx.indexed_upto(), 2u);
 }
 
 // ------------------------------------------- semi-naive vs. reference TC ---
@@ -304,7 +308,7 @@ TEST(SemiNaive, StringClosureMatchesIntClosure) {
 }
 
 TEST(SemiNaive, RepeatedEvalOnSameEngineIsStable) {
-  // The engine keeps its EDB indexes across Eval calls (the synthesizer's
+  // One engine evaluates the same program many times (the synthesizer's
   // usage pattern); results must be identical every time.
   FactDatabase db;
   db.DeclareRelation("edge", {"s", "t"}).ValueOrDie();
@@ -348,15 +352,21 @@ TEST(EngineConstants, IntAndFloatConstantsStayDistinct) {
   EXPECT_FALSE(qb->Contains(Tuple({Value::String("introw")})));
 }
 
-TEST(RelationStorage, MovedFromRelationGetsFreshUid) {
+TEST(RelationStorage, MovedFromRelationReadsEmpty) {
   Relation a("r", {"x"});
   a.Insert(Tuple({Value::Int(1)}));
-  uint64_t original_uid = a.uid();
   Relation b = std::move(a);
-  EXPECT_EQ(b.uid(), original_uid);
-  // Reusing the moved-from object must not impersonate b in uid-keyed
-  // index caches.
-  EXPECT_NE(a.uid(), original_uid);
+  EXPECT_EQ(b.size(), 1u);
+  EXPECT_TRUE(b.Contains(Tuple({Value::Int(1)})));
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_TRUE(a.empty());
+
+  Relation c("r", {"x"});
+  c.Insert(Tuple({Value::Int(2)}));
+  c.Insert(Tuple({Value::Int(3)}));
+  b = std::move(c);
+  EXPECT_EQ(b.size(), 2u);
+  EXPECT_EQ(c.size(), 0u);
 }
 
 // ------------------------------------------------------- join reordering ---
