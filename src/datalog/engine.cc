@@ -56,6 +56,13 @@ struct JoinPlan {
 /// plus one delta plan per IDB body atom occurrence (that atom reads only
 /// the semi-naive delta). Plans share the variable-slot numbering. A
 /// compiled rule lives for one Eval and points into its Program's atoms.
+///
+/// Body atoms that share a variable, directly or through other atoms, form
+/// a component. A component that holds no head variable and no IDB atom is
+/// a guard: it shares no variable with the rest of the body, so it only
+/// decides whether the rule fires at all, and the EDB it reads is fixed for
+/// the Eval. Each guard is a plan of its own, run once per Eval up to its
+/// first match; the full and delta plans hold the other atoms only.
 struct CompiledRule {
   struct Head {
     const std::string* relation = nullptr;
@@ -65,6 +72,7 @@ struct CompiledRule {
   int num_slots = 0;
   bool has_idb_body = false;
   std::vector<const std::string*> idb_body_relations;  // parallel to delta_plans
+  std::vector<JoinPlan> guards;
   JoinPlan full;
   std::vector<JoinPlan> delta_plans;
 };
@@ -184,6 +192,30 @@ std::vector<size_t> IdentityOrder(size_t n) {
   return order;
 }
 
+/// Labels each atom with its component: atoms that share a variable,
+/// directly or through other atoms, get the same label (an atom index).
+std::vector<size_t> Components(const std::vector<RawAtom>& raws, size_t num_slots) {
+  std::vector<size_t> parent = IdentityOrder(raws.size());
+  auto find = [&](size_t a) {
+    while (parent[a] != a) a = parent[a] = parent[parent[a]];
+    return a;
+  };
+  std::vector<size_t> first_user(num_slots, raws.size());
+  for (size_t ai = 0; ai < raws.size(); ++ai) {
+    for (const Slot& s : raws[ai].slots) {
+      if (s.is_const || s.is_wildcard) continue;
+      size_t& first = first_user[static_cast<size_t>(s.var)];
+      if (first == raws.size()) {
+        first = ai;
+      } else {
+        parent[find(ai)] = find(first);
+      }
+    }
+  }
+  for (size_t ai = 0; ai < raws.size(); ++ai) parent[ai] = find(ai);
+  return parent;
+}
+
 /// Compiles `rule` into join plans, estimating each EDB body atom's
 /// cardinality from `edb`. The rule must have passed Rule::Validate: every
 /// head term is a constant or a variable of the body.
@@ -203,14 +235,12 @@ CompiledRule CompileRule(const Rule& rule, const std::set<std::string>& idb,
 
   std::vector<RawAtom> raws;
   raws.reserve(rule.body.size());
-  std::vector<size_t> idb_atom_indices;
   for (const Atom& atom : rule.body) {
     RawAtom raw;
     raw.relation = &atom.relation;
     raw.is_idb = idb.count(atom.relation) > 0;
     if (raw.is_idb) {
       raw.cardinality = kIdbCardinality;
-      idb_atom_indices.push_back(raws.size());
     } else {
       auto rel = edb.Find(atom.relation);
       raw.cardinality = rel.ok() ? rel.ValueOrDie()->size() : kIdbCardinality;
@@ -252,17 +282,51 @@ CompiledRule CompileRule(const Rule& rule, const std::set<std::string>& idb,
     out.heads.push_back(std::move(head));
   }
   out.num_slots = static_cast<int>(num_slots);
-  out.has_idb_body = !idb_atom_indices.empty();
 
-  out.full = MakePlan(
-      raws, reorder ? SelectivityOrder(raws, num_slots, -1) : IdentityOrder(raws.size()), -1,
-      head_vars);
-  for (size_t ai : idb_atom_indices) {
-    out.idb_body_relations.push_back(raws[ai].relation);
-    std::vector<size_t> order = reorder
-                                    ? SelectivityOrder(raws, num_slots, static_cast<int>(ai))
-                                    : IdentityOrder(raws.size());
-    out.delta_plans.push_back(MakePlan(raws, order, static_cast<int>(ai), head_vars));
+  // Split the body into its guards and the atoms the other plans join.
+  // Guards share no variable with those atoms, so the greedy order picks
+  // the same sequence of them as it would over the whole body, and the
+  // plans emit the same head rows in the same order.
+  const std::vector<size_t> component = Components(raws, num_slots);
+  std::vector<bool> is_guard(raws.size(), true);  // by component label
+  for (size_t ai = 0; ai < raws.size(); ++ai) {
+    bool reads_head = false;
+    for (const Slot& s : raws[ai].slots) {
+      reads_head = reads_head || (!s.is_const && !s.is_wildcard && head_vars[s.var]);
+    }
+    if (raws[ai].is_idb || reads_head) is_guard[component[ai]] = false;
+  }
+  std::vector<RawAtom> joined;
+  std::vector<std::vector<RawAtom>> guards;
+  std::vector<size_t> guard_of(raws.size(), raws.size());  // by component label
+  for (size_t ai = 0; ai < raws.size(); ++ai) {
+    if (!is_guard[component[ai]]) {
+      joined.push_back(std::move(raws[ai]));
+      continue;
+    }
+    size_t& g = guard_of[component[ai]];
+    if (g == raws.size()) {
+      g = guards.size();
+      guards.emplace_back();
+    }
+    guards[g].push_back(std::move(raws[ai]));
+  }
+
+  auto plan = [&](const std::vector<RawAtom>& atoms, int delta_atom, const SlotSet& live) {
+    return MakePlan(atoms,
+                    reorder ? SelectivityOrder(atoms, num_slots, delta_atom)
+                            : IdentityOrder(atoms.size()),
+                    delta_atom, live);
+  };
+  for (const std::vector<RawAtom>& guard : guards) {
+    out.guards.push_back(plan(guard, -1, SlotSet(num_slots, false)));
+  }
+  out.full = plan(joined, -1, head_vars);
+  for (size_t ai = 0; ai < joined.size(); ++ai) {
+    if (!joined[ai].is_idb) continue;
+    out.has_idb_body = true;
+    out.idb_body_relations.push_back(joined[ai].relation);
+    out.delta_plans.push_back(plan(joined, static_cast<int>(ai), head_vars));
   }
   return out;
 }
@@ -292,11 +356,26 @@ class Evaluator {
     std::map<std::string, std::pair<size_t, size_t>> delta;
     for (const auto& [name, attrs] : idb_sigs) delta[name] = {0, 0};
 
+    // Guards read only the EDB, which is fixed for the call: one run each,
+    // to its first match, decides whether the rule fires in this Eval.
+    std::vector<bool> fires(rules.size(), true);
+    for (size_t r = 0; r < rules.size(); ++r) {
+      for (const JoinPlan& guard : rules[r].guards) {
+        bool matched = false;
+        DYNAMITE_RETURN_NOT_OK(EvalPlan(rules[r], guard, delta, edb, out, &matched));
+        if (!matched) {
+          fires[r] = false;
+          break;
+        }
+      }
+    }
+
     // Pass 0: every rule over full views.
     {
       DYNAMITE_TRACE_SPAN("engine.pass0");
-      for (const CompiledRule& rule : rules) {
-        DYNAMITE_RETURN_NOT_OK(EvalPlan(rule, rule.full, delta, edb, out));
+      for (size_t r = 0; r < rules.size(); ++r) {
+        if (!fires[r]) continue;
+        DYNAMITE_RETURN_NOT_OK(EvalPlan(rules[r], rules[r].full, delta, edb, out));
       }
     }
     bool any_delta = false;
@@ -316,8 +395,9 @@ class Evaluator {
       }
       DYNAMITE_FAILPOINT("engine.fixpoint.round");
       DYNAMITE_TRACE_SPAN("engine.fixpoint.round");
-      for (const CompiledRule& rule : rules) {
-        if (!rule.has_idb_body) continue;
+      for (size_t r = 0; r < rules.size(); ++r) {
+        const CompiledRule& rule = rules[r];
+        if (!rule.has_idb_body || !fires[r]) continue;
         for (size_t k = 0; k < rule.delta_plans.size(); ++k) {
           const auto& range = delta.at(*rule.idb_body_relations[k]);
           if (range.first == range.second) continue;
@@ -376,17 +456,24 @@ class Evaluator {
   /// The matcher's sink: inserts head rows directly into the output
   /// relations (immediate dedup, derived budget checked per successful
   /// insert) and polls interruption once per candidate and per match.
+  /// Without head relations it runs a guard: the first match sets
+  /// `matched` and stops the matcher.
   struct DirectSink {
     Evaluator* ev;
     const CompiledRule* rule;
-    const std::vector<Relation*>* head_rels;
+    const std::vector<Relation*>* head_rels;  // nullptr for a guard
     std::vector<Value> head_buf;
     Status status;
+    bool matched = false;
 
-    bool Stopped() const { return !status.ok(); }
+    bool Stopped() const { return matched || !status.ok(); }
     bool OnCandidate() { return ev->Interrupted(&status); }
 
     void OnMatch(const std::vector<Value>& env) {
+      if (head_rels == nullptr) {
+        matched = true;
+        return;
+      }
       for (size_t h = 0; h < rule->heads.size(); ++h) {
         const auto& head = rule->heads[h];
         head_buf.clear();
@@ -461,9 +548,14 @@ class Evaluator {
     match(match, 0);
   }
 
+  /// Matches `plan`, one of `rule`'s plans, inserting head rows. With
+  /// `guard_matched`, `plan` is one of the rule's guards: nothing is
+  /// inserted, and the match stops at its first result, which sets
+  /// `*guard_matched`.
   Status EvalPlan(const CompiledRule& rule, const JoinPlan& plan,
                   const std::map<std::string, std::pair<size_t, size_t>>& delta,
-                  const FactDatabase& edb, FactDatabase* out) {
+                  const FactDatabase& edb, FactDatabase* out, bool* guard_matched = nullptr) {
+    if (guard_matched != nullptr) *guard_matched = false;
     DYNAMITE_FAILPOINT("engine.plan.entry");
     DYNAMITE_TRACE_SPAN("engine.plan");
     // Resolve views and refresh indexes up front: no index is ever built
@@ -510,8 +602,10 @@ class Evaluator {
     for (size_t i = 0; i < plan.atoms.size(); ++i) {
       key_bufs[i].reserve(plan.atoms[i].key_positions.size());
     }
-    DirectSink sink{this, &rule, &head_rels, {}, Status::OK()};
+    DirectSink sink{this, &rule, guard_matched == nullptr ? &head_rels : nullptr, {},
+                    Status::OK()};
     MatchPlan(plan, views, env, key_bufs, sink);
+    if (guard_matched != nullptr) *guard_matched = sink.matched;
     return sink.status;
   }
 

@@ -21,6 +21,14 @@
 //     continuation and derive only duplicates, so outputs, row order,
 //     stats and error codes are unchanged; the cut only ends the
 //     cross-product blow-up of padded synthesized programs.
+//   * Body atoms that share a variable form a component. A component with
+//     no head variable and no IDB atom is a guard: it shares no variable
+//     with the other atoms and reads only the EDB, which is fixed for the
+//     call, so each Eval matches it once, up to its first match, before
+//     pass 0. A rule with an unmatched guard is skipped in pass 0 and in
+//     every fixpoint round; the other atoms are planned without the guards,
+//     in the same relative order, so outputs, row order, stats and error
+//     codes are unchanged.
 //   * Join indexes are incremental (src/datalog/index.h) and live for one
 //     Eval, EDB and IDB relations alike. IDB indexes are extended, never
 //     rebuilt, as the fixpoint derives tuples; semi-naive deltas are suffix
@@ -30,8 +38,8 @@
 //     program once (a blocked model never comes back), so neither compiled
 //     plans nor indexes are kept across calls.
 //
-// Each Eval is sequential, and all of its state (compiled plans, join
-// indexes, derived relations) belongs to that call. An engine holds only its
+// Each Eval is sequential, and all of its state (compiled plans, guard
+// answers, join indexes, derived relations) belongs to that call. An engine holds only its
 // Options: it is an ordinary copyable value, and several threads may call
 // Eval on one const engine at once.
 
@@ -72,7 +80,7 @@ class DatalogEngine {
     bool reorder_joins = true;
     /// Ignored: evaluation is always sequential. Kept only because
     /// perfbench/replay.cc still assigns it; it goes together with
-    /// replay.cc (ROADMAP item 4).
+    /// replay.cc (ROADMAP item 3).
     size_t num_threads = 0;
   };
 

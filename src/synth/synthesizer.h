@@ -47,7 +47,7 @@ struct SynthesisOptions {
   size_t eval_max_tuples = 500'000;
   /// Ignored: candidate evaluation is always sequential. Kept only because
   /// perfbench/replay.cc still reads it; it goes together with replay.cc
-  /// (ROADMAP item 4).
+  /// (ROADMAP item 3).
   size_t eval_num_threads = 0;
 };
 

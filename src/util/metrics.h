@@ -3,8 +3,7 @@
 //
 // The pipeline's stats used to live in disjoint structs (IngestStats,
 // MigrationStats, the interactive result) that a caller had to know about
-// individually and that a future service shell (ROADMAP item 4) could not
-// export uniformly. This registry absorbs those counters behind one flat
+// individually and that no caller could export uniformly. This registry absorbs those counters behind one flat
 // namespace of dotted names ("solver.solves", "ingest.child_index_builds",
 // ...) without touching the structs themselves: the legacy stats remain the
 // per-object source of truth — and keep their bit-identity contracts —

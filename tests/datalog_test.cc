@@ -321,7 +321,9 @@ std::map<std::string, std::set<std::vector<Value>>> NaiveEval(const Program& pro
 
 /// Random non-recursive programs over 2-4 small EDB relations (one of them
 /// sometimes empty), padded with dead atoms: all-wildcard atoms, atoms with
-/// constants, and atoms repeating a variable nothing else reads.
+/// constants, and atoms repeating a variable nothing else reads. Some rules
+/// also get a head-free component of two atoms joined on a variable `g` of
+/// their own, which the engine runs as a guard.
 class ExistentialCutProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExistentialCutProperty, MatchesNaiveNestedLoops) {
@@ -403,6 +405,30 @@ TEST_P(ExistentialCutProperty, MatchesNaiveNestedLoops) {
     }
     if (with_empty && rng.NextBool(0.5)) {
       body.push_back(atom_text(0, std::vector<std::string>(arity[0], "_")));
+    }
+    // A two-atom component that shares no variable with the rest of the
+    // rule. It holds when some pair of rows agrees on g (and the constants),
+    // so it may fail over two non-empty relations; over R0 it never holds.
+    if (rng.NextBool(0.4)) {
+      for (int k = 0; k < 2; ++k) {
+        const size_t r = with_empty && rng.NextBool(0.3) ? 0 : rng.NextIndex(num_rels);
+        std::vector<std::string> terms(arity[r], "_");
+        for (std::string& t : terms) {
+          switch (rng.NextIndex(4)) {
+            case 0:
+              t = "g";
+              break;
+            case 1:
+              t = std::to_string(rng.NextInt(0, 3));
+              break;
+            default:
+              break;
+          }
+        }
+        terms[rng.NextIndex(arity[r])] = "g";
+        body.insert(body.begin() + static_cast<long>(rng.NextIndex(body.size() + 1)),
+                    atom_text(r, terms));
+      }
     }
     // Heads reading only the last atom's variables leave the earlier join
     // variables to the body alone (an atom binding only those is not dead).
@@ -491,6 +517,117 @@ TEST(ExistentialCut, CrossProductOfDeadAtomsStaysLinear) {
   const RunContext ctx = RunContext::WithTimeout(30);
   ASSERT_OK_AND_ASSIGN(FactDatabase out, engine.EvalAutoSignatures(p, db, &ctx));
   EXPECT_EQ(out.Find("H").ValueOrDie()->size(), static_cast<size_t>(kRows));
+}
+
+// ------------------------------------------------ head-free components ---
+// Body atoms that share no variable, directly or through other atoms, with
+// a head or an IDB atom form a guard: the engine runs it once per Eval, to
+// its first match, instead of inside the loops of the atoms that derive
+// rows. These tests pin that guards change nothing observable.
+
+/// A(id, v) and B(v, a, n) of `rows` rows each: B row i carries v = i,
+/// A rows visit the v values in a scrambled order.
+FactDatabase ArticleAuthorDb(int rows) {
+  FactDatabase db;
+  db.DeclareRelation("A", {"id", "v"}).ValueOrDie();
+  db.DeclareRelation("B", {"v", "a", "n"}).ValueOrDie();
+  for (int i = 0; i < rows; ++i) {
+    db.AddFact("A", Tuple({Value::Int(i), Value::Int((i * 7919) % rows)}));
+    db.AddFact("B", Tuple({Value::Int(i), Value::Int(i % 97), Value::Int(i % 13)}));
+  }
+  return db;
+}
+
+TEST(HeadFreeComponent, KeepsRowsAndTheirOrderWherePlaced) {
+  FactDatabase db = ArticleAuthorDb(500);
+  db.DeclareRelation("C", {"p", "q"}).ValueOrDie();
+  for (int i = 0; i < 50; ++i) db.AddFact("C", Tuple({Value::Int(i % 11), Value::Int(i)}));
+  ASSERT_OK_AND_ASSIGN(Program plain, Program::Parse("H(a, n) :- A(_, v2), B(v2, a, n)."));
+  DatalogEngine engine;
+  ASSERT_OK_AND_ASSIGN(FactDatabase want, engine.EvalAutoSignatures(plain, db));
+  const auto want_rows = RowsInOrder(*want.Find("H").ValueOrDie());
+  ASSERT_FALSE(want_rows.empty());
+  for (const char* text : {
+           // The DBLP-2 shape, component first, in the middle and last.
+           "H(a, n) :- A(_, v1), B(v1, _, _), A(_, v2), B(v2, a, n).",
+           "H(a, n) :- A(_, v2), A(_, v1), B(v1, _, _), B(v2, a, n).",
+           "H(a, n) :- A(_, v2), B(v2, a, n), A(_, v1), B(v1, _, _).",
+           // A component over other relations, with a constant and a
+           // variable repeated within an atom.
+           "H(a, n) :- C(g, g), A(_, v2), B(v2, a, n), B(_, 3, g).",
+           // Two components.
+           "H(a, n) :- C(_, g), A(_, v2), B(g, _, _), C(h, _), B(v2, a, n), A(h, _).",
+       }) {
+    SCOPED_TRACE(text);
+    ASSERT_OK_AND_ASSIGN(Program padded, Program::Parse(text));
+    ASSERT_OK_AND_ASSIGN(FactDatabase got, engine.EvalAutoSignatures(padded, db));
+    EXPECT_EQ(RowsInOrder(*got.Find("H").ValueOrDie()), want_rows);
+  }
+}
+
+TEST(HeadFreeComponent, DblpShapeStaysLinear) {
+  // With the component inside the loop of the output atoms this is
+  // |A|^2 = 10^10 candidates.
+  constexpr int kRows = 100'000;
+  const FactDatabase db = ArticleAuthorDb(kRows);
+  ASSERT_OK_AND_ASSIGN(Program p, Program::Parse(
+                                      "H(a, n) :- A(_, v1), B(v1, _, _), A(_, v2), B(v2, a, n)."));
+  DatalogEngine engine;
+  const RunContext ctx = RunContext::WithTimeout(30);
+  ASSERT_OK_AND_ASSIGN(FactDatabase out, engine.EvalAutoSignatures(p, db, &ctx));
+  EXPECT_EQ(out.Find("H").ValueOrDie()->size(), 97u * 13u);
+}
+
+TEST(HeadFreeComponent, UnmatchedGuardInRecursiveProgram) {
+  FactDatabase db = EdgeDb({{1, 2}, {2, 3}, {3, 4}, {4, 5}});
+  db.DeclareRelation("E", {"g"}).ValueOrDie();
+  db.DeclareRelation("F", {"g"}).ValueOrDie();
+  db.AddFact("E", Tuple({Value::Int(1)}));
+  db.AddFact("F", Tuple({Value::Int(2)}));
+  DatalogEngine engine;
+  ASSERT_OK_AND_ASSIGN(Program plain, Program::Parse(R"(
+    tc(x, y) :- edge(x, y).
+    tc(x, y) :- tc(x, z), edge(z, y).
+  )"));
+  ASSERT_OK_AND_ASSIGN(FactDatabase closure, engine.EvalAutoSignatures(plain, db));
+
+  // The guard fails in every round: tc stops at pass 0's edges.
+  ASSERT_OK_AND_ASSIGN(Program rounds_guarded, Program::Parse(R"(
+    tc(x, y) :- edge(x, y).
+    tc(x, y) :- tc(x, z), E(g), edge(z, y), F(g).
+  )"));
+  ASSERT_OK_AND_ASSIGN(FactDatabase out, engine.EvalAutoSignatures(rounds_guarded, db));
+  EXPECT_EQ(RowsInOrder(*out.Find("tc").ValueOrDie()), RowsInOrder(*db.Find("edge").ValueOrDie()));
+
+  // Guarding both rules leaves pass 0 empty too.
+  ASSERT_OK_AND_ASSIGN(Program all_guarded, Program::Parse(R"(
+    tc(x, y) :- E(g), F(g), edge(x, y).
+    tc(x, y) :- tc(x, z), E(g), edge(z, y), F(g).
+  )"));
+  ASSERT_OK_AND_ASSIGN(out, engine.EvalAutoSignatures(all_guarded, db));
+  EXPECT_EQ(out.Find("tc").ValueOrDie()->size(), 0u);
+
+  // Once the guard holds, both programs derive the closure, row for row.
+  db.AddFact("F", Tuple({Value::Int(1)}));
+  for (const Program* p : {&rounds_guarded, &all_guarded}) {
+    ASSERT_OK_AND_ASSIGN(out, engine.EvalAutoSignatures(*p, db));
+    EXPECT_EQ(RowsInOrder(*out.Find("tc").ValueOrDie()),
+              RowsInOrder(*closure.Find("tc").ValueOrDie()));
+  }
+}
+
+TEST(HeadFreeComponent, AllGuardBodyWithConstantHeadEmitsOneRow) {
+  const FactDatabase db = ArticleAuthorDb(300);
+  ASSERT_OK_AND_ASSIGN(Program p,
+                       Program::Parse("H(1, 2) :- A(_, v), B(v, _, _), B(_, 3, _)."));
+  DatalogEngine engine;
+  ASSERT_OK_AND_ASSIGN(FactDatabase out, engine.EvalAutoSignatures(p, db));
+  EXPECT_EQ(RowsInOrder(*out.Find("H").ValueOrDie()),
+            (std::vector<std::vector<Value>>{{Value::Int(1), Value::Int(2)}}));
+
+  ASSERT_OK_AND_ASSIGN(Program unmatched, Program::Parse("H(1, 2) :- A(_, v), B(v, 99, _)."));
+  ASSERT_OK_AND_ASSIGN(out, engine.EvalAutoSignatures(unmatched, db));
+  EXPECT_EQ(out.Find("H").ValueOrDie()->size(), 0u);
 }
 
 }  // namespace

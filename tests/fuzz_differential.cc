@@ -16,7 +16,9 @@
 //          reproduce the baseline (no stale state from the aborted run).
 //     Every round also migrates the source again with each record's prims
 //     shuffled: the target forest and the migration counts must not change.
-//     Golden rounds also pad one random rule with an all-wildcard atom. Over
+//     Golden rounds also pad one random rule with an all-wildcard atom or a
+//     self-joined pair R(g, _, ...), R(g, _, ...) on a variable of its own
+//     (a head-free component, which the engine runs as a guard). Over
 //     a non-empty source relation the padded program must reproduce the
 //     baseline, also under the armed failpoint (the engine output row for
 //     row, in insertion order); over an empty one the
@@ -39,6 +41,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -332,15 +335,34 @@ std::string ArmRandomFault(Rng* rng, bool include_timeout) {
   return site + ":" + spec;
 }
 
-/// `program` with an all-wildcard atom over `relation` (of `arity`) inserted
-/// at a random position of rule `rule_idx`'s body.
+/// `program` with padding over `relation` (of `arity`) inserted at random
+/// positions of rule `rule_idx`'s body: either one all-wildcard atom, or a
+/// self-joined pair relation(g, _, ...), relation(g, _, ...) on a variable g
+/// no other atom of the rule uses. Both match exactly when `relation` is
+/// non-empty.
 Program PadRule(const Program& program, size_t rule_idx, const std::string& relation,
                 size_t arity, Rng* rng) {
   Program padded = program;
-  std::vector<Atom>& body = padded.rules[rule_idx].body;
+  Rule& rule = padded.rules[rule_idx];
   Atom pad{relation, std::vector<Term>(arity, Term::Wildcard())};
-  body.insert(body.begin() + static_cast<std::ptrdiff_t>(rng->NextIndex(body.size() + 1)),
-              std::move(pad));
+  size_t copies = 1;
+  if (rng->NextBool(0.5)) {
+    std::set<std::string> used;
+    for (const Atom& atom : rule.body) {
+      for (const Term& t : atom.terms) {
+        if (t.is_variable()) used.insert(t.var());
+      }
+    }
+    std::string g = "g";
+    while (used.count(g) > 0) g += "_";
+    pad.terms[rng->NextIndex(arity)] = Term::Var(g);
+    copies = 2;
+  }
+  for (size_t k = 0; k < copies; ++k) {
+    rule.body.insert(
+        rule.body.begin() + static_cast<std::ptrdiff_t>(rng->NextIndex(rule.body.size() + 1)),
+        pad);
+  }
   return padded;
 }
 
@@ -429,13 +451,13 @@ Program CheckPaddedGolden(const FuzzCase& fc, const Session& session,
     return std::move(out).ValueOrDie();
   };
   FUZZ_ASSERT(RowsInOrderEqual(eval(fc.program), eval(padded)),
-              "[%s] padding rule %zu with %s(_...) changed the engine output",
+              "[%s] padding rule %zu over %s changed the engine output",
               fc.label.c_str(), rule_idx, pad_rel.c_str());
   auto out = session.Migrate(padded, fc.instance);
   FUZZ_ASSERT(out.ok(), "[%s] padded migration failed: %s", fc.label.c_str(),
               out.status().ToString().c_str());
   FUZZ_ASSERT(ForestEquals(out.ValueOrDie(), baseline_out),
-              "[%s] padding rule %zu with %s(_...) changed the target instance",
+              "[%s] padding rule %zu over %s changed the target instance",
               fc.label.c_str(), rule_idx, pad_rel.c_str());
 
   // Over an empty relation the padded rule derives nothing: the output is
