@@ -10,8 +10,6 @@ const char* PhaseToString(Phase phase) {
       return "sketch";
     case Phase::kSearch:
       return "search";
-    case Phase::kEvaluate:
-      return "evaluate";
     case Phase::kInteract:
       return "interact";
     case Phase::kMigrate:

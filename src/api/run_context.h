@@ -30,7 +30,6 @@ enum class Phase {
   kInferMapping,  ///< attribute mapping Ψ (§4.2)
   kSketch,        ///< sketch generation Ω (§4.1)
   kSearch,        ///< SAT-guided candidate enumeration (§4.1/§4.3)
-  kEvaluate,      ///< candidate evaluation on the example
   kInteract,      ///< distinguishing-query rounds (§5)
   kMigrate,       ///< full-instance migration (§3.3)
 };

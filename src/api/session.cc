@@ -140,10 +140,9 @@ Result<InteractiveResult> Session::SynthesizeInteractive(const Example& example,
         DYNAMITE_RETURN_NOT_OK(CheckExample(example));
         DYNAMITE_RETURN_NOT_OK(CheckAgainstSchema(validation_pool, source_,
                                                   "validation pool vs source schema"));
-        InteractiveSynthesizer interactive(synthesizer_, options_.interactive);
         DYNAMITE_ASSIGN_OR_RETURN(
             InteractiveResult result,
-            interactive.Run(example, validation_pool, oracle, migrator_, bounded));
+            RunInteractive(synthesizer_, example, validation_pool, oracle, migrator_, bounded));
         if (options_.fail_on_ambiguity && !result.unique && !result.cancelled) {
           return Status::Ambiguous(
               "validation pool cannot distinguish the remaining candidate programs");

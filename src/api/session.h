@@ -30,9 +30,9 @@
 // surfaces as a typed Status, never as a crash, and leaves the Session
 // reusable.
 //
-// The stage classes a Session composes — Synthesizer, InteractiveSynthesizer
-// and Migrator — take the same RunContext, and its deadline is the only
-// wall-clock budget anywhere in the pipeline. The harnesses and examples
+// The stages a Session composes — Synthesizer, RunInteractive and Migrator —
+// take the same RunContext, and its deadline is the only wall-clock budget
+// anywhere in the pipeline. The harnesses and examples
 // drive the pipeline through a Session; the stages are used directly by the
 // baselines, the workload generator, and the tests and micro-benchmarks
 // that measure one stage on its own.
@@ -58,10 +58,10 @@ namespace dynamite {
 /// `default_budget_seconds`.
 struct SessionOptions {
   /// Synthesis-stage knobs (analysis/MDP toggles, filtering, iteration and
-  /// per-candidate evaluation budgets).
+  /// per-candidate evaluation budgets). The interactive stage runs the same
+  /// synthesis; its round, probe-width and query-size limits are fixed
+  /// (src/synth/interactive.cc).
   SynthesisOptions synthesis;
-  /// Interactive-stage knobs (rounds, probe width, query size).
-  InteractiveOptions interactive;
   /// Engine options for the migration engine (the synthesis stage keeps its
   /// own per-candidate evaluation engine, configured from `synthesis`).
   DatalogEngine::Options engine;

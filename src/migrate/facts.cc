@@ -110,7 +110,7 @@ class ChildIndex {
 
 struct Rebuilder {
   const FactDatabase& db;
-  IngestStats* stats;  // may be null
+  IngestStats counts;
   std::vector<std::optional<ChildIndex>> child_indexes;  // by RecordLayout::index
 
   const ChildIndex& IndexFor(const RecordLayout& record) {
@@ -120,7 +120,7 @@ struct Rebuilder {
       auto found = db.Find(*record.type);
       if (found.ok()) rel = found.ValueOrDie();
       index.emplace(rel);
-      if (stats != nullptr) ++stats->child_index_builds;
+      ++counts.child_index_builds;
     }
     return *index;
   }
@@ -140,7 +140,7 @@ struct Rebuilder {
       } else {
         std::vector<RecordNode> kids;
         const ChildIndex& index = IndexFor(*attr.record);
-        if (stats != nullptr) ++stats->child_index_lookups;
+        ++counts.child_index_lookups;
         for (uint32_t child_row : index.Lookup(cell)) {
           kids.push_back(Build(*attr.record, index.relation()->row(child_row), 1));
         }
@@ -156,12 +156,12 @@ struct Rebuilder {
 Result<RecordForest> BuildForest(const FactDatabase& db, const Schema& schema,
                                  const RunContext* ctx, IngestStats* stats) {
   DYNAMITE_TRACE_SPAN("ingest.build_forest");
-  // The per-lookup stats increments in Rebuilder are too hot to mirror one
-  // by one; the registry gets the run's delta in bulk on success.
-  const size_t builds_before = stats != nullptr ? stats->child_index_builds : 0;
-  const size_t lookups_before = stats != nullptr ? stats->child_index_lookups : 0;
+  // The per-lookup increments in Rebuilder are too hot to mirror one by one:
+  // it counts into locals, and the registry (and `*stats`, when given) gets
+  // the run's totals in bulk on success.
   const SchemaLayout layout(schema);
-  Rebuilder rb{db, stats, std::vector<std::optional<ChildIndex>>(layout.records().size())};
+  Rebuilder rb{db, IngestStats(),
+               std::vector<std::optional<ChildIndex>>(layout.records().size())};
   // Every relation's arity is checked before any is read: Rebuilder::Build
   // reads a nested relation's columns without bounds checks. A nested type
   // carries its parent id in column 0.
@@ -192,11 +192,11 @@ Result<RecordForest> BuildForest(const FactDatabase& db, const Schema& schema,
       forest.roots.push_back(rb.Build(rl, rel->row(r), 0));
     }
   }
+  DYNAMITE_METRIC_ADD("ingest.child_index_builds", rb.counts.child_index_builds);
+  DYNAMITE_METRIC_ADD("ingest.child_index_lookups", rb.counts.child_index_lookups);
   if (stats != nullptr) {
-    DYNAMITE_METRIC_ADD("ingest.child_index_builds",
-                        stats->child_index_builds - builds_before);
-    DYNAMITE_METRIC_ADD("ingest.child_index_lookups",
-                        stats->child_index_lookups - lookups_before);
+    stats->child_index_builds += rb.counts.child_index_builds;
+    stats->child_index_lookups += rb.counts.child_index_lookups;
   }
   return forest;
 }

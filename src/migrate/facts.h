@@ -57,7 +57,9 @@ Result<FactDatabase> ToFacts(const RecordForest& forest, const Schema& schema,
 /// Inverse of ToFacts: reconstructs a record forest from fact relations
 /// (the paper's BuildRecord procedure, applied to every top-level record).
 /// Ignores relations not present in `db` (treated as empty). `ctx` as in
-/// ToFacts. `stats` (optional) accumulates child-index build/lookup counts.
+/// ToFacts. Every successful call adds its child-index build/lookup counts
+/// to the process-wide registry (ingest.child_index_*), and to `*stats`
+/// when `stats` is given.
 Result<RecordForest> BuildForest(const FactDatabase& db, const Schema& schema,
                                  const RunContext* ctx = nullptr,
                                  IngestStats* stats = nullptr);

@@ -3,14 +3,21 @@
 #include "migrate/facts.h"
 #include "migrate/migrator.h"
 #include "util/timer.h"
+#include "util/trace.h"
 
 namespace dynamite {
 
-InteractiveSynthesizer::InteractiveSynthesizer(const Synthesizer& synthesizer,
-                                               InteractiveOptions options)
-    : synthesizer_(synthesizer), options_(options) {}
-
 namespace {
+
+/// Maximum user interactions.
+constexpr size_t kMaxRounds = 8;
+/// Ambiguity probe width per round: the first program and up to three
+/// alternatives.
+constexpr size_t kMaxPrograms = 4;
+/// Pool records added to the example's input per distinguishing query.
+constexpr size_t kMaxQueryRecords = 3;
+/// Candidate inputs tried per alternative before giving up on it.
+constexpr size_t kMaxCandidateInputs = 2000;
 
 /// Enumerates subsets of pool roots in increasing size order, invoking `fn`
 /// on `base` plus each subset until it returns true or the budget is
@@ -50,11 +57,10 @@ void ForEachSubset(const RecordForest& base, const RecordForest& pool, size_t ma
 
 }  // namespace
 
-Result<InteractiveResult> InteractiveSynthesizer::Run(Example example,
-                                                      const RecordForest& validation_pool,
-                                                      const Oracle& oracle,
-                                                      const Migrator& migrator,
-                                                      const RunContext& ctx) const {
+Result<InteractiveResult> RunInteractive(const Synthesizer& synthesizer, Example example,
+                                         const RecordForest& validation_pool,
+                                         const Oracle& oracle, const Migrator& migrator,
+                                         const RunContext& ctx) {
   InteractiveResult out;
   Timer total;
 
@@ -69,28 +75,19 @@ Result<InteractiveResult> InteractiveSynthesizer::Run(Example example,
     ctx.Report(event);
   };
 
-  // Synthesizes the final result from the accumulated example (shared by
-  // every exit path: resolved, pool-exhausted, oracle-cancelled, or round
-  // budget spent).
-  auto finish = [&]() -> Result<InteractiveResult> {
-    DYNAMITE_ASSIGN_OR_RETURN(SynthesisResult result, synthesizer_.Synthesize(example, ctx));
-    out.result = std::move(result);
-    return out;
-  };
-
-  for (size_t round = 0; round < options_.max_rounds; ++round) {
+  for (size_t round = 0; round < kMaxRounds; ++round) {
     DYNAMITE_RETURN_NOT_OK(ctx.Check("interactive round"));
     ++out.rounds;
     report("round");
-    DYNAMITE_ASSIGN_OR_RETURN(
-        std::vector<Program> programs,
-        synthesizer_.SynthesizeDistinct(example, options_.max_programs, ctx));
-    if (programs.empty()) {
-      return Status::SynthesisFailure("no consistent program");
-    }
+    // The round's synthesis is the run's result unless an answer changes
+    // the example below.
+    DYNAMITE_ASSIGN_OR_RETURN(auto distinct,
+                              synthesizer.SynthesizeDistinct(example, kMaxPrograms, ctx));
+    out.result = std::move(distinct.first);
+    const std::vector<Program>& programs = distinct.second;
     if (programs.size() == 1) {
       out.unique = true;
-      return finish();
+      return out;
     }
 
     // Search a distinguishing input between the first program and any
@@ -111,20 +108,22 @@ Result<InteractiveResult> InteractiveSynthesizer::Run(Example example,
       const Program& p2 = programs[alt];
       RecordForest distinguishing;
       bool found = false;
-      ForEachSubset(example.input, validation_pool, options_.max_query_records,
-                    options_.max_candidate_inputs,
-                    [&](const RecordForest& candidate) {
-                      if (ctx.Interrupted()) return true;  // stop enumerating
-                      auto o1 = migrator.Migrate(p1, candidate, nullptr, probe_ctx);
-                      auto o2 = migrator.Migrate(p2, candidate, nullptr, probe_ctx);
-                      if (!o1.ok() || !o2.ok()) return false;
-                      if (!ForestEquals(*o1, *o2)) {
-                        distinguishing = candidate;
-                        found = true;
-                        return true;
-                      }
-                      return false;
-                    });
+      {
+        DYNAMITE_TRACE_SPAN("interactive.distinguish");
+        ForEachSubset(example.input, validation_pool, kMaxQueryRecords, kMaxCandidateInputs,
+                      [&](const RecordForest& candidate) {
+                        if (ctx.Interrupted()) return true;  // stop enumerating
+                        auto o1 = migrator.Migrate(p1, candidate, nullptr, probe_ctx);
+                        auto o2 = migrator.Migrate(p2, candidate, nullptr, probe_ctx);
+                        if (!o1.ok() || !o2.ok()) return false;
+                        if (!ForestEquals(*o1, *o2)) {
+                          distinguishing = candidate;
+                          found = true;
+                          return true;
+                        }
+                        return false;
+                      });
+      }
       DYNAMITE_RETURN_NOT_OK(ctx.Check("distinguishing-input search"));
       if (found) {
         ++out.queries;
@@ -133,11 +132,10 @@ Result<InteractiveResult> InteractiveSynthesizer::Run(Example example,
         if (!answer.ok()) {
           if (answer.status().code() == StatusCode::kCancelled) {
             // The user declined to keep answering: not a synthesis failure.
-            // Stop querying and return the best program for the answers
-            // accumulated so far, with partial interaction stats.
+            // Stop querying and return this round's program, synthesized
+            // from the answers accumulated so far, with partial stats.
             out.cancelled = true;
-            out.unique = false;
-            return finish();
+            return out;
           }
           return answer.status();
         }
@@ -149,12 +147,13 @@ Result<InteractiveResult> InteractiveSynthesizer::Run(Example example,
     if (!resolved_this_round) {
       // Candidates are observationally equivalent on the validation pool:
       // accept the first program.
-      out.unique = false;
-      return finish();
+      return out;
     }
   }
-  // Round budget exhausted: synthesize from the accumulated example.
-  return finish();
+  // Round budget spent: the last answer changed the example, so synthesize
+  // from the accumulated example once more.
+  DYNAMITE_ASSIGN_OR_RETURN(out.result, synthesizer.Synthesize(example, ctx));
+  return out;
 }
 
 }  // namespace dynamite

@@ -22,13 +22,6 @@ class Migrator;
 /// program run by a Migrator.
 using Oracle = std::function<Result<RecordForest>(const RecordForest& input)>;
 
-struct InteractiveOptions {
-  size_t max_rounds = 8;           ///< maximum user interactions
-  size_t max_programs = 4;         ///< ambiguity probe width per round
-  size_t max_query_records = 3;    ///< distinguishing input size cap
-  size_t max_candidate_inputs = 2000;  ///< enumeration budget per round
-};
-
 struct InteractiveResult {
   SynthesisResult result;
   size_t rounds = 0;   ///< rounds executed (>= 1)
@@ -41,30 +34,24 @@ struct InteractiveResult {
   bool cancelled = false;
 };
 
-/// Runs interactive synthesis: `initial` is the starting example,
-/// `validation_pool` a forest of source records distinguishing inputs are
-/// drawn from (Appendix B samples it from the source database). This is the
-/// interactive stage of the pipeline, reached through
+/// Runs interactive synthesis with `synthesizer`: `initial` is the starting
+/// example, `validation_pool` a forest of source records distinguishing
+/// inputs are drawn from (Appendix B samples it from the source database).
+/// This is the interactive stage of the pipeline, reached through
 /// dynamite::Session::SynthesizeInteractive (src/api/session.h).
-class InteractiveSynthesizer {
- public:
-  /// `synthesizer` runs every round's synthesis; it must outlive this object.
-  explicit InteractiveSynthesizer(const Synthesizer& synthesizer,
-                                  InteractiveOptions options = InteractiveOptions());
-
-  /// The deadline/cancellation of `ctx` applies across rounds (synthesis,
-  /// distinguishing-input search, migrations), and a kInteract progress
-  /// event fires per round and per oracle query. `migrator` runs the
-  /// distinguishing-input probes; a Session passes its own, so the probes'
-  /// join indexes persist across rounds and calls.
-  Result<InteractiveResult> Run(Example initial, const RecordForest& validation_pool,
-                                const Oracle& oracle, const Migrator& migrator,
-                                const RunContext& ctx = RunContext()) const;
-
- private:
-  const Synthesizer& synthesizer_;
-  InteractiveOptions options_;
-};
+///
+/// The deadline/cancellation of `ctx` applies across rounds (synthesis,
+/// distinguishing-input search, migrations), and a kInteract progress event
+/// fires per round and per oracle query. `migrator` runs the
+/// distinguishing-input probes; each probe builds its own join indexes.
+/// A run that stops early (unique, oracle-cancelled, or a pool that cannot
+/// split the candidates) returns its last round's synthesis, so it
+/// synthesizes once per round; a run that spends its round budget
+/// synthesizes once more from the last answered example.
+Result<InteractiveResult> RunInteractive(const Synthesizer& synthesizer, Example initial,
+                                         const RecordForest& validation_pool,
+                                         const Oracle& oracle, const Migrator& migrator,
+                                         const RunContext& ctx = RunContext());
 
 }  // namespace dynamite
 

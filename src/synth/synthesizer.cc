@@ -23,17 +23,14 @@ namespace {
 
 /// Cumulative progress state for one Synthesize call: rule enumerators
 /// report through this so `iterations` and `coverage` are monotone across
-/// the whole run, not per rule. Reports are clamped to a monotone floor: the
-/// ProgressEvent contract promises `iterations` never decreases, and the
-/// baseline reset in SynthesizeDistinct would otherwise let a raw
-/// (done + rule) sum go backwards.
+/// the whole run, not per rule. `done_iterations` counts every enumerator
+/// except the reporting one, so each report is the exact running total,
+/// also while the alternatives re-enter an earlier rule's enumerator.
 struct ProgressTracker {
   const RunContext* ctx = nullptr;
   Timer timer;
-  size_t done_iterations = 0;  ///< iterations of completed rules
+  size_t done_iterations = 0;  ///< iterations of the other enumerators
   double space_known = 0;      ///< product of spaces of started rules
-  /// Largest iteration total ever reported; later reports never go below.
-  size_t reported_floor = 0;
 
   /// Folds the sketch space of a rule that is starting enumeration.
   void StartRule(double rule_space) {
@@ -42,11 +39,10 @@ struct ProgressTracker {
 
   void Report(Phase phase, const std::string& detail, size_t rule_iterations) {
     if (ctx == nullptr || !ctx->observer) return;
-    reported_floor = std::max(reported_floor, done_iterations + rule_iterations);
     ProgressEvent event;
     event.phase = phase;
     event.detail = detail;
-    event.iterations = reported_floor;
+    event.iterations = done_iterations + rule_iterations;
     event.search_space = space_known;
     if (space_known > 0) {
       event.coverage =
@@ -67,11 +63,9 @@ constexpr size_t kProgressStride = 64;
 /// how the previous candidate was judged.
 class RuleSynthesizer {
  public:
-  RuleSynthesizer(const Schema& source, const Schema& target, RuleSketch sketch,
-                  const FactDatabase& edb, const Example& example,
-                  const SynthesisOptions& options)
-      : source_(source),
-        target_(target),
+  RuleSynthesizer(const Schema& target, RuleSketch sketch, const FactDatabase& edb,
+                  const Example& example, const SynthesisOptions& options)
+      : target_(target),
         sketch_(std::move(sketch)),
         edb_(edb),
         options_(options),
@@ -186,7 +180,6 @@ class RuleSynthesizer {
     return DatalogEngine(eval_opts);
   }
 
-  const Schema& source_;
   const Schema& target_;
   RuleSketch sketch_;
   const FactDatabase& edb_;
@@ -240,6 +233,45 @@ Result<Setup> Prepare(const Schema& source, const Schema& target, const Example&
   return setup;
 }
 
+/// Interactive mode's ambiguity probe: re-enters each rule's enumerator past
+/// its first success and appends `first` with that one rule replaced by each
+/// semantically new consistent rule, until `programs` holds `limit`.
+/// A rule's search space running out (kSynthesisFailure) or its iteration
+/// budget (kEvalBudget) moves on to the next rule, so the probe returns what
+/// it found; any other status, an interruption of the run (kCancelled,
+/// kTimeout, kResourceExhausted) included, fails the call: a probe cut short
+/// must not read as an unambiguous example.
+Status AddAlternatives(const std::vector<std::unique_ptr<RuleSynthesizer>>& enumerators,
+                       const Program& first, size_t limit, const RunContext& ctx,
+                       ProgressTracker* progress, std::vector<Program>* programs) {
+  for (size_t i = 0; i < enumerators.size() && programs->size() < limit; ++i) {
+    size_t others = 0;
+    for (size_t j = 0; j < enumerators.size(); ++j) {
+      if (j != i) others += enumerators[j]->iterations();
+    }
+    progress->done_iterations = others;
+    while (programs->size() < limit) {
+      auto alt = enumerators[i]->Next(ctx, progress);
+      if (!alt.ok()) {
+        const StatusCode code = alt.status().code();
+        if (code != StatusCode::kSynthesisFailure && code != StatusCode::kEvalBudget) {
+          return alt.status();
+        }
+        break;
+      }
+      // Keep only semantically new variants; programs[0] is `first`.
+      const bool seen = std::any_of(programs->begin(), programs->end(), [&](const Program& p) {
+        return RuleEquivalent(p.rules[i], *alt);
+      });
+      if (seen) continue;
+      Program variant = first;
+      variant.rules[i] = *alt;
+      programs->push_back(std::move(variant));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Synthesizer::Synthesizer(Schema source, Schema target, SynthesisOptions options)
@@ -247,122 +279,69 @@ Synthesizer::Synthesizer(Schema source, Schema target, SynthesisOptions options)
 
 Result<SynthesisResult> Synthesizer::Synthesize(const Example& example,
                                                 const RunContext& ctx) const {
+  return Run(example, 0, nullptr, ctx);
+}
+
+Result<std::pair<SynthesisResult, std::vector<Program>>> Synthesizer::SynthesizeDistinct(
+    const Example& example, size_t limit, const RunContext& ctx) const {
+  std::vector<Program> programs;
+  DYNAMITE_ASSIGN_OR_RETURN(SynthesisResult result, Run(example, limit, &programs, ctx));
+  return std::make_pair(std::move(result), std::move(programs));
+}
+
+Result<SynthesisResult> Synthesizer::Run(const Example& example, size_t limit,
+                                         std::vector<Program>* distinct,
+                                         const RunContext& ctx) const {
   // Crash-free boundary: the SAT search and per-candidate evaluations below
   // may throw (real bad_alloc under memory pressure, or an injected fault);
   // both surface here as typed Statuses, never as a crash.
   MemoryBudgetScope mem_scope(ctx.memory);
   return failpoint::GuardExceptions("synthesis", [&]() -> Result<SynthesisResult> {
-    return SynthesizeImpl(example, ctx);
-  });
-}
+    DYNAMITE_TRACE_SPAN("synth.synthesize");
+    Timer total;
+    ProgressTracker progress;
+    progress.ctx = &ctx;
+    DYNAMITE_ASSIGN_OR_RETURN(Setup setup,
+                              Prepare(source_, target_, example, options_, ctx, &progress));
 
-Result<SynthesisResult> Synthesizer::SynthesizeImpl(const Example& example,
-                                                    const RunContext& ctx) const {
-  DYNAMITE_TRACE_SPAN("synth.synthesize");
-  Timer total;
-  ProgressTracker progress;
-  progress.ctx = &ctx;
-  DYNAMITE_ASSIGN_OR_RETURN(Setup setup,
-                            Prepare(source_, target_, example, options_, ctx, &progress));
-
-  SynthesisResult result;
-  result.psi = setup.psi;
-  for (RuleSketch& sketch : setup.sketches) {
-    Timer rule_timer;
-    DYNAMITE_TRACE_SPAN("synth.rule");
-    RuleSynthesizer rs(source_, target_, std::move(sketch), setup.edb, example, options_);
-    DYNAMITE_RETURN_NOT_OK(rs.Init());
-    DYNAMITE_RETURN_NOT_OK(ctx.Check("synthesis"));
-    progress.StartRule(rs.search_space());
-    DYNAMITE_ASSIGN_OR_RETURN(Rule rule, rs.Next(ctx, &progress));
-    result.raw_program.rules.push_back(rule);
-    RuleStats stats;
-    stats.target_record = rs.target_record();
-    stats.search_space = rs.search_space();
-    stats.iterations = rs.iterations();
-    stats.seconds = rule_timer.ElapsedSeconds();
-    result.rule_stats.push_back(std::move(stats));
-    result.search_space *= rs.search_space();
-    result.iterations += rs.iterations();
-    progress.done_iterations += rs.iterations();
-    progress.Report(Phase::kSearch, rs.target_record(), 0);
-  }
-  result.program = SimplifyProgram(result.raw_program);
-  for (size_t i = 0; i < result.program.rules.size(); ++i) {
-    result.rule_stats[i].body_predicates = result.program.rules[i].body.size();
-  }
-  result.seconds = total.ElapsedSeconds();
-  return result;
-}
-
-Result<std::vector<Program>> Synthesizer::SynthesizeDistinct(const Example& example,
-                                                             size_t limit,
-                                                             const RunContext& ctx) const {
-  MemoryBudgetScope mem_scope(ctx.memory);
-  return failpoint::GuardExceptions("synthesis", [&]() -> Result<std::vector<Program>> {
-    return SynthesizeDistinctImpl(example, limit, ctx);
-  });
-}
-
-Result<std::vector<Program>> Synthesizer::SynthesizeDistinctImpl(
-    const Example& example, size_t limit, const RunContext& ctx) const {
-  ProgressTracker progress;
-  progress.ctx = &ctx;
-  DYNAMITE_ASSIGN_OR_RETURN(Setup setup,
-                            Prepare(source_, target_, example, options_, ctx, &progress));
-
-  // First program, keeping each rule's enumerator alive.
-  std::vector<std::unique_ptr<RuleSynthesizer>> enumerators;
-  Program first;
-  for (RuleSketch& sketch : setup.sketches) {
-    auto rs = std::make_unique<RuleSynthesizer>(source_, target_, std::move(sketch),
-                                                setup.edb, example, options_);
-    DYNAMITE_RETURN_NOT_OK(rs->Init());
-    DYNAMITE_RETURN_NOT_OK(ctx.Check("synthesis"));
-    progress.StartRule(rs->search_space());
-    DYNAMITE_ASSIGN_OR_RETURN(Rule rule, rs->Next(ctx, &progress));
-    first.rules.push_back(rule);
-    progress.done_iterations += rs->iterations();
-    enumerators.push_back(std::move(rs));
-  }
-  std::vector<Program> programs = {first};
-
-  // Alternative programs: vary one rule at a time. Budget exhaustion here
-  // returns what was found (ambiguity probing is best-effort); cancellation
-  // still aborts the whole call.
-  for (size_t i = 0; i < enumerators.size() && programs.size() < limit; ++i) {
-    // Progress reports from enumerator i add its own cumulative count, so
-    // the baseline is every *other* enumerator's total (keeps `iterations`
-    // exact while one enumerator is re-entered; the tracker's monotone
-    // floor keeps observed events non-decreasing across the reset).
-    size_t baseline = 0;
-    for (size_t j = 0; j < enumerators.size(); ++j) {
-      if (j != i) baseline += enumerators[j]->iterations();
+    SynthesisResult result;
+    result.psi = setup.psi;
+    // Each enumerator dies with its rule unless the alternatives re-enter it.
+    std::vector<std::unique_ptr<RuleSynthesizer>> enumerators;
+    for (RuleSketch& sketch : setup.sketches) {
+      Timer rule_timer;
+      DYNAMITE_TRACE_SPAN("synth.rule");
+      auto rs = std::make_unique<RuleSynthesizer>(target_, std::move(sketch), setup.edb,
+                                                  example, options_);
+      DYNAMITE_RETURN_NOT_OK(rs->Init());
+      DYNAMITE_RETURN_NOT_OK(ctx.Check("synthesis"));
+      progress.StartRule(rs->search_space());
+      DYNAMITE_ASSIGN_OR_RETURN(Rule rule, rs->Next(ctx, &progress));
+      result.raw_program.rules.push_back(std::move(rule));
+      RuleStats stats;
+      stats.target_record = rs->target_record();
+      stats.search_space = rs->search_space();
+      stats.iterations = rs->iterations();
+      stats.seconds = rule_timer.ElapsedSeconds();
+      result.rule_stats.push_back(std::move(stats));
+      result.search_space *= rs->search_space();
+      result.iterations += rs->iterations();
+      progress.done_iterations += rs->iterations();
+      progress.Report(Phase::kSearch, rs->target_record(), 0);
+      if (distinct != nullptr) enumerators.push_back(std::move(rs));
     }
-    progress.done_iterations = baseline;
-    for (;;) {
-      if (programs.size() >= limit) break;
-      auto alt = enumerators[i]->Next(ctx, &progress);
-      if (!alt.ok()) {
-        if (alt.status().code() == StatusCode::kCancelled) return alt.status();
-        break;  // exhausted or timed out: move to next rule
-      }
-      // Keep only semantically new variants.
-      if (RuleEquivalent(*alt, first.rules[i])) continue;
-      bool duplicate = false;
-      for (const Program& p : programs) {
-        if (RuleEquivalent(p.rules[i], *alt)) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (duplicate) continue;
-      Program variant = first;
-      variant.rules[i] = *alt;
-      programs.push_back(std::move(variant));
+    result.program = SimplifyProgram(result.raw_program);
+    for (size_t i = 0; i < result.program.rules.size(); ++i) {
+      result.rule_stats[i].body_predicates = result.program.rules[i].body.size();
     }
-  }
-  return programs;
+    result.seconds = total.ElapsedSeconds();
+    if (distinct != nullptr) {
+      *distinct = {result.raw_program};
+      DYNAMITE_RETURN_NOT_OK(AddAlternatives(enumerators, result.raw_program, limit, ctx,
+                                             &progress, distinct));
+    }
+    return result;
+  });
 }
 
 }  // namespace dynamite

@@ -15,6 +15,7 @@
 #define DYNAMITE_SYNTH_SYNTHESIZER_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/run_context.h"
@@ -89,19 +90,25 @@ class Synthesizer {
                                      const RunContext& ctx = RunContext()) const;
 
   /// Finds up to `limit` pairwise *semantically distinct* consistent
-  /// programs (used by interactive mode to detect ambiguity). The first
-  /// element equals Synthesize()'s result.
-  Result<std::vector<Program>> SynthesizeDistinct(const Example& example, size_t limit,
-                                                  const RunContext& ctx = RunContext()) const;
+  /// programs (used by interactive mode to detect ambiguity). `first` is
+  /// Synthesize()'s result for `example` (every field but the wall-clock
+  /// `seconds`); `second` starts with that result's raw_program (as
+  /// instantiated, not simplified), and each later program replaces one of
+  /// its rules with another consistent rule. A rule whose search space or
+  /// iteration budget runs out yields the alternatives found so far; an
+  /// interruption (kCancelled, kTimeout, kResourceExhausted) fails the call.
+  Result<std::pair<SynthesisResult, std::vector<Program>>> SynthesizeDistinct(
+      const Example& example, size_t limit, const RunContext& ctx = RunContext()) const;
 
  private:
-  /// Bodies of the two entry points, minus the crash-free boundary
-  /// (the public entries install the run's MemoryBudget and map thrown
-  /// bad_alloc / injected faults to typed Statuses).
-  Result<SynthesisResult> SynthesizeImpl(const Example& example,
-                                         const RunContext& ctx) const;
-  Result<std::vector<Program>> SynthesizeDistinctImpl(const Example& example, size_t limit,
-                                                      const RunContext& ctx) const;
+  /// The synthesis loop both entry points run, inside the crash-free
+  /// boundary (installs the run's MemoryBudget and maps thrown bad_alloc /
+  /// injected faults to typed Statuses): Prepare, then per rule the first
+  /// consistent rule, then simplification. With `distinct` null each rule's
+  /// enumerator dies with its rule; otherwise the enumerators are kept and
+  /// re-entered to fill `*distinct` with up to `limit` programs.
+  Result<SynthesisResult> Run(const Example& example, size_t limit,
+                              std::vector<Program>* distinct, const RunContext& ctx) const;
 
   Schema source_;
   Schema target_;

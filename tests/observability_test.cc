@@ -200,6 +200,17 @@ TEST_F(ObservabilityTest, IngestMetricsMatchStats) {
   EXPECT_EQ(after.counter("ingest.child_index_lookups") -
                 before.counter("ingest.child_index_lookups"),
             stats.child_index_lookups);
+
+  // A call without stats (the synthesizer's per-candidate rebuilds, MITRA,
+  // FlattenForestView) still reaches the registry.
+  ASSERT_OK(BuildForest(db, family.schema).status());
+  metrics::MetricsSnapshot unstatted = metrics::Snapshot();
+  EXPECT_EQ(unstatted.counter("ingest.child_index_builds") -
+                after.counter("ingest.child_index_builds"),
+            stats.child_index_builds);
+  EXPECT_EQ(unstatted.counter("ingest.child_index_lookups") -
+                after.counter("ingest.child_index_lookups"),
+            stats.child_index_lookups);
 }
 
 // ------------------------------------------------------------ disarmed path

@@ -8,11 +8,13 @@ Two checks, both hard failures:
      non-negative dur; "i" (instant) events carry scope "s"; "M" rows are
      thread_name metadata. Unknown phases fail -- the writer only emits
      M/X/i, so anything else means corruption.
-  2. Coverage (--min-coverage): the union of non-root "X" intervals,
-     clipped to the longest session.* root span, must cover at least the
-     given fraction of that root span's duration. This is the ISSUE-10
-     acceptance bar ("spans covering >=90% of wall time"): if a pipeline
-     stage loses its span, coverage drops and this gate catches it.
+  2. Coverage (--min-coverage): for each session.* root name (one per
+     Session entry point: session.synthesize, session.migrate,
+     session.synthesize_interactive, ...), the union of non-root "X"
+     intervals, clipped to the longest root span of that name, must cover
+     at least the given fraction of that span's duration ("spans cover
+     >=90% of wall time"): if a pipeline stage loses its span, coverage of
+     the entry point that runs it drops and this gate catches it.
 
 Exit status: 0 on pass, 1 on any violation (each printed to stderr).
 """
@@ -65,18 +67,13 @@ def union_length(intervals):
     return total
 
 
-def check_coverage(events, min_coverage):
-    spans = [e for e in events if e.get("ph") == "X"]
-    roots = [e for e in spans if e["name"].startswith("session.")]
-    if not roots:
-        return ["no session.* root span in trace"]
-    root = max(roots, key=lambda e: e["dur"])
+def check_root_coverage(spans, root, min_coverage):
     r0, r1 = root["ts"], root["ts"] + root["dur"]
     if root["dur"] <= 0:
         return [f"root span {root['name']} has zero duration"]
     clipped = []
     for e in spans:
-        if e is root or e["name"].startswith("session."):
+        if e["name"].startswith("session."):
             continue
         s, t = max(e["ts"], r0), min(e["ts"] + e["dur"], r1)
         if t > s:
@@ -86,16 +83,33 @@ def check_coverage(events, min_coverage):
           f"child-span coverage {coverage:.1%} "
           f"({len(clipped)} overlapping spans)")
     if coverage < min_coverage:
-        return [f"coverage {coverage:.1%} below required {min_coverage:.0%}"]
+        return [f"{root['name']}: coverage {coverage:.1%} below required "
+                f"{min_coverage:.0%}"]
     return []
+
+
+def check_coverage(events, min_coverage):
+    spans = [e for e in events if e.get("ph") == "X"]
+    longest = {}
+    for e in spans:
+        name = e["name"]
+        if name.startswith("session.") and (
+                name not in longest or e["dur"] > longest[name]["dur"]):
+            longest[name] = e
+    if not longest:
+        return ["no session.* root span in trace"]
+    errors = []
+    for name in sorted(longest):
+        errors += check_root_coverage(spans, longest[name], min_coverage)
+    return errors
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("trace", help="Chrome trace-event JSON file")
     parser.add_argument("--min-coverage", type=float, default=None,
-                        help="required fraction of the session root span "
-                             "covered by child spans (e.g. 0.9)")
+                        help="required fraction of each session.* root "
+                             "span covered by child spans (e.g. 0.9)")
     args = parser.parse_args(argv)
 
     with open(args.trace) as f:
