@@ -81,6 +81,7 @@ struct CompiledRule {
 struct RawAtom {
   const std::string* relation = nullptr;
   bool is_idb = false;
+  const Relation* edb = nullptr;  // the EDB relation read; nullptr for IDB atoms
   size_t cardinality = 0;  // estimated; IDB atoms get a large constant
   std::vector<Slot> slots;
 };
@@ -93,6 +94,34 @@ using SlotSet = std::vector<bool>;
 /// IDB relations grow during evaluation; rank them behind any EDB relation
 /// of plausible size when ordering joins.
 constexpr size_t kIdbCardinality = size_t{1} << 40;
+
+/// Every join index of one Eval, EDB and IDB alike, by relation, then by
+/// key positions. Relation addresses hold for the whole call (the EDB is
+/// const; FactDatabase map nodes never move), and map nodes keep each
+/// JoinIndex in place while later plans add entries. The planner reads the
+/// distinct-key counts of EDB indexes from it before the matcher probes
+/// them, so an estimate and the probe it chose share one index.
+class IndexMap {
+ public:
+  /// The index of `rel` on `keys`, extended over every row of `rel`.
+  JoinIndex& Get(const Relation& rel, const std::vector<size_t>& keys) {
+    JoinIndex& index = indexes_[&rel].try_emplace(keys, keys).first->second;
+    index.Refresh(rel);
+    return index;
+  }
+
+  /// One fan-out estimate: the distinct keys of `rel` on `keys`.
+  size_t DistinctKeys(const Relation& rel, const std::vector<size_t>& keys) {
+    ++fanout_estimates_;
+    return Get(rel, keys).num_keys();
+  }
+
+  size_t fanout_estimates() const { return fanout_estimates_; }
+
+ private:
+  std::map<const Relation*, std::map<std::vector<size_t>, JoinIndex>> indexes_;
+  size_t fanout_estimates_ = 0;
+};
 
 /// Builds the PlanAtom sequence for the given atom order. Key, check, and
 /// bind positions depend on which variables earlier atoms bound, and an
@@ -145,13 +174,25 @@ JoinPlan MakePlan(const std::vector<RawAtom>& raws, const std::vector<size_t>& o
   return plan;
 }
 
-/// Greedy selectivity order: repeatedly pick the atom with the most bound
-/// positions (constants + variables bound by already-picked atoms), breaking
-/// ties by smaller estimated cardinality, then by original position.
-/// `forced_first` (an index into raws, or -1) pins the delta atom up front —
-/// deltas are the smallest view by construction.
+/// Greedy join order. Each step places one of the atoms not yet placed. An
+/// atom's bound positions, its constants and the variables of the atoms
+/// already placed, are the key it will be probed on.
+///
+///   * When two or more EDB atoms have bound positions, the one whose probe
+///     fans out least goes next: its relation's rows per distinct key on
+///     those positions, counted by the Eval's index on them. That is the
+///     index the matcher probes for the atom placed, so estimating builds
+///     no index for it that the match would not.
+///   * Otherwise, and among equal fan-outs, the atom with the most bound
+///     positions goes next, then the one with the smaller estimated
+///     cardinality, then the earlier one in the body.
+///
+/// IDB atoms grow during the Eval and are never estimated; they compete,
+/// with kIdbCardinality, only in the second rule. `forced_first` (an index
+/// into raws, or -1) pins the delta atom up front: deltas are the smallest
+/// view by construction.
 std::vector<size_t> SelectivityOrder(const std::vector<RawAtom>& raws, size_t num_slots,
-                                     int forced_first) {
+                                     int forced_first, IndexMap* indexes) {
   std::vector<size_t> order;
   order.reserve(raws.size());
   SlotSet bound(num_slots, false);
@@ -163,22 +204,56 @@ std::vector<size_t> SelectivityOrder(const std::vector<RawAtom>& raws, size_t nu
       if (!s.is_const && !s.is_wildcard) bound[s.var] = true;
     }
   };
+  // Per atom, its bound positions in ascending order: the key positions
+  // MakePlan gives it when it is placed next.
+  std::vector<std::vector<size_t>> keys(raws.size());
   if (forced_first >= 0) take(static_cast<size_t>(forced_first));
   while (order.size() < raws.size()) {
-    size_t best = raws.size();
-    size_t best_score = 0;
-    size_t best_card = 0;
+    size_t keyed_edb = 0;
     for (size_t ai = 0; ai < raws.size(); ++ai) {
       if (used[ai]) continue;
-      size_t score = 0;
-      for (const Slot& s : raws[ai].slots) {
-        if (s.is_const || (!s.is_wildcard && bound[s.var])) ++score;
+      keys[ai].clear();
+      const std::vector<Slot>& slots = raws[ai].slots;
+      for (size_t i = 0; i < slots.size(); ++i) {
+        if (slots[i].is_const || (!slots[i].is_wildcard && bound[slots[i].var])) {
+          keys[ai].push_back(i);
+        }
       }
-      if (best == raws.size() || score > best_score ||
-          (score == best_score && raws[ai].cardinality < best_card)) {
+      if (raws[ai].edb != nullptr && !keys[ai].empty()) ++keyed_edb;
+    }
+    const bool estimate = keyed_edb >= 2;
+    // Without estimates every atom's fan-out reads 0 / 1, so they all tie.
+    size_t best = raws.size();
+    size_t best_rows = 0;
+    size_t best_distinct = 1;
+    for (size_t ai = 0; ai < raws.size(); ++ai) {
+      if (used[ai]) continue;
+      const RawAtom& raw = raws[ai];
+      size_t rows = 0;
+      size_t distinct = 1;
+      if (estimate) {
+        if (raw.edb == nullptr || keys[ai].empty()) continue;
+        rows = raw.cardinality;
+        distinct = std::max<size_t>(1, indexes->DistinctKeys(*raw.edb, keys[ai]));
+      }
+      bool better = best == raws.size();
+      if (!better) {
+        // rows / distinct against best_rows / best_distinct, cross-multiplied:
+        // row counts fit in 32 bits (JoinIndex row ids), the products in 64.
+        const size_t lhs = rows * best_distinct;
+        const size_t rhs = best_rows * distinct;
+        if (lhs != rhs) {
+          better = lhs < rhs;
+        } else if (keys[ai].size() != keys[best].size()) {
+          better = keys[ai].size() > keys[best].size();
+        } else {
+          better = raw.cardinality < raws[best].cardinality;
+        }
+      }
+      if (better) {
         best = ai;
-        best_score = score;
-        best_card = raws[ai].cardinality;
+        best_rows = rows;
+        best_distinct = distinct;
       }
     }
     take(best);
@@ -217,10 +292,11 @@ std::vector<size_t> Components(const std::vector<RawAtom>& raws, size_t num_slot
 }
 
 /// Compiles `rule` into join plans, estimating each EDB body atom's
-/// cardinality from `edb`. The rule must have passed Rule::Validate: every
-/// head term is a constant or a variable of the body.
+/// cardinality from `edb` and, when `reorder` is set, its probes' fan-outs
+/// from `indexes`. The rule must have passed Rule::Validate: every head
+/// term is a constant or a variable of the body.
 CompiledRule CompileRule(const Rule& rule, const std::set<std::string>& idb,
-                         const FactDatabase& edb, bool reorder) {
+                         const FactDatabase& edb, bool reorder, IndexMap* indexes) {
   CompiledRule out;
   // Variable names in slot order; a rule has few, so a linear scan is the
   // cheapest lookup.
@@ -243,7 +319,8 @@ CompiledRule CompileRule(const Rule& rule, const std::set<std::string>& idb,
       raw.cardinality = kIdbCardinality;
     } else {
       auto rel = edb.Find(atom.relation);
-      raw.cardinality = rel.ok() ? rel.ValueOrDie()->size() : kIdbCardinality;
+      if (rel.ok()) raw.edb = rel.ValueOrDie();
+      raw.cardinality = rel.ok() ? raw.edb->size() : kIdbCardinality;
     }
     raw.slots.reserve(atom.terms.size());
     for (const Term& t : atom.terms) {
@@ -284,9 +361,8 @@ CompiledRule CompileRule(const Rule& rule, const std::set<std::string>& idb,
   out.num_slots = static_cast<int>(num_slots);
 
   // Split the body into its guards and the atoms the other plans join.
-  // Guards share no variable with those atoms, so the greedy order picks
-  // the same sequence of them as it would over the whole body, and the
-  // plans emit the same head rows in the same order.
+  // Guards share no variable with those atoms, so the plans derive the
+  // same head rows without them.
   const std::vector<size_t> component = Components(raws, num_slots);
   std::vector<bool> is_guard(raws.size(), true);  // by component label
   for (size_t ai = 0; ai < raws.size(); ++ai) {
@@ -314,7 +390,7 @@ CompiledRule CompileRule(const Rule& rule, const std::set<std::string>& idb,
 
   auto plan = [&](const std::vector<RawAtom>& atoms, int delta_atom, const SlotSet& live) {
     return MakePlan(atoms,
-                    reorder ? SelectivityOrder(atoms, num_slots, delta_atom)
+                    reorder ? SelectivityOrder(atoms, num_slots, delta_atom, indexes)
                             : IdentityOrder(atoms.size()),
                     delta_atom, live);
   };
@@ -334,9 +410,11 @@ CompiledRule CompileRule(const Rule& rule, const std::set<std::string>& idb,
 class Evaluator {
  public:
   /// `ctx` (may be null) supplies the deadline, cancel token and byte
-  /// budget, all polled at the same stride.
-  Evaluator(const DatalogEngine::Options& options, const RunContext* ctx)
+  /// budget, all polled at the same stride. `indexes` holds the indexes
+  /// the rules' planning built; the Eval's other indexes join them.
+  Evaluator(const DatalogEngine::Options& options, const RunContext* ctx, IndexMap* indexes)
       : options_(options),
+        indexes_(indexes),
         deadline_(Deadline::Earliest(
             Deadline::AfterOrInfinite(options.timeout_seconds),
             ctx != nullptr ? ctx->deadline : Deadline::Infinite())),
@@ -419,6 +497,9 @@ class Evaluator {
     return Status::OK();
   }
 
+  /// Join candidates the matcher inspected in this Eval.
+  size_t candidates() const { return candidates_; }
+
  private:
   /// A plan atom resolved against concrete storage: the relation, its
   /// (possibly shared) incremental index, and the scan bounds [lo, hi).
@@ -467,7 +548,10 @@ class Evaluator {
     bool matched = false;
 
     bool Stopped() const { return matched || !status.ok(); }
-    bool OnCandidate() { return ev->Interrupted(&status); }
+    bool OnCandidate() {
+      ++ev->candidates_;
+      return ev->Interrupted(&status);
+    }
 
     void OnMatch(const std::vector<Value>& env) {
       if (head_rels == nullptr) {
@@ -580,10 +664,7 @@ class Evaluator {
       }
       if (v.lo >= v.hi) return Status::OK();  // no matches possible
       if (!pa.key_positions.empty()) {
-        JoinIndex& index =
-            indexes_[v.rel].try_emplace(pa.key_positions, pa.key_positions).first->second;
-        index.Refresh(*v.rel);
-        v.index = &index;
+        v.index = &indexes_->Get(*v.rel, pa.key_positions);
       }
     }
 
@@ -610,16 +691,13 @@ class Evaluator {
   }
 
   DatalogEngine::Options options_;
-  /// Every join index of this Eval, EDB and IDB alike, by relation, then by
-  /// key positions. Relation addresses hold for the whole call (the EDB is
-  /// const; FactDatabase map nodes never move), and map nodes keep each
-  /// JoinIndex in place while later plans add entries.
-  std::map<const Relation*, std::map<std::vector<size_t>, JoinIndex>> indexes_;
+  IndexMap* indexes_;
   Deadline deadline_;         // options timeout composed with RunContext
   CancelToken cancel_;
   MemoryBudget* budget_ = nullptr;  // run-wide byte budget (may be null)
   size_t derived_ = 0;
   size_t ticks_ = 0;
+  size_t candidates_ = 0;  // running total; ticks_ restarts every 1024
 };
 
 }  // namespace
@@ -679,16 +757,20 @@ Result<FactDatabase> DatalogEngine::EvalImpl(
     }
   }
 
+  IndexMap indexes;
   std::vector<CompiledRule> rules;
   rules.reserve(program.rules.size());
   for (const Rule& rule : program.rules) {
-    rules.push_back(CompileRule(rule, idb, edb, options_.reorder_joins));
+    rules.push_back(CompileRule(rule, idb, edb, options_.reorder_joins, &indexes));
   }
 
   compile_span.End();
   FactDatabase out;
-  Evaluator evaluator(options_, ctx);
-  DYNAMITE_RETURN_NOT_OK(evaluator.Run(rules, edb, idb_signatures, &out));
+  Evaluator evaluator(options_, ctx, &indexes);
+  const Status status = evaluator.Run(rules, edb, idb_signatures, &out);
+  DYNAMITE_METRIC_ADD("engine.plan.fanout_estimates", indexes.fanout_estimates());
+  DYNAMITE_METRIC_ADD("engine.join_candidates", evaluator.candidates());
+  DYNAMITE_RETURN_NOT_OK(status);
   return out;
 }
 

@@ -8,10 +8,13 @@
 //
 // Performance architecture (see src/datalog/README.md for the full picture):
 //
-//   * Rules compile to join plans whose body atoms are reordered by
-//     estimated selectivity (bound-position count, then relation
-//     cardinality); each plan step is a hash-index lookup on the positions
-//     bound by constants or earlier atoms.
+//   * Rules compile to join plans whose body atoms are ordered greedily:
+//     when two or more EDB atoms can be probed on bound positions, the one
+//     with the fewest rows per distinct key on them goes next, counted by
+//     the Eval's own index on those positions; otherwise the one with the
+//     most bound positions, then the smaller relation. Each plan step is a
+//     hash-index lookup on the positions bound by constants or earlier
+//     atoms.
 //   * One matcher evaluates every plan: a left-to-right recursion over the
 //     plan's atoms, one candidate row at a time, inserting head rows
 //     straight into the output relations. An atom none of whose variables
@@ -76,7 +79,12 @@ class DatalogEngine {
     /// join-candidate inspections (a fixed stride independent of how many
     /// tuples happen to be derived).
     double timeout_seconds = 0;
-    /// Reorder body atoms by estimated selectivity at compile time.
+    /// Order each rule's body atoms greedily at compile time: by measured
+    /// key fan-out (rows per distinct key, read from the Eval's join
+    /// indexes) when two or more EDB atoms are keyed, else by bound
+    /// positions, then cardinality; delta plans put the delta atom first.
+    /// When false, every plan joins the atoms in the order written and no
+    /// estimate is made.
     bool reorder_joins = true;
     /// Ignored: evaluation is always sequential. Kept only because
     /// perfbench/replay.cc still assigns it; it goes together with

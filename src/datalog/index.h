@@ -116,6 +116,8 @@ class JoinIndex {
 
   size_t indexed_upto() const { return indexed_upto_; }
   const std::vector<size_t>& key_positions() const { return key_positions_; }
+  /// Distinct keys among the indexed rows.
+  size_t num_keys() const { return groups_.size(); }
 
  private:
   static constexpr uint32_t kEmptySlot = UINT32_MAX;

@@ -182,6 +182,26 @@ TEST_F(ObservabilityTest, FixpointRoundsHistogramObservesEvals) {
   EXPECT_GT(after->sum, 0u);
 }
 
+TEST_F(ObservabilityTest, MigrationMovesJoinCounters) {
+  ASSERT_OK_AND_ASSIGN(
+      Session session,
+      Session::Create(testing::UnivSchema(), testing::AdmissionSchema()));
+  // The motivating program plus a copy of its first atom: once
+  // Univ(id1, grad, v1) is placed, Admit and the copy are both keyed EDB
+  // atoms, so the planner estimates their fan-outs.
+  ASSERT_OK_AND_ASSIGN(Program p, Program::Parse(
+                                      "Admission(grad, ug, num) :- Univ(id1, grad, v1), "
+                                      "Admit(v1, id2, num), Univ(id2, ug, _), Univ(id1, _, _)."));
+  const metrics::MetricsSnapshot before = session.Metrics();
+  ASSERT_OK_AND_ASSIGN(RecordForest out,
+                       session.Migrate(p, testing::MotivatingExample().input));
+  EXPECT_EQ(out.TotalRecords(), 4u);
+  const metrics::MetricsSnapshot after = session.Metrics();
+  EXPECT_GT(after.counter("engine.join_candidates"), before.counter("engine.join_candidates"));
+  EXPECT_GT(after.counter("engine.plan.fanout_estimates"),
+            before.counter("engine.plan.fanout_estimates"));
+}
+
 TEST_F(ObservabilityTest, IngestMetricsMatchStats) {
   const auto& family = workload::GetFamily("Yelp");
   RecordForest forest = family.generate(1, 400);
