@@ -1,6 +1,6 @@
 // RunContext: the cross-cutting state of one pipeline run — deadline,
 // cancellation token, progress observer — threaded through every stage
-// (synthesis, analysis, MDP search, interactive loop, engine fixpoint,
+// (synthesis, analysis, MDP search, interactive loop, engine evaluation,
 // facts conversion). It replaces the scattered per-class timeout knobs with
 // one budget: a stage that also has a local cap (e.g. the per-candidate
 // evaluation budget) composes it with Deadline::Earliest.

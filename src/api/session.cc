@@ -78,7 +78,7 @@ Session::Session(Schema source, Schema target, SessionOptions options)
     : source_(std::move(source)),
       target_(std::move(target)),
       options_(options),
-      migrator_(source_, target_, options_.engine),
+      migrator_(source_, target_),
       synthesizer_(source_, target_, options_.synthesis) {}
 
 Result<Session> Session::Create(Schema source, Schema target, SessionOptions options) {

@@ -62,9 +62,6 @@ struct SessionOptions {
   /// synthesis; its round, probe-width and query-size limits are fixed
   /// (src/synth/interactive.cc).
   SynthesisOptions synthesis;
-  /// Engine options for the migration engine (the synthesis stage keeps its
-  /// own per-candidate evaluation engine, configured from `synthesis`).
-  DatalogEngine::Options engine;
   /// Budget applied when a call's RunContext deadline is infinite; <= 0
   /// (or a value past the clock's range, such as +inf) means unbounded.
   double default_budget_seconds = 600;
@@ -137,7 +134,7 @@ class Session {
 
   /// Snapshot of the process-wide metrics registry (util/metrics.h):
   /// counters like "solver.solves" / "ingest.child_index_lookups", plus
-  /// gauges and histograms.
+  /// gauges.
   /// Process-wide — spans every Session and engine in the process,
   /// cumulative since start; the per-call stats structs (MigrationStats,
   /// SynthesisResult) remain the per-run source of truth.

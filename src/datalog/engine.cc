@@ -1,7 +1,6 @@
 #include "datalog/engine.h"
 
 #include <algorithm>
-#include <set>
 
 #include "datalog/index.h"
 #include "util/failpoint.h"
@@ -24,11 +23,7 @@ struct Slot {
 /// One body atom inside a join plan, with a static matching strategy
 /// relative to its position in the plan's atom order.
 struct PlanAtom {
-  const std::string* relation = nullptr;  // names live in the evaluated Program
-  bool is_idb = false;
-  /// Restricted to the delta suffix [lo, hi) of its relation during
-  /// semi-naive iteration (at most one per plan).
-  bool is_delta = false;
+  const Relation* rel = nullptr;  // the EDB relation read; fixed for the Eval
   std::vector<Slot> slots;
   // Positions whose value is known before scanning this atom (constants and
   // variables bound by earlier atoms) — these form the hash-index key.
@@ -52,37 +47,29 @@ struct JoinPlan {
   std::vector<PlanAtom> atoms;
 };
 
-/// A rule compiled to one full plan (every atom reads its full relation)
-/// plus one delta plan per IDB body atom occurrence (that atom reads only
-/// the semi-naive delta). Plans share the variable-slot numbering. A
-/// compiled rule lives for one Eval and points into its Program's atoms.
+/// A rule compiled to join plans that share one variable-slot numbering. A
+/// compiled rule lives for one Eval and reads that Eval's EDB.
 ///
 /// Body atoms that share a variable, directly or through other atoms, form
-/// a component. A component that holds no head variable and no IDB atom is
-/// a guard: it shares no variable with the rest of the body, so it only
-/// decides whether the rule fires at all, and the EDB it reads is fixed for
-/// the Eval. Each guard is a plan of its own, run once per Eval up to its
-/// first match; the full and delta plans hold the other atoms only.
+/// a component. A component that holds no head variable is a guard: it
+/// shares no variable with the rest of the body, so it only decides whether
+/// the rule fires at all, and the EDB it reads is fixed for the Eval. Each
+/// guard is a plan of its own, run once per Eval up to its first match; the
+/// full plan holds the other atoms only.
 struct CompiledRule {
   struct Head {
-    const std::string* relation = nullptr;
+    const std::string* relation = nullptr;  // names live in the evaluated Program
     std::vector<Slot> slots;
   };
   std::vector<Head> heads;
   int num_slots = 0;
-  bool has_idb_body = false;
-  std::vector<const std::string*> idb_body_relations;  // parallel to delta_plans
   std::vector<JoinPlan> guards;
   JoinPlan full;
-  std::vector<JoinPlan> delta_plans;
 };
 
 /// Uncompiled body atom with its variable slots resolved.
 struct RawAtom {
-  const std::string* relation = nullptr;
-  bool is_idb = false;
-  const Relation* edb = nullptr;  // the EDB relation read; nullptr for IDB atoms
-  size_t cardinality = 0;  // estimated; IDB atoms get a large constant
+  const Relation* edb = nullptr;  // the EDB relation read
   std::vector<Slot> slots;
 };
 
@@ -91,23 +78,17 @@ struct RawAtom {
 /// its rules, and on small inputs compiling is a visible share of the call.
 using SlotSet = std::vector<bool>;
 
-/// IDB relations grow during evaluation; rank them behind any EDB relation
-/// of plausible size when ordering joins.
-constexpr size_t kIdbCardinality = size_t{1} << 40;
-
-/// Every join index of one Eval, EDB and IDB alike, by relation, then by
-/// key positions. Relation addresses hold for the whole call (the EDB is
-/// const; FactDatabase map nodes never move), and map nodes keep each
-/// JoinIndex in place while later plans add entries. The planner reads the
-/// distinct-key counts of EDB indexes from it before the matcher probes
-/// them, so an estimate and the probe it chose share one index.
+/// Every join index of one Eval, by relation, then by key positions. Each
+/// indexed relation is an EDB relation, unchanged for the whole call, and
+/// so is its address (the EDB is const); map nodes keep each JoinIndex in
+/// place while later plans add entries. The planner reads distinct-key
+/// counts from it before the matcher probes, so an estimate and the probe
+/// it chose share one index.
 class IndexMap {
  public:
-  /// The index of `rel` on `keys`, extended over every row of `rel`.
-  JoinIndex& Get(const Relation& rel, const std::vector<size_t>& keys) {
-    JoinIndex& index = indexes_[&rel].try_emplace(keys, keys).first->second;
-    index.Refresh(rel);
-    return index;
+  /// The index of `rel` on `keys`, built on first use.
+  const JoinIndex& Get(const Relation& rel, const std::vector<size_t>& keys) {
+    return indexes_[&rel].try_emplace(keys, rel, keys).first->second;
   }
 
   /// One fan-out estimate: the distinct keys of `rel` on `keys`.
@@ -129,7 +110,7 @@ class IndexMap {
 /// (`head_vars`) read, so they are recomputed per order; slot numbering is
 /// shared across plans.
 JoinPlan MakePlan(const std::vector<RawAtom>& raws, const std::vector<size_t>& order,
-                  int delta_atom, const SlotSet& head_vars) {
+                  const SlotSet& head_vars) {
   JoinPlan plan;
   plan.atoms.reserve(order.size());
   // The plan position of the atom that binds each slot; -1 while unbound.
@@ -138,9 +119,7 @@ JoinPlan MakePlan(const std::vector<RawAtom>& raws, const std::vector<size_t>& o
     const RawAtom& raw = raws[ai];
     const int here = static_cast<int>(plan.atoms.size());
     PlanAtom pa;
-    pa.relation = raw.relation;
-    pa.is_idb = raw.is_idb;
-    pa.is_delta = static_cast<int>(ai) == delta_atom;
+    pa.rel = raw.edb;
     pa.slots = raw.slots;
     for (size_t i = 0; i < pa.slots.size(); ++i) {
       const Slot& s = pa.slots[i];
@@ -178,21 +157,16 @@ JoinPlan MakePlan(const std::vector<RawAtom>& raws, const std::vector<size_t>& o
 /// atom's bound positions, its constants and the variables of the atoms
 /// already placed, are the key it will be probed on.
 ///
-///   * When two or more EDB atoms have bound positions, the one whose probe
+///   * When two or more atoms have bound positions, the one whose probe
 ///     fans out least goes next: its relation's rows per distinct key on
 ///     those positions, counted by the Eval's index on them. That is the
 ///     index the matcher probes for the atom placed, so estimating builds
 ///     no index for it that the match would not.
 ///   * Otherwise, and among equal fan-outs, the atom with the most bound
-///     positions goes next, then the one with the smaller estimated
-///     cardinality, then the earlier one in the body.
-///
-/// IDB atoms grow during the Eval and are never estimated; they compete,
-/// with kIdbCardinality, only in the second rule. `forced_first` (an index
-/// into raws, or -1) pins the delta atom up front: deltas are the smallest
-/// view by construction.
+///     positions goes next, then the one over the smaller relation, then
+///     the earlier one in the body.
 std::vector<size_t> SelectivityOrder(const std::vector<RawAtom>& raws, size_t num_slots,
-                                     int forced_first, IndexMap* indexes) {
+                                     IndexMap* indexes) {
   std::vector<size_t> order;
   order.reserve(raws.size());
   SlotSet bound(num_slots, false);
@@ -207,9 +181,8 @@ std::vector<size_t> SelectivityOrder(const std::vector<RawAtom>& raws, size_t nu
   // Per atom, its bound positions in ascending order: the key positions
   // MakePlan gives it when it is placed next.
   std::vector<std::vector<size_t>> keys(raws.size());
-  if (forced_first >= 0) take(static_cast<size_t>(forced_first));
   while (order.size() < raws.size()) {
-    size_t keyed_edb = 0;
+    size_t keyed = 0;
     for (size_t ai = 0; ai < raws.size(); ++ai) {
       if (used[ai]) continue;
       keys[ai].clear();
@@ -219,9 +192,9 @@ std::vector<size_t> SelectivityOrder(const std::vector<RawAtom>& raws, size_t nu
           keys[ai].push_back(i);
         }
       }
-      if (raws[ai].edb != nullptr && !keys[ai].empty()) ++keyed_edb;
+      if (!keys[ai].empty()) ++keyed;
     }
-    const bool estimate = keyed_edb >= 2;
+    const bool estimate = keyed >= 2;
     // Without estimates every atom's fan-out reads 0 / 1, so they all tie.
     size_t best = raws.size();
     size_t best_rows = 0;
@@ -232,8 +205,8 @@ std::vector<size_t> SelectivityOrder(const std::vector<RawAtom>& raws, size_t nu
       size_t rows = 0;
       size_t distinct = 1;
       if (estimate) {
-        if (raw.edb == nullptr || keys[ai].empty()) continue;
-        rows = raw.cardinality;
+        if (keys[ai].empty()) continue;
+        rows = raw.edb->size();
         distinct = std::max<size_t>(1, indexes->DistinctKeys(*raw.edb, keys[ai]));
       }
       bool better = best == raws.size();
@@ -247,7 +220,7 @@ std::vector<size_t> SelectivityOrder(const std::vector<RawAtom>& raws, size_t nu
         } else if (keys[ai].size() != keys[best].size()) {
           better = keys[ai].size() > keys[best].size();
         } else {
-          better = raw.cardinality < raws[best].cardinality;
+          better = raw.edb->size() < raws[best].edb->size();
         }
       }
       if (better) {
@@ -291,12 +264,12 @@ std::vector<size_t> Components(const std::vector<RawAtom>& raws, size_t num_slot
   return parent;
 }
 
-/// Compiles `rule` into join plans, estimating each EDB body atom's
-/// cardinality from `edb` and, when `reorder` is set, its probes' fan-outs
-/// from `indexes`. The rule must have passed Rule::Validate: every head
-/// term is a constant or a variable of the body.
-CompiledRule CompileRule(const Rule& rule, const std::set<std::string>& idb,
-                         const FactDatabase& edb, bool reorder, IndexMap* indexes) {
+/// Compiles `rule` into join plans over `edb`, estimating its probes'
+/// fan-outs from `indexes` when `reorder` is set. The rule must have passed
+/// EvalImpl's checks: every head term is a constant or a variable of the
+/// body, and every body atom names an EDB relation of its arity.
+CompiledRule CompileRule(const Rule& rule, const FactDatabase& edb, bool reorder,
+                         IndexMap* indexes) {
   CompiledRule out;
   // Variable names in slot order; a rule has few, so a linear scan is the
   // cheapest lookup.
@@ -313,15 +286,7 @@ CompiledRule CompileRule(const Rule& rule, const std::set<std::string>& idb,
   raws.reserve(rule.body.size());
   for (const Atom& atom : rule.body) {
     RawAtom raw;
-    raw.relation = &atom.relation;
-    raw.is_idb = idb.count(atom.relation) > 0;
-    if (raw.is_idb) {
-      raw.cardinality = kIdbCardinality;
-    } else {
-      auto rel = edb.Find(atom.relation);
-      if (rel.ok()) raw.edb = rel.ValueOrDie();
-      raw.cardinality = rel.ok() ? raw.edb->size() : kIdbCardinality;
-    }
+    raw.edb = edb.Find(atom.relation).ValueOrDie();
     raw.slots.reserve(atom.terms.size());
     for (const Term& t : atom.terms) {
       Slot s;
@@ -370,7 +335,7 @@ CompiledRule CompileRule(const Rule& rule, const std::set<std::string>& idb,
     for (const Slot& s : raws[ai].slots) {
       reads_head = reads_head || (!s.is_const && !s.is_wildcard && head_vars[s.var]);
     }
-    if (raws[ai].is_idb || reads_head) is_guard[component[ai]] = false;
+    if (reads_head) is_guard[component[ai]] = false;
   }
   std::vector<RawAtom> joined;
   std::vector<std::vector<RawAtom>> guards;
@@ -388,22 +353,16 @@ CompiledRule CompileRule(const Rule& rule, const std::set<std::string>& idb,
     guards[g].push_back(std::move(raws[ai]));
   }
 
-  auto plan = [&](const std::vector<RawAtom>& atoms, int delta_atom, const SlotSet& live) {
+  auto plan = [&](const std::vector<RawAtom>& atoms, const SlotSet& live) {
     return MakePlan(atoms,
-                    reorder ? SelectivityOrder(atoms, num_slots, delta_atom, indexes)
+                    reorder ? SelectivityOrder(atoms, num_slots, indexes)
                             : IdentityOrder(atoms.size()),
-                    delta_atom, live);
+                    live);
   };
   for (const std::vector<RawAtom>& guard : guards) {
-    out.guards.push_back(plan(guard, -1, SlotSet(num_slots, false)));
+    out.guards.push_back(plan(guard, SlotSet(num_slots, false)));
   }
-  out.full = plan(joined, -1, head_vars);
-  for (size_t ai = 0; ai < joined.size(); ++ai) {
-    if (!joined[ai].is_idb) continue;
-    out.has_idb_body = true;
-    out.idb_body_relations.push_back(joined[ai].relation);
-    out.delta_plans.push_back(plan(joined, static_cast<int>(ai), head_vars));
-  }
+  out.full = plan(joined, head_vars);
   return out;
 }
 
@@ -421,7 +380,7 @@ class Evaluator {
         cancel_(ctx != nullptr ? ctx->cancel : CancelToken()),
         budget_(ctx != nullptr ? ctx->memory : nullptr) {}
 
-  Status Run(const std::vector<CompiledRule>& rules, const FactDatabase& edb,
+  Status Run(const std::vector<CompiledRule>& rules,
              const std::map<std::string, std::vector<std::string>>& idb_sigs,
              FactDatabase* out) {
     for (const auto& [name, attrs] : idb_sigs) {
@@ -429,18 +388,13 @@ class Evaluator {
       (void)rel;
     }
 
-    // Semi-naive delta views: per IDB relation, the suffix [lo, hi) of the
-    // (append-only) tuple vector derived in the previous round.
-    std::map<std::string, std::pair<size_t, size_t>> delta;
-    for (const auto& [name, attrs] : idb_sigs) delta[name] = {0, 0};
-
     // Guards read only the EDB, which is fixed for the call: one run each,
     // to its first match, decides whether the rule fires in this Eval.
     std::vector<bool> fires(rules.size(), true);
     for (size_t r = 0; r < rules.size(); ++r) {
       for (const JoinPlan& guard : rules[r].guards) {
         bool matched = false;
-        DYNAMITE_RETURN_NOT_OK(EvalPlan(rules[r], guard, delta, edb, out, &matched));
+        DYNAMITE_RETURN_NOT_OK(EvalPlan(rules[r], guard, out, &matched));
         if (!matched) {
           fires[r] = false;
           break;
@@ -448,51 +402,11 @@ class Evaluator {
       }
     }
 
-    // Pass 0: every rule over full views.
-    {
-      DYNAMITE_TRACE_SPAN("engine.pass0");
-      for (size_t r = 0; r < rules.size(); ++r) {
-        if (!fires[r]) continue;
-        DYNAMITE_RETURN_NOT_OK(EvalPlan(rules[r], rules[r].full, delta, edb, out));
-      }
-    }
-    bool any_delta = false;
-    for (auto& [name, range] : delta) {
-      range = {0, out->Find(name).ValueOrDie()->size()};
-      any_delta = any_delta || range.second > range.first;
-    }
-
-    bool any_recursive = false;
-    for (const CompiledRule& rule : rules) any_recursive = any_recursive || rule.has_idb_body;
-
-    // Semi-naive fixpoint for recursive programs.
-    size_t iterations = 0;
-    while (any_recursive && any_delta) {
-      if (++iterations > options_.max_iterations) {
-        return Status::EvalBudget("fixpoint iteration limit exceeded");
-      }
-      DYNAMITE_FAILPOINT("engine.fixpoint.round");
-      DYNAMITE_TRACE_SPAN("engine.fixpoint.round");
-      for (size_t r = 0; r < rules.size(); ++r) {
-        const CompiledRule& rule = rules[r];
-        if (!rule.has_idb_body || !fires[r]) continue;
-        for (size_t k = 0; k < rule.delta_plans.size(); ++k) {
-          const auto& range = delta.at(*rule.idb_body_relations[k]);
-          if (range.first == range.second) continue;
-          DYNAMITE_RETURN_NOT_OK(EvalPlan(rule, rule.delta_plans[k], delta, edb, out));
-        }
-      }
-      any_delta = false;
-      for (auto& [name, range] : delta) {
-        size_t size = out->Find(name).ValueOrDie()->size();
-        range = {range.second, size};
-        any_delta = any_delta || range.second > range.first;
-      }
-    }
-    if (iterations > 0) {
-      static metrics::Histogram& rounds_hist =
-          metrics::GetHistogram("engine.fixpoint.rounds_per_eval");
-      rounds_hist.Observe(iterations);
+    // One pass: bodies read only the EDB, so each rule's plan runs once.
+    DYNAMITE_TRACE_SPAN("engine.pass0");
+    for (size_t r = 0; r < rules.size(); ++r) {
+      if (!fires[r]) continue;
+      DYNAMITE_RETURN_NOT_OK(EvalPlan(rules[r], rules[r].full, out));
     }
     return Status::OK();
   }
@@ -501,15 +415,6 @@ class Evaluator {
   size_t candidates() const { return candidates_; }
 
  private:
-  /// A plan atom resolved against concrete storage: the relation, its
-  /// (possibly shared) incremental index, and the scan bounds [lo, hi).
-  struct AtomView {
-    const Relation* rel = nullptr;
-    const JoinIndex* index = nullptr;  // nullptr => positional full scan
-    size_t lo = 0;
-    size_t hi = 0;
-  };
-
   /// Fixed-stride interruption poll: counts every join candidate and head
   /// emission, probing the cancel token and deadline every 1024 ticks
   /// regardless of how many tuples are derived (the old check keyed off the
@@ -575,9 +480,10 @@ class Evaluator {
     }
   };
 
-  /// Recursive left-to-right matcher over the plan's atom order; each atom
-  /// scans its view's range [lo, hi).
-  static void MatchPlan(const JoinPlan& plan, const std::vector<AtomView>& views,
+  /// Recursive left-to-right matcher over the plan's atom order. An atom
+  /// with an index (`indexes[i]`, parallel to the plan's atoms) reads the
+  /// posting list of its bound key; one without scans its whole relation.
+  static void MatchPlan(const JoinPlan& plan, const std::vector<const JoinIndex*>& indexes,
                         std::vector<Value>& env, std::vector<std::vector<Value>>& key_bufs,
                         DirectSink& sink) {
     auto match = [&](auto&& self, size_t atom_idx) -> void {
@@ -587,31 +493,28 @@ class Evaluator {
         return;
       }
       const PlanAtom& pa = plan.atoms[atom_idx];
-      const AtomView& v = views[atom_idx];
+      const Relation& rel = *pa.rel;
 
       // Inspects row `ti` of this atom, reading only the bind/check columns
       // (columnar storage: the other columns are never touched).
-      // cell() re-fetches column storage on every read: the sink appends to
-      // IDB relations mid-scan, which can reallocate the column vectors
-      // (the pre-rewrite engine held references across the append and
-      // crashed on recursive programs at bench scale).
       // Returns true when the scan of this atom is done: the row passed the
       // checks of an existence-only atom (see PlanAtom::exists_only).
       auto try_row_at = [&](size_t ti) -> bool {
         if (sink.Stopped()) return false;
         if (sink.OnCandidate()) return false;
         for (size_t p : pa.bind_positions) {
-          env[static_cast<size_t>(pa.slots[p].var)] = v.rel->cell(ti, p);
+          env[static_cast<size_t>(pa.slots[p].var)] = rel.cell(ti, p);
         }
         for (size_t p : pa.check_positions) {
-          if (v.rel->cell(ti, p) != env[static_cast<size_t>(pa.slots[p].var)]) return false;
+          if (rel.cell(ti, p) != env[static_cast<size_t>(pa.slots[p].var)]) return false;
         }
         self(self, atom_idx + 1);
         return pa.exists_only;
       };
 
-      if (v.index == nullptr) {
-        for (size_t ti = v.lo; ti < v.hi && !sink.Stopped(); ++ti) {
+      const JoinIndex* index = indexes[atom_idx];
+      if (index == nullptr) {
+        for (size_t ti = 0; ti < rel.size() && !sink.Stopped(); ++ti) {
           if (try_row_at(ti)) return;
         }
       } else {
@@ -621,10 +524,8 @@ class Evaluator {
           const Slot& s = pa.slots[p];
           key_vals.push_back(s.is_const ? s.constant : env[static_cast<size_t>(s.var)]);
         }
-        PostingList matches = v.index->Lookup(*v.rel, key_vals.data(), key_vals.size());
-        // Posting lists are sorted ascending; restrict to [lo, hi).
-        auto it = std::lower_bound(matches.begin(), matches.end(), static_cast<uint32_t>(v.lo));
-        for (; it != matches.end() && *it < v.hi && !sink.Stopped(); ++it) {
+        PostingList matches = index->Lookup(rel, key_vals.data(), key_vals.size());
+        for (auto it = matches.begin(); it != matches.end() && !sink.Stopped(); ++it) {
           if (try_row_at(*it)) return;
         }
       }
@@ -636,36 +537,18 @@ class Evaluator {
   /// `guard_matched`, `plan` is one of the rule's guards: nothing is
   /// inserted, and the match stops at its first result, which sets
   /// `*guard_matched`.
-  Status EvalPlan(const CompiledRule& rule, const JoinPlan& plan,
-                  const std::map<std::string, std::pair<size_t, size_t>>& delta,
-                  const FactDatabase& edb, FactDatabase* out, bool* guard_matched = nullptr) {
+  Status EvalPlan(const CompiledRule& rule, const JoinPlan& plan, FactDatabase* out,
+                  bool* guard_matched = nullptr) {
     if (guard_matched != nullptr) *guard_matched = false;
     DYNAMITE_FAILPOINT("engine.plan.entry");
     DYNAMITE_TRACE_SPAN("engine.plan");
-    // Resolve views and refresh indexes up front: no index is ever built
-    // inside the match loop, and IDB indexes only extend over the suffix
-    // added since the previous round.
-    std::vector<AtomView> views(plan.atoms.size());
+    // Build every index the plan probes up front: no index is ever built
+    // inside the match loop.
+    std::vector<const JoinIndex*> indexes(plan.atoms.size());
     for (size_t i = 0; i < plan.atoms.size(); ++i) {
       const PlanAtom& pa = plan.atoms[i];
-      AtomView& v = views[i];
-      if (pa.is_idb) {
-        v.rel = out->Find(*pa.relation).ValueOrDie();
-      } else {
-        DYNAMITE_ASSIGN_OR_RETURN(v.rel, edb.Find(*pa.relation));
-      }
-      if (pa.is_delta) {
-        auto range = delta.at(*pa.relation);
-        v.lo = range.first;
-        v.hi = range.second;
-      } else {
-        v.lo = 0;
-        v.hi = v.rel->size();
-      }
-      if (v.lo >= v.hi) return Status::OK();  // no matches possible
-      if (!pa.key_positions.empty()) {
-        v.index = &indexes_->Get(*v.rel, pa.key_positions);
-      }
+      if (pa.rel->size() == 0) return Status::OK();  // no matches possible
+      if (!pa.key_positions.empty()) indexes[i] = &indexes_->Get(*pa.rel, pa.key_positions);
     }
 
     // Head relations are fixed for the plan; resolve them once, not per
@@ -685,7 +568,7 @@ class Evaluator {
     }
     DirectSink sink{this, &rule, guard_matched == nullptr ? &head_rels : nullptr, {},
                     Status::OK()};
-    MatchPlan(plan, views, env, key_bufs, sink);
+    MatchPlan(plan, indexes, env, key_bufs, sink);
     if (guard_matched != nullptr) *guard_matched = sink.matched;
     return sink.status;
   }
@@ -724,10 +607,7 @@ Result<FactDatabase> DatalogEngine::EvalImpl(
   DYNAMITE_FAILPOINT("engine.compile");
   DYNAMITE_TRACE_SPAN("engine.eval");
   trace::Span compile_span("engine.compile");
-  std::set<std::string> idb;
-  for (const auto& [name, attrs] : idb_signatures) idb.insert(name);
-
-  // Validate heads against signatures and body atoms against storage.
+  // Validate heads against signatures and body atoms against the EDB.
   for (const Rule& rule : program.rules) {
     DYNAMITE_RETURN_NOT_OK(rule.Validate());
     for (const Atom& h : rule.heads) {
@@ -741,18 +621,17 @@ Result<FactDatabase> DatalogEngine::EvalImpl(
       }
     }
     for (const Atom& b : rule.body) {
-      if (idb.count(b.relation) > 0) {
-        if (idb_signatures.at(b.relation).size() != b.terms.size()) {
-          return Status::InvalidArgument("arity mismatch for IDB body relation " +
-                                         b.relation);
-        }
-      } else {
-        DYNAMITE_ASSIGN_OR_RETURN(const Relation* rel, edb.Find(b.relation));
-        if (rel->arity() != b.terms.size()) {
-          return Status::InvalidArgument("arity mismatch for body relation " + b.relation +
-                                         " (expected " + std::to_string(rel->arity()) +
-                                         " got " + std::to_string(b.terms.size()) + ")");
-        }
+      auto rel = edb.Find(b.relation);
+      if (!rel.ok()) {
+        return Status::InvalidArgument("body relation " + b.relation +
+                                       " is not an EDB relation: rule bodies read "
+                                       "only the source facts");
+      }
+      if (rel.ValueOrDie()->arity() != b.terms.size()) {
+        return Status::InvalidArgument(
+            "arity mismatch for body relation " + b.relation + " (expected " +
+            std::to_string(rel.ValueOrDie()->arity()) + " got " +
+            std::to_string(b.terms.size()) + ")");
       }
     }
   }
@@ -761,13 +640,13 @@ Result<FactDatabase> DatalogEngine::EvalImpl(
   std::vector<CompiledRule> rules;
   rules.reserve(program.rules.size());
   for (const Rule& rule : program.rules) {
-    rules.push_back(CompileRule(rule, idb, edb, options_.reorder_joins, &indexes));
+    rules.push_back(CompileRule(rule, edb, options_.reorder_joins, &indexes));
   }
 
   compile_span.End();
   FactDatabase out;
   Evaluator evaluator(options_, ctx, &indexes);
-  const Status status = evaluator.Run(rules, edb, idb_signatures, &out);
+  const Status status = evaluator.Run(rules, idb_signatures, &out);
   DYNAMITE_METRIC_ADD("engine.plan.fanout_estimates", indexes.fanout_estimates());
   DYNAMITE_METRIC_ADD("engine.join_candidates", evaluator.candidates());
   DYNAMITE_RETURN_NOT_OK(status);

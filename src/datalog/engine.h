@@ -1,15 +1,19 @@
 // Bottom-up Datalog evaluation engine (the Souffle substrate).
 //
 // Evaluates a Datalog program over a FactDatabase of extensional facts and
-// returns the intensional relations of the least Herbrand model (§3.2).
-// Non-recursive programs (all that synthesis needs) complete in one pass;
-// recursive programs are handled with semi-naive fixpoint iteration, so the
-// engine is a complete substrate rather than a special case.
+// returns the intensional relations of its least Herbrand model (§3.2). A
+// migration program maps source records to target records: its heads are
+// intensional and its bodies extensional (§3.3, §4.2), the source-to-target
+// shape of schema mappings. The engine keeps the two namespaces apart: a
+// body atom always reads the EDB and a head always writes the IDB, even
+// when a source and a target relation share a name. So every Eval is one
+// pass over a fixed EDB, and a body atom that names no EDB relation (the
+// `tc` of a recursive program, say) fails with kInvalidArgument.
 //
 // Performance architecture (see src/datalog/README.md for the full picture):
 //
 //   * Rules compile to join plans whose body atoms are ordered greedily:
-//     when two or more EDB atoms can be probed on bound positions, the one
+//     when two or more atoms can be probed on bound positions, the one
 //     with the fewest rows per distinct key on them goes next, counted by
 //     the Eval's own index on those positions; otherwise the one with the
 //     most bound positions, then the smaller relation. Each plan step is a
@@ -25,26 +29,23 @@
 //     stats and error codes are unchanged; the cut only ends the
 //     cross-product blow-up of padded synthesized programs.
 //   * Body atoms that share a variable form a component. A component with
-//     no head variable and no IDB atom is a guard: it shares no variable
-//     with the other atoms and reads only the EDB, which is fixed for the
-//     call, so each Eval matches it once, up to its first match, before
-//     pass 0. A rule with an unmatched guard is skipped in pass 0 and in
-//     every fixpoint round; the other atoms are planned without the guards,
-//     in the same relative order, so outputs, row order, stats and error
-//     codes are unchanged.
-//   * Join indexes are incremental (src/datalog/index.h) and live for one
-//     Eval, EDB and IDB relations alike. IDB indexes are extended, never
-//     rebuilt, as the fixpoint derives tuples; semi-naive deltas are suffix
-//     ranges of the append-only tuple vectors.
+//     no head variable is a guard: it shares no variable with the other
+//     atoms, and the EDB it reads is fixed for the call, so each Eval
+//     matches it once, up to its first match, before any rule's plan runs.
+//     A rule with an unmatched guard is skipped; the other atoms are planned
+//     without the guards, in the same relative order, so outputs, row
+//     order, stats and error codes are unchanged.
+//   * Join indexes (src/datalog/index.h) are built once per Eval over the
+//     EDB relations they index, which stay unchanged for the whole call.
 //   * Every Eval compiles the rules of the program it is given, with the
 //     cardinalities of that call's EDB. Synthesis evaluates each candidate
 //     program once (a blocked model never comes back), so neither compiled
 //     plans nor indexes are kept across calls.
 //
 // Each Eval is sequential, and all of its state (compiled plans, guard
-// answers, join indexes, derived relations) belongs to that call. An engine holds only its
-// Options: it is an ordinary copyable value, and several threads may call
-// Eval on one const engine at once.
+// answers, join indexes, derived relations) belongs to that call. An engine
+// holds only its Options: it is an ordinary copyable value, and several
+// threads may call Eval on one const engine at once.
 
 #ifndef DYNAMITE_DATALOG_ENGINE_H_
 #define DYNAMITE_DATALOG_ENGINE_H_
@@ -60,15 +61,11 @@
 
 namespace dynamite {
 
-/// Bottom-up Datalog evaluator: compiles rules to join plans, matches each
-/// plan with one row-at-a-time recursive matcher, and iterates recursive
-/// programs to a semi-naive fixpoint.
+/// Bottom-up Datalog evaluator: compiles rules to join plans over the EDB
+/// and matches each plan once with one row-at-a-time recursive matcher.
 class DatalogEngine {
  public:
   struct Options {
-    /// Fixpoint iteration cap (cycles in the rule dependency graph);
-    /// exceeding it aborts with kEvalBudget.
-    size_t max_iterations = 1'000'000;
     /// Hard cap on total derived tuples; evaluation aborts with kEvalBudget
     /// when exceeded (guards against pathological joins, cf. §6.2 of the
     /// paper where random examples cause very large intermediate outputs).
@@ -82,8 +79,7 @@ class DatalogEngine {
     /// Order each rule's body atoms greedily at compile time: by measured
     /// key fan-out (rows per distinct key, read from the Eval's join
     /// indexes) when two or more EDB atoms are keyed, else by bound
-    /// positions, then cardinality; delta plans put the delta atom first.
-    /// When false, every plan joins the atoms in the order written and no
+    /// positions, then cardinality. When false, every plan joins the atoms in the order written and no
     /// estimate is made.
     bool reorder_joins = true;
     /// Ignored: evaluation is always sequential. Kept only because
@@ -97,8 +93,9 @@ class DatalogEngine {
 
   /// Evaluates `program` on `edb`. `idb_signatures` names the attributes of
   /// every intensional relation (relation -> attribute names); arities must
-  /// match the head atoms. The result contains exactly the intensional
-  /// relations.
+  /// match the head atoms. Every body atom reads the `edb` relation of its
+  /// name, with its arity (kInvalidArgument otherwise). The result contains
+  /// exactly the intensional relations.
   ///
   /// `ctx` (optional) bounds the evaluation: its deadline is composed with
   /// Options::timeout_seconds (kTimeout on expiry), and its CancelToken and

@@ -1,4 +1,4 @@
-// Incrementally-maintained join indexes for the Datalog engine.
+// Join indexes for the Datalog engine.
 //
 // A JoinIndex groups a relation's rows by a key projection (fixed column
 // positions) and maps each distinct key to the list of row indices carrying
@@ -8,20 +8,16 @@
 // is the columnar payoff: building or probing an index touches only the key
 // columns, regardless of the relation's arity.
 //
-// Because Relations are append-only, an index is extended by scanning only
-// the row-index suffix added since the last Refresh — it is never rebuilt.
-// The engine keeps one index per (relation, key positions) for the length
-// of one Eval, EDB and IDB relations alike. IDB indexes are extended as the
-// fixpoint derives new rows; semi-naive deltas are *views* — suffix ranges
-// [lo, hi) of the row space — not separate materialized relations.
+// An index is built once, in its constructor, over a relation that must not
+// change while the index is in use. The engine keeps one index per (EDB
+// relation, key positions) for the length of one Eval; rule bodies read
+// only the EDB, which no Eval modifies. Per-key posting lists are sorted
+// ascending by construction (rows are indexed in insertion order), so a
+// probe visits rows in the order a positional scan would.
 //
-// Per-key posting lists are sorted ascending by construction (rows are
-// indexed in insertion order), which is what makes range-restricted lookups
-// (the delta views) a lower_bound away.
-//
-// Thread-safety: none. An index belongs to one Eval, which runs on one
-// thread. The engine resolves and refreshes every index a plan needs at plan
-// entry, so the match loop only calls the const Lookup.
+// Thread-safety: none while building; Lookup is const. An index belongs to
+// one Eval, which runs on one thread. The engine builds every index a plan
+// needs at plan entry, so the match loop only calls Lookup.
 
 #ifndef DYNAMITE_DATALOG_INDEX_H_
 #define DYNAMITE_DATALOG_INDEX_H_
@@ -35,8 +31,8 @@
 
 namespace dynamite {
 
-/// The rows of one key, ascending: a view into a JoinIndex, valid until the
-/// index's next Refresh. Empty when the key is absent.
+/// The rows of one key, ascending: a view into a JoinIndex, valid as long as
+/// the index. Empty when the key is absent.
 class PostingList {
  public:
   PostingList() = default;
@@ -51,26 +47,22 @@ class PostingList {
   const uint32_t* end_ = nullptr;
 };
 
-/// Hash index of one relation on a fixed set of key positions, extended
-/// incrementally as the relation grows.
+/// Hash index of one relation on a fixed set of key positions.
 class JoinIndex {
  public:
-  explicit JoinIndex(std::vector<size_t> key_positions)
-      : key_positions_(std::move(key_positions)) {}
-
-  /// Indexes rows [indexed_upto, rel.size()); no-op when up to date.
-  /// `rel` must be the same logical relation on every call.
-  void Refresh(const Relation& rel) {
-    size_t n = rel.size();
-    size_t start = indexed_upto_;
-    if (n > start) {
-      // Posting-list growth: one uint32_t per newly indexed row (group
-      // structs are charged as they appear below). Refresh has no Status
-      // channel; exhaustion is observed at the engine's next poll.
-      MemoryBudget::ChargeCurrent((n - start) * sizeof(uint32_t));
+  /// Indexes every row of `rel`, which must stay unchanged while the index
+  /// is probed.
+  JoinIndex(const Relation& rel, std::vector<size_t> key_positions)
+      : key_positions_(std::move(key_positions)) {
+    const size_t n = rel.size();
+    if (n > 0) {
+      // Posting lists: one uint32_t per row (group structs are charged as
+      // they appear below). A constructor has no Status channel; exhaustion
+      // is observed at the engine's next poll.
+      MemoryBudget::ChargeCurrent(n * sizeof(uint32_t));
       DYNAMITE_FAILPOINT_THROW("engine.index.refresh");
     }
-    for (size_t i = start; i < n; ++i) {
+    for (size_t i = 0; i < n; ++i) {
       if (groups_.size() * 4 + 4 > group_slots_.size() * 3) {
         Regrow(group_slots_.empty() ? 16 : group_slots_.size() * 2);
       }
@@ -92,7 +84,6 @@ class JoinIndex {
         g.rows.push_back(static_cast<uint32_t>(i));
       }
     }
-    indexed_upto_ = n;
   }
 
   /// Row indices whose key columns equal `key[0..count)`, sorted ascending;
@@ -114,8 +105,6 @@ class JoinIndex {
     return PostingList();
   }
 
-  size_t indexed_upto() const { return indexed_upto_; }
-  const std::vector<size_t>& key_positions() const { return key_positions_; }
   /// Distinct keys among the indexed rows.
   size_t num_keys() const { return groups_.size(); }
 
@@ -165,7 +154,6 @@ class JoinIndex {
   }
 
   std::vector<size_t> key_positions_;
-  size_t indexed_upto_ = 0;
   std::vector<Group> groups_;
   /// Open-addressing (linear probing) table of indices into groups_.
   std::vector<uint32_t> group_slots_;

@@ -92,20 +92,20 @@ namespace {
 /// linear scan the old per-value hash map replaced.
 class ChildIndex {
  public:
-  explicit ChildIndex(const Relation* rel) : rel_(rel), index_({0}) {
-    if (rel_ != nullptr) index_.Refresh(*rel_);
+  explicit ChildIndex(const Relation* rel) : rel_(rel) {
+    if (rel_ != nullptr) index_.emplace(*rel_, std::vector<size_t>{0});
   }
 
   PostingList Lookup(const Value& parent) const {
     if (rel_ == nullptr) return PostingList();
-    return index_.Lookup(*rel_, &parent, 1);
+    return index_->Lookup(*rel_, &parent, 1);
   }
 
   const Relation* relation() const { return rel_; }
 
  private:
   const Relation* rel_ = nullptr;
-  JoinIndex index_;
+  std::optional<JoinIndex> index_;  // empty when rel_ is null
 };
 
 struct Rebuilder {

@@ -60,8 +60,8 @@ Result<RecordForest> Migrator::MigrateImpl(const Program& program,
   trace::Span eval_span("migrate.eval");
   DYNAMITE_ASSIGN_OR_RETURN(
       FactDatabase idb,
-      DatalogEngine(engine_options_).Eval(program, edb, FactSignatures(target_schema_), &ctx));
-  DYNAMITE_RETURN_NOT_OK(ctx.Check("fixpoint evaluation"));
+      DatalogEngine().Eval(program, edb, FactSignatures(target_schema_), &ctx));
+  DYNAMITE_RETURN_NOT_OK(ctx.Check("evaluation"));
   local.target_facts = idb.TotalFacts();
   local.eval_seconds = timer.ElapsedSeconds();
   eval_span.End();

@@ -36,11 +36,8 @@ struct MigrationStats {
 /// evaluates the program over its own fresh facts.
 class Migrator {
  public:
-  Migrator(Schema source_schema, Schema target_schema,
-           DatalogEngine::Options engine_options = DatalogEngine::Options())
-      : source_schema_(std::move(source_schema)),
-        target_schema_(std::move(target_schema)),
-        engine_options_(engine_options) {}
+  Migrator(Schema source_schema, Schema target_schema)
+      : source_schema_(std::move(source_schema)), target_schema_(std::move(target_schema)) {}
 
   /// Runs the migration; fills `*stats` if non-null. `ctx`'s deadline,
   /// cancellation and memory budget are honored in all three stages (facts
@@ -59,7 +56,6 @@ class Migrator {
 
   Schema source_schema_;
   Schema target_schema_;
-  DatalogEngine::Options engine_options_;
 };
 
 }  // namespace dynamite

@@ -1,7 +1,6 @@
 #include "util/metrics.h"
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <memory>
 #include <utility>
@@ -22,7 +21,6 @@ struct Registry {
   // (small) metric population.
   std::map<std::string, Counter*> counters DYNAMITE_GUARDED_BY(mu);
   std::map<std::string, Gauge*> gauges DYNAMITE_GUARDED_BY(mu);
-  std::map<std::string, Histogram*> histograms DYNAMITE_GUARDED_BY(mu);
 };
 
 Registry& GlobalRegistry() {
@@ -41,22 +39,10 @@ T& LookupOrCreate(std::map<std::string, T*>& kind_map,
 
 }  // namespace
 
-namespace internal {
-
-unsigned ThreadStripe() {
-  static std::atomic<unsigned> next_stripe{0};
-  thread_local unsigned stripe =
-      next_stripe.fetch_add(1, std::memory_order_relaxed);
-  return stripe;
-}
-
-}  // namespace internal
-
 Counter& GetCounter(const std::string& name) {
   Registry& reg = GlobalRegistry();
   MutexLock lock(reg.mu);
-  DYNAMITE_CHECK(reg.gauges.find(name) == reg.gauges.end() &&
-                     reg.histograms.find(name) == reg.histograms.end(),
+  DYNAMITE_CHECK(reg.gauges.find(name) == reg.gauges.end(),
                  "metric registered under a different kind");
   return LookupOrCreate(reg.counters, name);
 }
@@ -64,19 +50,9 @@ Counter& GetCounter(const std::string& name) {
 Gauge& GetGauge(const std::string& name) {
   Registry& reg = GlobalRegistry();
   MutexLock lock(reg.mu);
-  DYNAMITE_CHECK(reg.counters.find(name) == reg.counters.end() &&
-                     reg.histograms.find(name) == reg.histograms.end(),
+  DYNAMITE_CHECK(reg.counters.find(name) == reg.counters.end(),
                  "metric registered under a different kind");
   return LookupOrCreate(reg.gauges, name);
-}
-
-Histogram& GetHistogram(const std::string& name) {
-  Registry& reg = GlobalRegistry();
-  MutexLock lock(reg.mu);
-  DYNAMITE_CHECK(reg.counters.find(name) == reg.counters.end() &&
-                     reg.gauges.find(name) == reg.gauges.end(),
-                 "metric registered under a different kind");
-  return LookupOrCreate(reg.histograms, name);
 }
 
 uint64_t MetricsSnapshot::counter(std::string_view name) const {
@@ -93,14 +69,6 @@ int64_t MetricsSnapshot::gauge(std::string_view name) const {
   return 0;
 }
 
-const HistogramSnapshot* MetricsSnapshot::histogram(
-    std::string_view name) const {
-  for (const auto& h : histograms) {
-    if (h.name == name) return &h;
-  }
-  return nullptr;
-}
-
 MetricsSnapshot Snapshot() {
   Registry& reg = GlobalRegistry();
   MetricsSnapshot snap;
@@ -112,19 +80,6 @@ MetricsSnapshot Snapshot() {
   snap.gauges.reserve(reg.gauges.size());
   for (const auto& [name, gauge] : reg.gauges) {
     snap.gauges.emplace_back(name, gauge->value());
-  }
-  snap.histograms.reserve(reg.histograms.size());
-  for (const auto& [name, histogram] : reg.histograms) {
-    HistogramSnapshot h;
-    h.name = name;
-    h.sum = histogram->sum();
-    for (size_t i = 0; i < Histogram::kBuckets; ++i) {
-      const uint64_t n = histogram->bucket(i);
-      if (n == 0) continue;
-      h.count += n;
-      h.buckets.emplace_back(i, n);
-    }
-    snap.histograms.push_back(std::move(h));
   }
   return snap;
 }

@@ -1,5 +1,5 @@
-// dynamite::metrics — the process-wide registry of named counters, gauges,
-// and histograms behind Session::Metrics().
+// dynamite::metrics — the process-wide registry of named counters and
+// gauges behind Session::Metrics().
 //
 // The pipeline's stats used to live in disjoint structs (IngestStats,
 // MigrationStats, the interactive result) that a caller had to know about
@@ -13,10 +13,9 @@
 //
 // Cost model, in line with the failpoint standard (util/failpoint.h):
 //
-//   * An increment is one relaxed fetch_add on a cache-line-padded stripe
-//     selected by a thread-local index — counters bumped by Sessions on
-//     different threads (string-pool interns, engine evals) never share a
-//     line, mirroring StringPool's shard trick.
+//   * An increment is one relaxed fetch_add on the counter's atomic. Every
+//     stage runs on its caller's thread, so a counter is contended only
+//     when Sessions on several threads bump it at once.
 //   * Call sites cache the registry lookup in a function-local static
 //     (DYNAMITE_METRIC_ADD), so the name→object map is consulted once per
 //     site per process, never on the hot path.
@@ -41,33 +40,15 @@
 namespace dynamite {
 namespace metrics {
 
-namespace internal {
-/// Stable per-thread stripe index (assigned on first use, round-robin), so
-/// concurrent incrementers of one counter land on different cache lines.
-unsigned ThreadStripe();
-}  // namespace internal
-
-/// Monotone counter, striped across cache lines for contended sites.
+/// Monotone counter.
 class Counter {
  public:
-  static constexpr size_t kStripes = 8;
+  void Add(uint64_t delta = 1) { value_.fetch_add(delta, std::memory_order_relaxed); }
 
-  void Add(uint64_t delta = 1) {
-    stripes_[internal::ThreadStripe() % kStripes].v.fetch_add(
-        delta, std::memory_order_relaxed);
-  }
-
-  uint64_t value() const {
-    uint64_t total = 0;
-    for (const Stripe& s : stripes_) total += s.v.load(std::memory_order_relaxed);
-    return total;
-  }
+  uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Stripe {
-    std::atomic<uint64_t> v{0};
-  };
-  Stripe stripes_[kStripes];
+  std::atomic<uint64_t> value_{0};
 };
 
 /// Last-value / high-water gauge (e.g. memory-budget peak bytes).
@@ -90,70 +71,22 @@ class Gauge {
   std::atomic<int64_t> value_{0};
 };
 
-/// Log2-bucketed histogram: Observe(v) lands in bucket floor(log2(v)) (v=0
-/// in bucket 0), so one cheap fetch_add captures the full dynamic range of
-/// round counts, batch sizes, or byte volumes without configuration.
-class Histogram {
- public:
-  static constexpr size_t kBuckets = 64;
-
-  void Observe(uint64_t v) {
-    buckets_[BucketOf(v)].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-  }
-
-  /// Bucket index: 0 for 0 and 1, else floor(log2(v)).
-  static size_t BucketOf(uint64_t v) {
-    size_t b = 0;
-    while (v > 1) {
-      v >>= 1;
-      ++b;
-    }
-    return b;
-  }
-
-  uint64_t count() const {
-    uint64_t n = 0;
-    for (const auto& b : buckets_) n += b.load(std::memory_order_relaxed);
-    return n;
-  }
-  uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  uint64_t bucket(size_t i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<uint64_t> buckets_[kBuckets] = {};
-  std::atomic<uint64_t> sum_{0};
-};
-
 /// Registry lookup; creates the metric on first use. The returned reference
 /// is valid for the life of the process. Looking the same name up as two
 /// different kinds is a programming error (checked: the second kind aborts
 /// via DYNAMITE_CHECK).
 Counter& GetCounter(const std::string& name);
 Gauge& GetGauge(const std::string& name);
-Histogram& GetHistogram(const std::string& name);
 
 /// Point-in-time copy of every registered metric, sorted by name.
-struct HistogramSnapshot {
-  std::string name;
-  uint64_t count = 0;
-  uint64_t sum = 0;
-  /// Non-empty log2 buckets as (bucket index, count) pairs.
-  std::vector<std::pair<size_t, uint64_t>> buckets;
-};
-
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, uint64_t>> counters;
   std::vector<std::pair<std::string, int64_t>> gauges;
-  std::vector<HistogramSnapshot> histograms;
 
   /// Value of a counter/gauge by name; 0 when the metric has not been
   /// registered yet (a metric that never incremented may not exist).
   uint64_t counter(std::string_view name) const;
   int64_t gauge(std::string_view name) const;
-  const HistogramSnapshot* histogram(std::string_view name) const;
 };
 
 /// Snapshots the whole registry (see file comment for concurrency).
@@ -163,7 +96,7 @@ MetricsSnapshot Snapshot();
 }  // namespace dynamite
 
 /// Hot-path increment: the registry lookup happens once (function-local
-/// static), every execution after that is one striped relaxed fetch_add.
+/// static), every execution after that is one relaxed fetch_add.
 #define DYNAMITE_METRIC_ADD(metric_name, delta)                       \
   do {                                                                \
     static ::dynamite::metrics::Counter& _dynamite_metric =           \

@@ -22,10 +22,11 @@
 //   * Every DYNAMITE_NO_THREAD_SAFETY_ANALYSIS carries a one-line written
 //     justification on an adjacent comment line.
 //
-// Lock-ordering rules (documented here, verified by the per-file contracts;
-// clang's ACQUIRED_BEFORE enforcement is still -Wthread-safety-beta):
-//   * StringPool: shard.mu is acquired before append_mu_, never the
-//     reverse (TryIntern holds its shard while taking the append lock).
+// Lock-ordering rules (documented here; clang's ACQUIRED_BEFORE enforcement
+// is still -Wthread-safety-beta):
+//   * StringPool's mutex is acquired before the failpoint table's and the
+//     metrics registry's (TryIntern runs its failpoint site and counters
+//     under it), never the reverse: neither of those interns a string.
 //
 // See src/util/README.md ("Static analysis & concurrency contracts") for
 // how to run the analysis locally and the suppression policy.

@@ -6,7 +6,7 @@
 //
 //   * DISARMED (the default) a span costs one relaxed atomic load — the
 //     same budget as a disarmed failpoint, pinned by BM_TraceOverhead
-//     against BM_DatalogStringTransitiveClosure (<2%). No allocation, no
+//     against BM_DatalogStringSelfJoin (<2%). No allocation, no
 //     clock read, no branch beyond the flag test.
 //   * ARMED, every span costs two steady_clock reads plus one 64-byte write
 //     into the calling thread's private ring buffer. Rings are

@@ -11,14 +11,14 @@
 // (see value.h) make each column a dense array the Datalog engine can scan
 // touching only the columns a join actually needs, and make projections
 // zero-copy column-slice views (RelationView). Relations are append-only —
-// rows are never reordered or removed — which is what lets the engine
-// maintain incremental join indexes as suffix extensions (see
+// rows are never reordered or removed — so a row index names one row for
+// the relation's whole life, which is what join indexes store (see
 // src/datalog/index.h).
 //
 // Row access goes through `RowRef`, a cursor of (relation, row index) that
 // re-fetches column storage on every cell read — safe to hold across
-// appends that reallocate the column vectors (the engine emits into a
-// relation mid-scan).
+// appends that reallocate the column vectors (a caller may insert into a
+// relation while it walks the relation's rows).
 //
 // Thread-safety: concurrent const reads (cell/column/ContainsRow/row_hash/
 // SetEquals/...) are safe, so several Evals may read one EDB at once; any

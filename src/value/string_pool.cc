@@ -1,11 +1,9 @@
 #include "value/string_pool.h"
 
 #include <cstdlib>
-#include <functional>
 
 #include "util/debug_log.h"
 #include "util/failpoint.h"
-#include "util/hash.h"
 #include "util/mem_budget.h"
 #include "util/metrics.h"
 
@@ -22,12 +20,6 @@ StringPool& StringPool::Global() {
   return *pool;                                // references outlive statics
 }
 
-StringPool::Shard& StringPool::ShardFor(std::string_view s) {
-  // Mix64: std::hash of short strings is decent, but the shard index uses
-  // only a few bits and must not correlate with the map's bucket choice.
-  return shards_[Mix64(std::hash<std::string_view>{}(s)) % kNumShards];
-}
-
 uint32_t StringPool::Intern(std::string_view s) {
   Result<uint32_t> id = TryIntern(s);
   if (id.ok()) return id.ValueOrDie();
@@ -39,10 +31,9 @@ uint32_t StringPool::Intern(std::string_view s) {
 }
 
 Result<uint32_t> StringPool::TryIntern(std::string_view s) {
-  Shard& shard = ShardFor(s);
-  MutexLock shard_lock(shard.mu);
-  auto it = shard.ids.find(s);
-  if (it != shard.ids.end()) return it->second;
+  MutexLock lock(mu_);
+  auto it = ids_.find(s);
+  if (it != ids_.end()) return it->second;
 
   // Placed after the lookup so only NOVEL strings can fail — interning of
   // already-seen strings (the synthesizer's steady state) stays infallible,
@@ -50,7 +41,7 @@ Result<uint32_t> StringPool::TryIntern(std::string_view s) {
   // instead of interning 2^32 distinct strings.
   DYNAMITE_FAILPOINT("string_pool.intern");
   // Novel strings only (the already-interned fast path above stays
-  // metric-free); the striped counter keeps concurrent shards off one line.
+  // metric-free).
   DYNAMITE_METRIC_INC("string_pool.interned_strings");
   DYNAMITE_METRIC_ADD("string_pool.interned_bytes", s.size());
   // A novel string costs its characters plus a map entry; charged before the
@@ -59,35 +50,26 @@ Result<uint32_t> StringPool::TryIntern(std::string_view s) {
   MemoryBudget::ChargeCurrent(s.size() + sizeof(std::string) +
                               2 * sizeof(void*));
 
-  const std::string* stored;
-  uint32_t id;
-  {
-    MutexLock append_lock(append_mu_);
-    uint32_t n = size_.load(std::memory_order_relaxed);
-    if (n >= max_strings_) {
-      return Status::OutOfRange(
-          "string pool overflow: " + std::to_string(max_strings_) +
-          " distinct strings already interned; refusing to alias ids");
-    }
-    id = n;
-    size_t chunk, offset;
-    Locate(id, &chunk, &offset);
-    std::string* storage = chunks_[chunk].load(std::memory_order_relaxed);
-    if (storage == nullptr) {
-      const size_t slots = size_t{1} << (chunk + kMinChunkBits);
-      MemoryBudget::ChargeCurrent(slots * sizeof(std::string));
-      storage = new std::string[slots];
-      chunks_[chunk].store(storage, std::memory_order_release);
-    }
-    storage[offset] = std::string(s);
-    stored = &storage[offset];
-    // Publishes the string: a reader that learned `id` (through any
-    // synchronizing channel, incl. this release / Get's acquire) sees it.
-    size_.store(n + 1, std::memory_order_release);
+  const uint32_t id = size_.load(std::memory_order_relaxed);
+  if (id >= max_strings_) {
+    return Status::OutOfRange(
+        "string pool overflow: " + std::to_string(max_strings_) +
+        " distinct strings already interned; refusing to alias ids");
   }
-  // Shard lock is still held: concurrent interns of the same string
-  // serialize here, so each distinct string gets exactly one id.
-  shard.ids.emplace(std::string_view(*stored), id);
+  size_t chunk, offset;
+  Locate(id, &chunk, &offset);
+  std::string* storage = chunks_[chunk].load(std::memory_order_relaxed);
+  if (storage == nullptr) {
+    const size_t slots = size_t{1} << (chunk + kMinChunkBits);
+    MemoryBudget::ChargeCurrent(slots * sizeof(std::string));
+    storage = new std::string[slots];
+    chunks_[chunk].store(storage, std::memory_order_release);
+  }
+  storage[offset] = std::string(s);
+  // Publishes the string: a reader that learned `id` (through any
+  // synchronizing channel, incl. this release / Get's acquire) sees it.
+  size_.store(id + 1, std::memory_order_release);
+  ids_.emplace(std::string_view(storage[offset]), id);
   return id;
 }
 

@@ -13,10 +13,10 @@
 // Thread-safety contract (the pool is process-wide, shared by Sessions on
 // every thread):
 //
-//   * Intern / TryIntern are safe to call concurrently from any thread. The
-//     string -> id map is sharded kNumShards ways with one mutex per shard,
-//     so distinct strings mostly intern without contention; the id counter
-//     and storage append take a second, short critical section.
+//   * Intern / TryIntern are safe to call concurrently from any thread. One
+//     mutex guards the string -> id map, the id counter and the storage
+//     append. Every stage runs on its caller's thread, so interns contend
+//     only when Sessions on several threads intern at once.
 //   * Get and size() are LOCK-FREE and safe concurrently with interning.
 //     Storage is a fixed array of geometrically-sized chunks that are
 //     published with release stores and never moved or freed, so the
@@ -94,19 +94,12 @@ class StringPool {
  private:
   // Chunked storage: chunk c holds 2^(c + kMinChunkBits) strings, so 23
   // chunks cover the full 32-bit id space while small pools allocate only
-  // the first 1024-slot chunk. Chunks are allocated on demand under
-  // append_mu_ and published with a release store; they are never resized,
-  // moved, or freed before the pool dies — the stable-storage guarantee
-  // Get's lock-freedom and the shard maps' string_view keys rely on.
+  // the first 1024-slot chunk. Chunks are allocated on demand under mu_
+  // and published with a release store; they are never resized, moved, or
+  // freed before the pool dies — the stable-storage guarantee Get's
+  // lock-freedom and the map's string_view keys rely on.
   static constexpr size_t kMinChunkBits = 10;
   static constexpr size_t kNumChunks = 23;
-  static constexpr size_t kNumShards = 16;
-
-  struct Shard {
-    Mutex mu;
-    // Keys are views into chunk storage (stable; see above).
-    std::unordered_map<std::string_view, uint32_t> ids DYNAMITE_GUARDED_BY(mu);
-  };
 
   static void Locate(uint32_t id, size_t* chunk, size_t* offset) {
     uint64_t v = static_cast<uint64_t>(id) + (uint64_t{1} << kMinChunkBits);
@@ -121,15 +114,12 @@ class StringPool {
         v - (uint64_t{1} << width));  // v's offset within its chunk
   }
 
-  Shard& ShardFor(std::string_view s);
-
-  Shard shards_[kNumShards];
-  /// Guards id assignment and chunk allocation (not lookups). Lock order:
-  /// a Shard's mu is always acquired BEFORE append_mu_ (TryIntern holds its
-  /// shard across the append), never the reverse.
-  Mutex append_mu_;
+  /// Guards the map, id assignment and chunk allocation.
+  Mutex mu_;
+  // Keys are views into chunk storage (stable; see above).
+  std::unordered_map<std::string_view, uint32_t> ids_ DYNAMITE_GUARDED_BY(mu_);
   /// Chunk pointers and the published-string count are atomics, not
-  /// GUARDED_BY members: writers mutate them under append_mu_, but readers
+  /// GUARDED_BY members: writers mutate them under mu_, but readers
   /// (Get, size) are lock-free by contract and synchronize through the
   /// release store of size_ / each chunk pointer against the matching
   /// acquire loads — a protocol the thread-safety analysis cannot express

@@ -27,6 +27,15 @@ FactDatabase EdgeDb(std::vector<std::pair<int, int>> edges) {
   return db;
 }
 
+/// Every row of `rel`, in insertion order.
+std::vector<std::vector<Value>> RowsInOrder(const Relation& rel) {
+  std::vector<std::vector<Value>> rows(rel.size());
+  for (size_t r = 0; r < rel.size(); ++r) {
+    for (size_t c = 0; c < rel.arity(); ++c) rows[r].push_back(rel.cell(r, c));
+  }
+  return rows;
+}
+
 TEST(DatalogParser, ParsesMotivatingRule) {
   ASSERT_OK_AND_ASSIGN(Program p, Program::Parse(R"(
     Admission(grad, ug, num) :- Univ(id1, grad, v1), Admit(v1, id2, num),
@@ -115,29 +124,51 @@ TEST(DatalogEngine, MultiHeadSharesBindings) {
   EXPECT_TRUE(out.Find("B").ValueOrDie()->Contains(Tuple({Value::Int(2), Value::Int(1)})));
 }
 
-TEST(DatalogEngine, RecursiveTransitiveClosure) {
-  // The engine is a complete substrate: recursion works via semi-naive
-  // fixpoint even though synthesis never needs it.
-  FactDatabase db = EdgeDb({{1, 2}, {2, 3}, {3, 4}, {4, 5}});
-  ASSERT_OK_AND_ASSIGN(Program p, Program::Parse(R"(
-    tc(x, y) :- edge(x, y).
-    tc(x, y) :- tc(x, z), edge(z, y).
-  )"));
+TEST(DatalogEngine, BodyReadsEdbWhenHeadSharesItsName) {
+  // A source and a target record may share a name: the body reads the
+  // source facts, the head writes the target relation.
+  FactDatabase db;
+  db.DeclareRelation("Person", {"id", "name"}).ValueOrDie();
+  for (int i = 1; i <= 3; ++i) {
+    db.AddFact("Person", Tuple({Value::Int(i), Value::String("p" + std::to_string(i))}));
+  }
+  ASSERT_OK_AND_ASSIGN(Program p, Program::Parse("Person(a, b) :- Person(a, b)."));
   DatalogEngine engine;
-  ASSERT_OK_AND_ASSIGN(FactDatabase out, engine.EvalAutoSignatures(p, db));
-  EXPECT_EQ(out.Find("tc").ValueOrDie()->size(), 10u);  // all i<j pairs
-  EXPECT_TRUE(out.Find("tc").ValueOrDie()->Contains(Tuple({Value::Int(1), Value::Int(5)})));
+  ASSERT_OK_AND_ASSIGN(FactDatabase out,
+                       engine.Eval(p, db, {{"Person", {"pid", "pname"}}}));
+  const Relation& person = *out.Find("Person").ValueOrDie();
+  EXPECT_EQ(person.attributes(), (std::vector<std::string>{"pid", "pname"}));
+  EXPECT_EQ(RowsInOrder(person), RowsInOrder(*db.Find("Person").ValueOrDie()));
 }
 
-TEST(DatalogEngine, RecursiveClosureOnCycle) {
-  FactDatabase db = EdgeDb({{1, 2}, {2, 3}, {3, 1}});
+TEST(DatalogEngine, RecursiveProgramFailsNamingTheRelation) {
+  FactDatabase db = EdgeDb({{1, 2}, {2, 3}});
   ASSERT_OK_AND_ASSIGN(Program p, Program::Parse(R"(
     tc(x, y) :- edge(x, y).
     tc(x, y) :- tc(x, z), edge(z, y).
   )"));
   DatalogEngine engine;
-  ASSERT_OK_AND_ASSIGN(FactDatabase out, engine.EvalAutoSignatures(p, db));
-  EXPECT_EQ(out.Find("tc").ValueOrDie()->size(), 9u);  // 3x3 complete
+  auto result = engine.EvalAutoSignatures(p, db);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("body relation tc"), std::string::npos)
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find("source facts"), std::string::npos)
+      << result.status().ToString();
+}
+
+TEST(DatalogEngine, BodyReadingAnotherRulesHeadFails) {
+  FactDatabase db = EdgeDb({{1, 2}});
+  ASSERT_OK_AND_ASSIGN(Program p, Program::Parse(R"(
+    A(x) :- edge(x, _).
+    B(x) :- A(x).
+  )"));
+  DatalogEngine engine;
+  auto result = engine.EvalAutoSignatures(p, db);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("body relation A"), std::string::npos)
+      << result.status().ToString();
 }
 
 TEST(DatalogEngine, TupleLimitAborts) {
@@ -157,7 +188,9 @@ TEST(DatalogEngine, UnknownBodyRelationFails) {
   FactDatabase db = EdgeDb({});
   ASSERT_OK_AND_ASSIGN(Program p, Program::Parse("A(x) :- mystery(x)."));
   DatalogEngine engine;
-  EXPECT_FALSE(engine.EvalAutoSignatures(p, db).ok());
+  auto result = engine.EvalAutoSignatures(p, db);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(DatalogEngine, ArityMismatchFails) {
@@ -265,15 +298,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RenamingInvariance, ::testing::Range(0, 10));
 // An atom none of whose variables is read by a later atom or a head only
 // tests existence; the matcher stops scanning it at its first passing row.
 // These tests pin that the cut changes nothing observable.
-
-/// Every row of `rel`, in insertion order.
-std::vector<std::vector<Value>> RowsInOrder(const Relation& rel) {
-  std::vector<std::vector<Value>> rows(rel.size());
-  for (size_t r = 0; r < rel.size(); ++r) {
-    for (size_t c = 0; c < rel.arity(); ++c) rows[r].push_back(rel.cell(r, c));
-  }
-  return rows;
-}
 
 /// Naive reference: enumerate every combination of body rows, keep the
 /// consistent ones, and project each head. No plan, no index, no cut.
@@ -522,7 +546,7 @@ TEST(ExistentialCut, CrossProductOfDeadAtomsStaysLinear) {
 
 // ------------------------------------------------ head-free components ---
 // Body atoms that share no variable, directly or through other atoms, with
-// a head or an IDB atom form a guard: the engine runs it once per Eval, to
+// a head form a guard: the engine runs it once per Eval, to
 // its first match, instead of inside the loops of the atoms that derive
 // rows. These tests pin that guards change nothing observable.
 
@@ -579,7 +603,7 @@ TEST(HeadFreeComponent, DblpShapeStaysLinear) {
   EXPECT_EQ(out.Find("H").ValueOrDie()->size(), 97u * 13u);
 }
 
-TEST(HeadFreeComponent, UnmatchedGuardInRecursiveProgram) {
+TEST(HeadFreeComponent, UnmatchedGuardInMultiRuleProgram) {
   FactDatabase db = EdgeDb({{1, 2}, {2, 3}, {3, 4}, {4, 5}});
   db.DeclareRelation("E", {"g"}).ValueOrDie();
   db.DeclareRelation("F", {"g"}).ValueOrDie();
@@ -587,34 +611,36 @@ TEST(HeadFreeComponent, UnmatchedGuardInRecursiveProgram) {
   db.AddFact("F", Tuple({Value::Int(2)}));
   DatalogEngine engine;
   ASSERT_OK_AND_ASSIGN(Program plain, Program::Parse(R"(
-    tc(x, y) :- edge(x, y).
-    tc(x, y) :- tc(x, z), edge(z, y).
+    p(x, y) :- edge(x, y).
+    p(x, y) :- edge(x, z), edge(z, y).
   )"));
-  ASSERT_OK_AND_ASSIGN(FactDatabase closure, engine.EvalAutoSignatures(plain, db));
+  ASSERT_OK_AND_ASSIGN(FactDatabase unguarded, engine.EvalAutoSignatures(plain, db));
 
-  // The guard fails in every round: tc stops at pass 0's edges.
-  ASSERT_OK_AND_ASSIGN(Program rounds_guarded, Program::Parse(R"(
-    tc(x, y) :- edge(x, y).
-    tc(x, y) :- tc(x, z), E(g), edge(z, y), F(g).
+  // The second rule's guard fails: p holds the first rule's edges only.
+  ASSERT_OK_AND_ASSIGN(Program one_guarded, Program::Parse(R"(
+    p(x, y) :- edge(x, y).
+    p(x, y) :- edge(x, z), E(g), edge(z, y), F(g).
   )"));
-  ASSERT_OK_AND_ASSIGN(FactDatabase out, engine.EvalAutoSignatures(rounds_guarded, db));
-  EXPECT_EQ(RowsInOrder(*out.Find("tc").ValueOrDie()), RowsInOrder(*db.Find("edge").ValueOrDie()));
+  ASSERT_OK_AND_ASSIGN(FactDatabase out, engine.EvalAutoSignatures(one_guarded, db));
+  EXPECT_EQ(RowsInOrder(*out.Find("p").ValueOrDie()), RowsInOrder(*db.Find("edge").ValueOrDie()));
 
-  // Guarding both rules leaves pass 0 empty too.
+  // Guarding both rules leaves p empty.
   ASSERT_OK_AND_ASSIGN(Program all_guarded, Program::Parse(R"(
-    tc(x, y) :- E(g), F(g), edge(x, y).
-    tc(x, y) :- tc(x, z), E(g), edge(z, y), F(g).
+    p(x, y) :- E(g), F(g), edge(x, y).
+    p(x, y) :- edge(x, z), E(g), edge(z, y), F(g).
   )"));
   ASSERT_OK_AND_ASSIGN(out, engine.EvalAutoSignatures(all_guarded, db));
-  EXPECT_EQ(out.Find("tc").ValueOrDie()->size(), 0u);
+  EXPECT_EQ(out.Find("p").ValueOrDie()->size(), 0u);
 
-  // Once the guard holds, both programs derive the closure, row for row.
+  // Once the guard holds, both programs derive the unguarded rows, row for
+  // row.
   db.AddFact("F", Tuple({Value::Int(1)}));
-  for (const Program* p : {&rounds_guarded, &all_guarded}) {
+  for (const Program* p : {&one_guarded, &all_guarded}) {
     ASSERT_OK_AND_ASSIGN(out, engine.EvalAutoSignatures(*p, db));
-    EXPECT_EQ(RowsInOrder(*out.Find("tc").ValueOrDie()),
-              RowsInOrder(*closure.Find("tc").ValueOrDie()));
+    EXPECT_EQ(RowsInOrder(*out.Find("p").ValueOrDie()),
+              RowsInOrder(*unguarded.Find("p").ValueOrDie()));
   }
+  EXPECT_EQ(unguarded.Find("p").ValueOrDie()->size(), 7u);  // 4 edges + 3 two-hop paths
 }
 
 TEST(HeadFreeComponent, AllGuardBodyWithConstantHeadEmitsOneRow) {

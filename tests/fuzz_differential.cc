@@ -709,8 +709,7 @@ int RunSmoke(const CliOptions& cli) {
           Relation rel("SmokeProbe", {"k"});
           Value one = Value::Int(1);
           rel.InsertRow(&one, 1);
-          JoinIndex probe({0});
-          probe.Refresh(rel);
+          JoinIndex probe(rel, {0});
           return Status::OK();
         });
       }

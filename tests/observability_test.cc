@@ -57,10 +57,12 @@ FactDatabase IntEdges(int n) {
   return db;
 }
 
-Program TcProgram() {
+/// Two rules, so an Eval runs two plans: the all-pairs cross product of
+/// the edge sources and the two-hop paths.
+Program TwoRuleProgram() {
   return Program::Parse(R"(
-    tc(x, y) :- edge(x, y).
-    tc(x, y) :- tc(x, z), edge(z, y).
+    pair(x, y) :- edge(x, _), edge(y, _).
+    hop2(x, y) :- edge(x, z), edge(z, y).
   )")
       .ValueOrDie();
 }
@@ -109,13 +111,13 @@ bool HasSpan(const std::vector<trace::Event>& events, const std::string& name) {
 
 TEST_F(ObservabilityTest, SpansNestWellFormed) {
   trace::Arm();
-  auto out = DatalogEngine().EvalAutoSignatures(TcProgram(), IntEdges(100));
+  auto out = DatalogEngine().EvalAutoSignatures(TwoRuleProgram(), IntEdges(100));
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   std::vector<trace::Event> events = trace::CollectEvents();
   ExpectWellNested(events);
   EXPECT_TRUE(HasSpan(events, "engine.eval"));
   EXPECT_TRUE(HasSpan(events, "engine.compile"));
-  EXPECT_TRUE(HasSpan(events, "engine.fixpoint.round"));
+  EXPECT_TRUE(HasSpan(events, "engine.plan"));
 }
 
 TEST_F(ObservabilityTest, SessionPipelineEmitsRootAndStageSpans) {
@@ -155,7 +157,7 @@ TEST_F(ObservabilityTest, SessionPipelineEmitsRootAndStageSpans) {
 TEST_F(ObservabilityTest, EverySpanCarriesTheAmbientTraceId) {
   trace::Arm();
   trace::TraceIdScope scope(42);
-  auto out = DatalogEngine().EvalAutoSignatures(TcProgram(), IntEdges(100));
+  auto out = DatalogEngine().EvalAutoSignatures(TwoRuleProgram(), IntEdges(100));
   ASSERT_TRUE(out.ok()) << out.status().ToString();
 
   std::vector<trace::Event> events = trace::CollectEvents();
@@ -166,21 +168,6 @@ TEST_F(ObservabilityTest, EverySpanCarriesTheAmbientTraceId) {
 }
 
 // ----------------------------------------------------------------- metrics
-
-TEST_F(ObservabilityTest, FixpointRoundsHistogramObservesEvals) {
-  // histogram() points into its snapshot: keep each snapshot alive.
-  const metrics::MetricsSnapshot before_all = metrics::Snapshot();
-  const metrics::HistogramSnapshot* before_snap =
-      before_all.histogram("engine.fixpoint.rounds_per_eval");
-  const uint64_t before = before_snap != nullptr ? before_snap->count : 0;
-  ASSERT_OK(DatalogEngine().EvalAutoSignatures(TcProgram(), IntEdges(60)).status());
-  const metrics::MetricsSnapshot after_all = metrics::Snapshot();
-  const metrics::HistogramSnapshot* after =
-      after_all.histogram("engine.fixpoint.rounds_per_eval");
-  ASSERT_NE(after, nullptr);
-  EXPECT_GT(after->count, before);
-  EXPECT_GT(after->sum, 0u);
-}
 
 TEST_F(ObservabilityTest, MigrationMovesJoinCounters) {
   ASSERT_OK_AND_ASSIGN(
@@ -237,14 +224,14 @@ TEST_F(ObservabilityTest, IngestMetricsMatchStats) {
 
 TEST_F(ObservabilityTest, DisarmedRunRecordsNothing) {
   ASSERT_FALSE(trace::Enabled());
-  ASSERT_OK(DatalogEngine().EvalAutoSignatures(TcProgram(), IntEdges(80)).status());
+  ASSERT_OK(DatalogEngine().EvalAutoSignatures(TwoRuleProgram(), IntEdges(80)).status());
   EXPECT_TRUE(trace::CollectEvents().empty());
   EXPECT_EQ(trace::DroppedEvents(), 0u);
 }
 
 TEST_F(ObservabilityTest, DisarmedSpanCostIsNanoseconds) {
   // The real overhead pin is BM_TraceOverhead vs
-  // BM_DatalogStringTransitiveClosure/200 (<2%, recorded in
+  // BM_DatalogStringSelfJoin/1000 (<2%, recorded in
   // BENCH_micro.json); this is the in-tree backstop: a
   // disarmed span must stay within nanoseconds — one relaxed load, no
   // clock read, no allocation. The bound is deliberately loose (5µs/span)
@@ -269,10 +256,11 @@ TEST_F(ObservabilityTest, DisarmedSpanCostIsNanoseconds) {
 
 TEST_F(ObservabilityTest, SpansCloseOnInjectedFault) {
   trace::Arm();
-  // The round site fires inside the open engine.eval span, after pass 0's
-  // spans closed, so the Eval genuinely fails mid-span.
-  failpoint::Arm("engine.fixpoint.round", failpoint::Spec());  // every execution
-  auto out = DatalogEngine().EvalAutoSignatures(TcProgram(), IntEdges(100));
+  // The plan site fires at the second plan, inside the open engine.eval
+  // span and after the first plan's span closed, so the Eval genuinely
+  // fails mid-span.
+  ASSERT_OK(failpoint::ArmFromString("engine.plan.entry", "hit_2"));
+  auto out = DatalogEngine().EvalAutoSignatures(TwoRuleProgram(), IntEdges(100));
   ASSERT_FALSE(out.ok());
   failpoint::DisarmAll();
 

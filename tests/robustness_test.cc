@@ -26,8 +26,7 @@
 namespace dynamite {
 namespace {
 
-// A cyclic fan-out-2 edge relation whose transitive closure is all-pairs:
-// 300 EDB rows at n=150, a fixpoint of many rounds with fat deltas.
+// A cyclic fan-out-2 edge relation: 300 EDB rows at n=150.
 FactDatabase IntEdges(int n) {
   FactDatabase db;
   db.DeclareRelation("edge", {"s", "t"}).ValueOrDie();
@@ -38,10 +37,13 @@ FactDatabase IntEdges(int n) {
   return db;
 }
 
-Program TcProgram() {
+// Two rules that load the engine without recursion: `pair` is the
+// all-pairs cross product of the edge sources (n^2 rows, 4n^2 candidates),
+// and `hop2` the two-hop paths, evaluated after it.
+Program LoadProgram() {
   return Program::Parse(R"(
-    tc(x, y) :- edge(x, y).
-    tc(x, y) :- tc(x, z), edge(z, y).
+    pair(x, y) :- edge(x, _), edge(y, _).
+    hop2(x, y) :- edge(x, z), edge(z, y).
   )")
       .ValueOrDie();
 }
@@ -87,15 +89,17 @@ TEST_F(RobustnessTest, ArmFromStringRejectsMalformedSpecs) {
 // result.
 TEST_F(RobustnessTest, InjectedCancelMidRunLeavesEngineReusable) {
   FactDatabase db = IntEdges(150);
-  Program p = TcProgram();
+  Program p = LoadProgram();
   auto baseline = DatalogEngine().EvalAutoSignatures(p, db);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  const Relation* tc0 = baseline.ValueOrDie().Find("tc").ValueOrDie();
+  const Relation* pair0 = baseline.ValueOrDie().Find("pair").ValueOrDie();
+  const Relation* hop0 = baseline.ValueOrDie().Find("hop2").ValueOrDie();
 
-  for (const char* site : {"engine.plan.entry", "engine.fixpoint.round"}) {
-    SCOPED_TRACE(site);
+  // Cancelled at the first plan, and at the second, after `pair` is full.
+  for (const char* trigger : {"hit_1:cancel", "hit_2:cancel"}) {
+    SCOPED_TRACE(trigger);
     DatalogEngine engine;
-    ASSERT_TRUE(failpoint::ArmFromString(site, "hit_1:cancel").ok());
+    ASSERT_TRUE(failpoint::ArmFromString("engine.plan.entry", trigger).ok());
     auto faulted = engine.EvalAutoSignatures(p, db);
     ASSERT_FALSE(faulted.ok());
     EXPECT_EQ(faulted.status().code(), StatusCode::kCancelled);
@@ -103,7 +107,8 @@ TEST_F(RobustnessTest, InjectedCancelMidRunLeavesEngineReusable) {
     failpoint::DisarmAll();
     auto recovered = engine.EvalAutoSignatures(p, db);
     ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-    ExpectBitIdentical(*tc0, *recovered.ValueOrDie().Find("tc").ValueOrDie());
+    ExpectBitIdentical(*pair0, *recovered.ValueOrDie().Find("pair").ValueOrDie());
+    ExpectBitIdentical(*hop0, *recovered.ValueOrDie().Find("hop2").ValueOrDie());
   }
 }
 
@@ -111,7 +116,7 @@ TEST_F(RobustnessTest, InjectedCancelMidRunLeavesEngineReusable) {
 // head-row insert, and the engine's exception boundary types it.
 TEST_F(RobustnessTest, InjectedResourceExhaustionIsTypedAndRecoverable) {
   FactDatabase db = IntEdges(150);
-  Program p = TcProgram();
+  Program p = LoadProgram();
   DatalogEngine engine;
   ASSERT_TRUE(failpoint::ArmFromString("relation.insert.alloc", "hit_1").ok());
   auto faulted = engine.EvalAutoSignatures(p, db);
@@ -127,9 +132,9 @@ TEST_F(RobustnessTest, InjectedResourceExhaustionIsTypedAndRecoverable) {
 
 TEST_F(RobustnessTest, EngineMemoryBudgetReturnsResourceExhausted) {
   FactDatabase db = IntEdges(150);
-  Program p = TcProgram();
+  Program p = LoadProgram();
   DatalogEngine engine;
-  MemoryBudget tight(4096);  // the closure alone allocates ~700 KiB
+  MemoryBudget tight(4096);  // the 22,500 pairs alone allocate ~1 MiB
   RunContext tight_ctx;
   tight_ctx.memory = &tight;
   auto result = engine.EvalAutoSignatures(p, db, &tight_ctx);
@@ -137,7 +142,7 @@ TEST_F(RobustnessTest, EngineMemoryBudgetReturnsResourceExhausted) {
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
   EXPECT_TRUE(tight.exhausted());
 
-  // The same engine, given an ample budget, runs the closure to completion
+  // The same engine, given an ample budget, runs the program to completion
   // and charges what it allocated.
   MemoryBudget ample(size_t{1} << 32);
   RunContext ctx;
@@ -205,14 +210,13 @@ TEST_F(RobustnessTest, InternFailpointSurfacesThroughTryString) {
 // reusable afterwards.
 TEST_F(RobustnessTest, CancelRacingInjectedTimeoutStaysTyped) {
   FactDatabase db = IntEdges(150);
-  Program p = TcProgram();
+  Program p = LoadProgram();
   auto baseline = DatalogEngine().EvalAutoSignatures(p, db);
   ASSERT_TRUE(baseline.ok());
-  const Relation* tc0 = baseline.ValueOrDie().Find("tc").ValueOrDie();
+  const Relation* pair0 = baseline.ValueOrDie().Find("pair").ValueOrDie();
 
   DatalogEngine engine;
-  ASSERT_TRUE(
-      failpoint::ArmFromString("engine.fixpoint.round", "p=0.5@42:timeout").ok());
+  ASSERT_TRUE(failpoint::ArmFromString("engine.plan.entry", "p=0.5@42:timeout").ok());
   CancelSource cancel;
   cancel.RequestCancel();
   RunContext ctx;
@@ -226,7 +230,7 @@ TEST_F(RobustnessTest, CancelRacingInjectedTimeoutStaysTyped) {
   failpoint::DisarmAll();
   auto recovered = engine.EvalAutoSignatures(p, db);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
-  ExpectBitIdentical(*tc0, *recovered.ValueOrDie().Find("tc").ValueOrDie());
+  ExpectBitIdentical(*pair0, *recovered.ValueOrDie().Find("pair").ValueOrDie());
 }
 
 // ------------------------------------------------------- hard invariants --

@@ -382,22 +382,19 @@ TEST(Session, PreCancelledContextShortCircuitsMigration) {
 
 TEST(Engine, CancellationInterruptsEval) {
   // Engine-level: a cancel request set before Eval aborts within one
-  // 1024-tick poll even on a fixpoint workload.
+  // 1024-tick poll even on a cross-product workload.
   FactDatabase db;
   ASSERT_OK(db.DeclareRelation("edge", {"s", "t"}).status());
   for (int i = 0; i < 300; ++i) {
     db.AddFact("edge", Tuple({Value::Int(i), Value::Int((i + 1) % 300)}));
     db.AddFact("edge", Tuple({Value::Int(i), Value::Int((i * 7 + 3) % 300)}));
   }
-  Program tc = Program::Parse(R"(
-    tc(x, y) :- edge(x, y).
-    tc(x, y) :- tc(x, z), edge(z, y).
-  )").ValueOrDie();
+  Program pairs = Program::Parse("pair(x, y) :- edge(x, _), edge(y, _).").ValueOrDie();
   DatalogEngine engine;
   CancelSource source;
   source.RequestCancel();
   RunContext ctx(Deadline::Infinite(), source.token());
-  auto result = engine.EvalAutoSignatures(tc, db, &ctx);
+  auto result = engine.EvalAutoSignatures(pairs, db, &ctx);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), ErrorCode::kCancelled);
 }
@@ -518,6 +515,76 @@ TEST(Session, MigrationReportsPhaseEvents) {
 }
 
 // ------------------------------------------------------- budget utilities --
+
+// ------------------------------------------- source and target namespaces --
+
+// Rule bodies read the source facts and heads write the target relations,
+// so a source and a target record may share a name.
+TEST(Session, SourceAndTargetMayShareARecordName) {
+  Schema src = RelationalSchemaBuilder()
+                   .AddTable("Person", {{"id", PrimitiveType::kInt},
+                                        {"name", PrimitiveType::kString}})
+                   .Build()
+                   .ValueOrDie();
+  Schema tgt = RelationalSchemaBuilder()
+                   .AddTable("Person", {{"pid", PrimitiveType::kInt},
+                                        {"pname", PrimitiveType::kString}})
+                   .Build()
+                   .ValueOrDie();
+  Example example;
+  for (int i = 1; i <= 3; ++i) {
+    const Value name = Value::String("person" + std::to_string(i));
+    example.input.roots.push_back(
+        testing::FlatRecord("Person", {{"id", Value::Int(i)}, {"name", name}}));
+    example.output.roots.push_back(
+        testing::FlatRecord("Person", {{"pid", Value::Int(i)}, {"pname", name}}));
+  }
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(src, tgt));
+  ASSERT_OK_AND_ASSIGN(SynthesisResult synth, session.Synthesize(example));
+  EXPECT_EQ(synth.program.ToString(), "Person(pid, pname) :- Person(pid, pname).\n");
+  ASSERT_OK_AND_ASSIGN(RecordForest migrated, session.Migrate(synth.program, example.input));
+  EXPECT_EQ(migrated.TotalRecords(), 3u);
+  EXPECT_EQ(CanonicalForest(migrated), CanonicalForest(example.output));
+}
+
+TEST(Session, BodyThatReadsATargetRelationFailsAndSessionStaysUsable) {
+  Schema src = RelationalSchemaBuilder()
+                   .AddTable("Edge", {{"s", PrimitiveType::kInt}, {"t", PrimitiveType::kInt}})
+                   .Build()
+                   .ValueOrDie();
+  Schema tgt = RelationalSchemaBuilder()
+                   .AddTable("Reach", {{"from", PrimitiveType::kInt}, {"to", PrimitiveType::kInt}})
+                   .AddTable("Hop", {{"a", PrimitiveType::kInt}, {"b", PrimitiveType::kInt}})
+                   .Build()
+                   .ValueOrDie();
+  RecordForest source;
+  for (int i = 0; i < 3; ++i) {
+    source.roots.push_back(
+        testing::FlatRecord("Edge", {{"s", Value::Int(i)}, {"t", Value::Int(i + 1)}}));
+  }
+  ASSERT_OK_AND_ASSIGN(Session session, Session::Create(src, tgt));
+
+  const std::pair<const char*, const char*> rejected[] = {
+      // Recursive: the second rule reads its own head.
+      {"Reach(x, y) :- Edge(x, y).\nReach(x, y) :- Reach(x, z), Edge(z, y).", "Reach"},
+      // Not recursive, but a body reads another rule's head.
+      {"Hop(x, y) :- Edge(x, y).\nReach(x, y) :- Hop(x, y).", "Hop"},
+  };
+  for (const auto& [text, relation] : rejected) {
+    SCOPED_TRACE(text);
+    ASSERT_OK_AND_ASSIGN(Program program, Program::Parse(text));
+    auto result = session.Migrate(program, source);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find(std::string("body relation ") + relation),
+              std::string::npos)
+        << result.status().ToString();
+  }
+
+  ASSERT_OK_AND_ASSIGN(Program copy, Program::Parse("Reach(x, y) :- Edge(x, y)."));
+  ASSERT_OK_AND_ASSIGN(RecordForest migrated, session.Migrate(copy, source));
+  EXPECT_EQ(migrated.TotalRecords(), 3u);
+}
 
 TEST(Deadline, ComposesAndExpires) {
   EXPECT_TRUE(Deadline().infinite());
