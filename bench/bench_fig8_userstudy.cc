@@ -4,13 +4,15 @@
 // Dynamite arm (measured for real): five simulated users per benchmark run
 // interactive mode end-to-end through Session::SynthesizeInteractive; the
 // "user" answers distinguishing queries by running the golden program on
-// its own Session. Completion time = interactive synthesis wall clock + a
-// fixed per-query review cost (30s, the time a human takes to fill in an
-// output table for a 2-4 record input). Correctness is checked against the
-// golden program on validation data. The Unique column counts the runs
-// that ended with every ambiguity resolved; a run that stops after its
-// round budget while candidates still disagree accepts one of them anyway,
-// so Unique below 5/5 is where wrong answers can come from.
+// its own Session. Completion time is modelled as a fixed per-query review
+// cost (30s, the time a human takes to fill in an output table for a 2-4
+// record input); the tool's own wall clock is a fraction of a second, so it
+// is printed after the table, apart from the modelled columns, which are
+// deterministic and can be diffed across commits. Correctness is checked
+// against the golden program on validation data. The Unique column counts
+// the runs that ended with every ambiguity resolved; a run that stops after
+// its round budget while candidates still disagree accepts one of them
+// anyway, so Unique below 5/5 is where wrong answers can come from.
 //
 // Manual arm (model-replayed): per the paper's observations, manual
 // scripting took 6.2x longer on average and produced subtle quoting /
@@ -20,6 +22,7 @@
 // A Dynamite run that fails prints its error, and the harness then exits 1.
 
 #include <cstdio>
+#include <string>
 
 #include "api/session.h"
 #include "bench_util.h"
@@ -38,11 +41,13 @@ int main() {
               "the paper's calibrated parameters)\n\n");
   bench::TablePrinter table({{"Benchmark", 12},
                              {"Arm", 18},
+                             {"Queries", 9},
                              {"AvgTime(s)", 12},
                              {"Correct", 9},
                              {"Unique", 8}});
   table.PrintHeader();
 
+  std::string wall_clock;  // printed after the table: varies run to run
   int failed = 0;
   for (const char* name : {"Tencent-1", "Retina-1"}) {
     const Benchmark* b = FindBenchmark(name);
@@ -57,7 +62,8 @@ int main() {
       return user_session->Migrate(b->golden, input);
     };
 
-    double total_time = 0;
+    double wall_seconds = 0;
+    size_t queries = 0;
     int correct = 0;
     int unique = 0;
     const int kUsers = 5;
@@ -81,16 +87,24 @@ int main() {
         continue;
       }
       if (run->unique) ++unique;
-      total_time += seconds + kQueryReviewSeconds * static_cast<double>(run->queries);
+      wall_seconds += seconds;
+      queries += run->queries;
       auto agrees = AgreesWithGolden(*b, run->result.program, seed + 99, 8);
       if (agrees.ok() && *agrees) ++correct;
     }
-    table.PrintRow({name, "Dynamite", bench::Fmt("%.1f", total_time / kUsers),
-                    std::to_string(correct) + "/5", std::to_string(unique) + "/5"});
-    table.PrintRow({name, "Manual [model]",
-                    bench::Fmt("%.1f", kManualSlowdown * total_time / kUsers),
+    const double avg_queries = static_cast<double>(queries) / kUsers;
+    const double modelled = kQueryReviewSeconds * avg_queries;
+    table.PrintRow({name, "Dynamite", bench::Fmt("%.1f", avg_queries),
+                    bench::Fmt("%.1f", modelled), std::to_string(correct) + "/5",
+                    std::to_string(unique) + "/5"});
+    table.PrintRow({name, "Manual [model]", "-", bench::Fmt("%.1f", kManualSlowdown * modelled),
                     bench::Fmt("%.0f", kManualCorrectRate * kUsers) + "/5", "-"});
+    wall_clock += std::string("  ") + name + ": " +
+                  bench::Fmt("%.3f s per user\n", wall_seconds / kUsers);
   }
+  std::printf("\nAvgTime is modelled: %.0fs of review per query (Queries is the mean\n"
+              "per user). Measured interactive synthesis wall clock (host-dependent):\n%s",
+              kQueryReviewSeconds, wall_clock.c_str());
   std::printf("\nPaper reference: Dynamite 184s/579s with 5/5 correct; manual\n"
               "1800s/2907s with 3/5 and 2/5 correct (6.2x productivity factor).\n");
   if (failed > 0) {

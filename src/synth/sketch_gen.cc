@@ -1,6 +1,7 @@
 #include "synth/sketch_gen.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace dynamite {
 
@@ -30,6 +31,36 @@ void GenIntensionalPreds(const Schema& target, const std::string& record,
   for (const std::string& attr : target.AttrsOf(record)) {
     if (target.IsRecord(attr)) GenIntensionalPreds(target, attr, heads);
   }
+}
+
+/// Chain copies per leaf source record in the full sketch: one copy of the
+/// chain of RecName(a) per (source attribute a, alias in the tree) pair.
+std::map<std::string, int> FullCopyCounts(const AttributeMapping& psi, const Schema& source,
+                                          const std::set<std::string>& tree_attrs) {
+  std::map<std::string, int> counts;
+  for (const auto& [a, aliases] : psi) {
+    int k = 0;
+    for (const std::string& a2 : aliases) {
+      if (tree_attrs.count(a2) > 0) ++k;
+    }
+    if (k > 0) counts[source.RecName(a)] += k;
+  }
+  return counts;
+}
+
+/// True if the filtering extension may pin target attribute `attr` to a
+/// constant: its example output column holds a single value.
+bool MayPinToConstant(const std::string& attr,
+                      const std::map<std::string, std::set<Value>>& output_value_sets,
+                      const SketchGenOptions& options) {
+  if (!options.enable_filtering) return false;
+  auto it = output_value_sets.find(attr);
+  return it != output_value_sets.end() && it->second.size() == 1;
+}
+
+Status NoSourceFor(const std::string& target_record) {
+  return Status::SynthesisFailure(
+      "attribute mapping relates no source attribute to target record " + target_record);
 }
 
 /// State for building the body and domains of one rule sketch.
@@ -102,7 +133,7 @@ Result<RuleSketch> GenRuleSketch(
     const AttributeMapping& psi, const Schema& source, const Schema& target,
     const std::string& target_record,
     const std::map<std::string, std::set<Value>>& output_value_sets,
-    const SketchGenOptions& options) {
+    const SketchGenOptions& options, const SketchShape* shape) {
   if (!target.IsRecord(target_record) || target.IsNestedRecord(target_record)) {
     return Status::InvalidArgument("not a top-level target record: " + target_record);
   }
@@ -114,19 +145,25 @@ Result<RuleSketch> GenRuleSketch(
   std::vector<std::string> tree_attrs = target.PrimAttrbsOfTree(target_record);
   std::set<std::string> tree_attr_set(tree_attrs.begin(), tree_attrs.end());
 
-  // Body skeleton: one chain copy of RecName(a) per (a, alias-in-this-tree).
+  // Body skeleton: one chain copy of RecName(a) per (a, alias-in-this-tree),
+  // while the shape allows another copy of that record.
   BodyBuilder builder{source, &sketch, {}, {}, 0};
+  std::map<std::string, int> leaf_copies;
   for (const auto& [a, aliases] : psi) {
-    size_t k = 0;
-    for (const std::string& a2 : aliases) {
-      if (tree_attr_set.count(a2) > 0) ++k;
+    const std::string& rec = source.RecName(a);
+    int cap = 0;
+    if (shape != nullptr) {
+      auto it = shape->find(rec);
+      if (it != shape->end()) cap = it->second;
     }
-    for (size_t i = 0; i < k; ++i) builder.AddChainCopy(source.RecName(a));
+    for (const std::string& a2 : aliases) {
+      if (tree_attr_set.count(a2) == 0) continue;
+      if (shape != nullptr && leaf_copies[rec] >= cap) break;
+      ++leaf_copies[rec];
+      builder.AddChainCopy(rec);
+    }
   }
-  if (sketch.body.empty()) {
-    return Status::SynthesisFailure(
-        "attribute mapping relates no source attribute to target record " + target_record);
-  }
+  if (sketch.body.empty()) return NoSourceFor(target_record);
 
   // Intern head variable symbols.
   for (const std::string& attr : tree_attrs) {
@@ -258,8 +295,8 @@ Result<RuleSketch> GenRuleSketch(
   // being produced by the body (the head form of an equality filter).
   if (options.enable_filtering) {
     for (const std::string& attr : tree_attrs) {
+      if (!MayPinToConstant(attr, output_value_sets, options)) continue;
       auto vit = output_value_sets.find(attr);
-      if (vit == output_value_sets.end() || vit->second.size() != 1) continue;
       SketchHeadBinding binding;
       binding.target_attr = attr;
       binding.head_var_symbol = sketch.symbols.FindHeadVar(attr);
@@ -275,6 +312,134 @@ Result<RuleSketch> GenRuleSketch(
   return sketch;
 }
 
+Result<SketchShapes> SketchShapes::Create(
+    const AttributeMapping& psi, const Schema& source, const Schema& target,
+    const std::string& target_record,
+    const std::map<std::string, std::set<Value>>& output_value_sets,
+    const SketchGenOptions& options) {
+  if (!target.IsRecord(target_record) || target.IsNestedRecord(target_record)) {
+    return Status::InvalidArgument("not a top-level target record: " + target_record);
+  }
+  std::vector<std::string> tree_attrs = target.PrimAttrbsOfTree(target_record);
+  std::set<std::string> tree_attr_set(tree_attrs.begin(), tree_attrs.end());
+  SketchShapes shapes;
+  for (const auto& [rec, copies] : FullCopyCounts(psi, source, tree_attr_set)) {
+    shapes.records_.push_back(rec);
+    shapes.max_.push_back(copies);
+  }
+  if (shapes.records_.empty()) return NoSourceFor(target_record);
+
+  // The bipartite graph of the matching: required head attribute -> source
+  // attributes whose holes may carry it -> records whose chains hold them.
+  std::map<std::string, size_t> attr_index;
+  for (const std::string& h : tree_attrs) {
+    if (MayPinToConstant(h, output_value_sets, options)) continue;
+    std::vector<size_t> carriers;
+    for (const auto& [a, aliases] : psi) {
+      if (aliases.count(h) == 0) continue;
+      auto [it, inserted] = attr_index.emplace(a, shapes.attr_records_.size());
+      if (inserted) {
+        std::vector<size_t> holders;
+        for (size_t i = 0; i < shapes.records_.size(); ++i) {
+          const std::vector<std::string> chain = source.ChainToTopLevel(shapes.records_[i]);
+          if (std::find(chain.begin(), chain.end(), source.RecName(a)) != chain.end()) {
+            holders.push_back(i);
+          }
+        }
+        shapes.attr_records_.push_back(std::move(holders));
+      }
+      carriers.push_back(it->second);
+    }
+    shapes.required_.push_back(std::move(carriers));
+  }
+
+  // Matching only gains holes with copies: if the full shape fails it,
+  // every shape does, and the full shape is the only one.
+  shapes.counts_ = shapes.max_;
+  if (shapes.Matches()) {
+    shapes.counts_.assign(shapes.max_.size(), 0);  // no copies: before the first
+    shapes.Advance();
+  }
+  return shapes;
+}
+
+SketchShape SketchShapes::Current() const {
+  SketchShape shape;
+  for (size_t i = 0; i < records_.size(); ++i) {
+    if (counts_[i] > 0) shape[records_[i]] = counts_[i];
+  }
+  return shape;
+}
+
+bool SketchShapes::Step() {
+  const size_t n = counts_.size();
+  // Fills positions [from, n) with `sum` copies, lexicographically smallest
+  // first: the last positions take as many as they hold.
+  auto fill = [&](size_t from, int sum) {
+    for (size_t j = n; j-- > from;) {
+      counts_[j] = std::min(sum, max_[j]);
+      sum -= counts_[j];
+    }
+  };
+  // Same total: move one copy from the suffix to the rightmost position
+  // that can take it, then refill the suffix smallest first.
+  int suffix = counts_[n - 1];
+  for (size_t i = n - 1; i-- > 0;) {
+    if (suffix > 0 && counts_[i] < max_[i]) {
+      ++counts_[i];
+      fill(i + 1, suffix - 1);
+      return true;
+    }
+    suffix += counts_[i];
+  }
+  // Next total; the full shape is the last.
+  if (counts_ == max_) return false;
+  fill(0, suffix + 1);
+  return true;
+}
+
+bool SketchShapes::Advance() {
+  // Step fails only at the full shape, which matches whenever an earlier
+  // shape did, so the loop never ends on a shape that does not match.
+  while (Step()) {
+    if (Matches()) return true;
+  }
+  return false;
+}
+
+bool SketchShapes::Matches() const {
+  // Holes per source attribute under the current shape.
+  std::vector<int> capacity(attr_records_.size(), 0);
+  for (size_t a = 0; a < attr_records_.size(); ++a) {
+    for (size_t i : attr_records_[a]) capacity[a] += counts_[i];
+  }
+  // Kuhn's augmenting paths over attributes with capacities.
+  std::vector<std::vector<size_t>> taken(attr_records_.size());
+  std::vector<bool> visited;
+  std::function<bool(size_t)> augment = [&](size_t h) {
+    for (size_t a : required_[h]) {
+      if (visited[a]) continue;
+      visited[a] = true;
+      if (taken[a].size() < static_cast<size_t>(capacity[a])) {
+        taken[a].push_back(h);
+        return true;
+      }
+      for (size_t& holder : taken[a]) {
+        if (augment(holder)) {
+          holder = h;
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+  for (size_t h = 0; h < required_.size(); ++h) {
+    visited.assign(attr_records_.size(), false);
+    if (!augment(h)) return false;
+  }
+  return true;
+}
+
 Result<std::vector<RuleSketch>> SketchGen(
     const AttributeMapping& psi, const Schema& source, const Schema& target,
     const std::map<std::string, std::set<Value>>& output_value_sets,
@@ -282,8 +447,12 @@ Result<std::vector<RuleSketch>> SketchGen(
   std::vector<RuleSketch> sketches;
   for (const std::string& rec : target.TopLevelRecords()) {
     DYNAMITE_ASSIGN_OR_RETURN(
+        SketchShapes shapes,
+        SketchShapes::Create(psi, source, target, rec, output_value_sets, options));
+    const SketchShape shape = shapes.Current();
+    DYNAMITE_ASSIGN_OR_RETURN(
         RuleSketch sketch,
-        GenRuleSketch(psi, source, target, rec, output_value_sets, options));
+        GenRuleSketch(psi, source, target, rec, output_value_sets, options, &shape));
     sketches.push_back(std::move(sketch));
   }
   return sketches;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <utility>
 
 #include "datalog/simplify.h"
@@ -14,6 +15,7 @@
 #include "util/debug_log.h"
 #include "util/failpoint.h"
 #include "util/mem_budget.h"
+#include "util/metrics.h"
 #include "util/timer.h"
 #include "util/trace.h"
 
@@ -58,43 +60,107 @@ struct ProgressTracker {
 /// single batch is coarse-grained work.
 constexpr size_t kProgressStride = 64;
 
-/// Per-target-record synthesis context: enumerates consistent rules. The
+/// Shared setup: Ψ, the inputs of sketch generation, each top-level target
+/// record's shapes, and the example's EDB facts.
+struct Setup {
+  AttributeMapping psi;
+  std::map<std::string, std::set<Value>> output_values;
+  SketchGenOptions gen_options;
+  std::vector<SketchShapes> shapes;  ///< one per top-level target record
+  FactDatabase edb;
+};
+
+/// Per-target-record synthesis context: enumerates consistent rules, shape
+/// by shape (copy-count deepening, see sketch_gen.h). Within a shape the
 /// loop in Next() is sequential by design: each blocking clause depends on
-/// how the previous candidate was judged.
+/// how the previous candidate was judged. When a shape's search space is
+/// exhausted, the next shape's sketch is built and encoded from scratch.
 class RuleSynthesizer {
  public:
-  RuleSynthesizer(const Schema& target, RuleSketch sketch, const FactDatabase& edb,
-                  const Example& example, const SynthesisOptions& options)
-      : target_(target),
-        sketch_(std::move(sketch)),
-        edb_(edb),
+  RuleSynthesizer(const Schema& source, const Schema& target, const Setup& setup,
+                  std::string target_record, SketchShapes shapes, const Example& example,
+                  const SynthesisOptions& options)
+      : source_(source),
+        target_(target),
+        setup_(setup),
+        target_record_(std::move(target_record)),
+        shapes_(std::move(shapes)),
         options_(options),
         engine_(MakeEngine(options)) {
     // Expected output restricted to this rule's record tree.
     for (const RecordNode& root : example.output.roots) {
-      if (root.type == sketch_.target_record) expected_.roots.push_back(root);
+      if (root.type == target_record_) expected_.roots.push_back(root);
     }
     expected_canon_ = CanonicalForest(expected_);
     // IDB signatures for this tree only.
-    idb_sigs_[sketch_.target_record] = FactSignature(target_, sketch_.target_record);
-    for (const std::string& nested : target_.NestedRecordsOf(sketch_.target_record)) {
+    idb_sigs_[target_record_] = FactSignature(target_, target_record_);
+    for (const std::string& nested : target_.NestedRecordsOf(target_record_)) {
       idb_sigs_[nested] = FactSignature(target_, nested);
     }
   }
 
   Status Init() {
-    DYNAMITE_ASSIGN_OR_RETURN(SketchEncoding enc, EncodeSketch(sketch_, &solver_));
-    encoding_ = std::move(enc);
+    // The reported search space is the full sketch's (the paper's metric),
+    // whichever shape the rule is found in.
+    DYNAMITE_ASSIGN_OR_RETURN(RuleSketch full, SketchFor(nullptr));
+    search_space_ = full.SearchSpaceSize();
     DYNAMITE_ASSIGN_OR_RETURN(Relation expected_flat,
-                              FlattenForestView(expected_, target_, sketch_.target_record));
+                              FlattenForestView(expected_, target_, target_record_));
     expected_flat_ = std::move(expected_flat);
     return Status::OK();
   }
 
   /// Returns the next rule consistent with the example; kSynthesisFailure
-  /// when the search space is exhausted; kTimeout / kCancelled when `ctx`
-  /// interrupts the run; kEvalBudget when max_iterations is spent.
+  /// when every shape's search space is exhausted; kTimeout / kCancelled
+  /// when `ctx` interrupts the run; kEvalBudget when max_iterations is spent
+  /// (counted over all shapes).
   Result<Rule> Next(const RunContext& ctx, ProgressTracker* progress) {
+    for (;;) {
+      DYNAMITE_TRACE_SPAN("synth.shape");
+      Status opened = open_ ? Status::OK() : OpenShape();
+      Result<Rule> found = opened.ok() ? SearchShape(ctx, progress) : Result<Rule>(opened);
+      if (found.ok() || found.status().code() != StatusCode::kSynthesisFailure ||
+          !shapes_.Advance()) {
+        return found;
+      }
+      open_ = false;
+    }
+  }
+
+  size_t iterations() const { return iterations_; }
+  double search_space() const { return search_space_; }
+  const std::string& target_record() const { return target_record_; }
+
+ private:
+  static DatalogEngine MakeEngine(const SynthesisOptions& options) {
+    DatalogEngine::Options eval_opts;
+    eval_opts.timeout_seconds = options.eval_timeout_seconds;
+    eval_opts.max_derived_tuples = options.eval_max_tuples;
+    return DatalogEngine(eval_opts);
+  }
+
+  /// The sketch capped at `shape`; null gives the full sketch.
+  Result<RuleSketch> SketchFor(const SketchShape* shape) const {
+    return GenRuleSketch(setup_.psi, source_, target_, target_record_, setup_.output_values,
+                         setup_.gen_options, shape);
+  }
+
+  /// Builds and encodes the current shape's sketch in a fresh solver.
+  Status OpenShape() {
+    DYNAMITE_METRIC_INC("synth.shapes_tried");
+    const SketchShape shape = shapes_.Current();
+    DYNAMITE_ASSIGN_OR_RETURN(sketch_, SketchFor(&shape));
+    solver_ = FdSolver();
+    have_last_success_ = false;
+    DYNAMITE_TRACE_SPAN("synth.encode");
+    DYNAMITE_ASSIGN_OR_RETURN(encoding_, EncodeSketch(sketch_, &solver_));
+    open_ = true;
+    return Status::OK();
+  }
+
+  /// The enumeration inside the current shape: the next consistent rule, or
+  /// kSynthesisFailure once the shape's formula is unsatisfiable.
+  Result<Rule> SearchShape(const RunContext& ctx, ProgressTracker* progress) {
     if (have_last_success_) {
       // Continue the enumeration past the last success.
       DYNAMITE_RETURN_NOT_OK(
@@ -112,15 +178,15 @@ class RuleSynthesizer {
       DYNAMITE_ASSIGN_OR_RETURN(bool sat, solver_.Solve());
       if (!sat) {
         return Status::SynthesisFailure("no Datalog program consistent with the example for " +
-                                        sketch_.target_record);
+                                        target_record_);
       }
       ++iterations_;
       if (progress != nullptr && iterations_ % kProgressStride == 0) {
-        progress->Report(Phase::kSearch, sketch_.target_record, iterations_);
+        progress->Report(Phase::kSearch, target_record_, iterations_);
       }
       if (debug_log::Enabled() && iterations_ % 200 == 0) {
         debug_log::Logf("[synth %s] iters=%zu clauses=%zu conflicts=%lld\n",
-                        sketch_.target_record.c_str(), iterations_, solver_.num_clauses(),
+                        target_record_.c_str(), iterations_, solver_.num_clauses(),
                         static_cast<long long>(solver_.num_conflicts()));
       }
       SketchModel model = ExtractModel(encoding_, solver_);
@@ -128,7 +194,7 @@ class RuleSynthesizer {
 
       Program candidate;
       candidate.rules.push_back(rule);
-      auto eval = engine_.Eval(candidate, edb_, idb_sigs_, &ctx);
+      auto eval = engine_.Eval(candidate, setup_.edb, idb_sigs_, &ctx);
       if (!eval.ok()) {
         StatusCode code = eval.status().code();
         if (code == StatusCode::kTimeout || code == StatusCode::kEvalBudget) {
@@ -158,7 +224,7 @@ class RuleSynthesizer {
       }
       std::vector<std::vector<std::string>> mdps;
       if (options_.use_mdp) {
-        auto actual_flat = FlattenForestView(actual, target_, sketch_.target_record);
+        auto actual_flat = FlattenForestView(actual, target_, target_record_);
         if (actual_flat.ok()) {
           mdps = MDPSet(actual_flat.ValueOrDie(), expected_flat_, options_.mdp, &ctx);
         }
@@ -168,21 +234,11 @@ class RuleSynthesizer {
     }
   }
 
-  size_t iterations() const { return iterations_; }
-  double search_space() const { return sketch_.SearchSpaceSize(); }
-  const std::string& target_record() const { return sketch_.target_record; }
-
- private:
-  static DatalogEngine MakeEngine(const SynthesisOptions& options) {
-    DatalogEngine::Options eval_opts;
-    eval_opts.timeout_seconds = options.eval_timeout_seconds;
-    eval_opts.max_derived_tuples = options.eval_max_tuples;
-    return DatalogEngine(eval_opts);
-  }
-
+  const Schema& source_;
   const Schema& target_;
-  RuleSketch sketch_;
-  const FactDatabase& edb_;
+  const Setup& setup_;
+  const std::string target_record_;
+  SketchShapes shapes_;
   const SynthesisOptions& options_;
   /// Evaluates every candidate under the synthesis limits; each Eval builds
   /// its own join indexes over the example.
@@ -192,19 +248,16 @@ class RuleSynthesizer {
   std::vector<std::string> expected_canon_;
   Relation expected_flat_;
   std::map<std::string, std::vector<std::string>> idb_sigs_;
+  double search_space_ = 1;
+  size_t iterations_ = 0;  ///< over every shape tried
 
+  // The current shape's search.
+  bool open_ = false;
+  RuleSketch sketch_;
   FdSolver solver_;
   SketchEncoding encoding_;
-  size_t iterations_ = 0;
   SketchModel last_success_;
   bool have_last_success_ = false;
-};
-
-/// Shared setup: Ψ, sketches, EDB facts.
-struct Setup {
-  AttributeMapping psi;
-  std::vector<RuleSketch> sketches;
-  FactDatabase edb;
 };
 
 Result<Setup> Prepare(const Schema& source, const Schema& target, const Example& example,
@@ -219,14 +272,15 @@ Result<Setup> Prepare(const Schema& source, const Schema& target, const Example&
   setup.psi = std::move(psi);
   progress->Report(Phase::kSketch, "", 0);
   DYNAMITE_RETURN_NOT_OK(ctx.Check("sketch generation"));
-  SketchGenOptions gen_options;
-  gen_options.enable_filtering = options.enable_filtering;
-  gen_options.max_constants_per_hole = options.max_constants_per_hole;
-  DYNAMITE_ASSIGN_OR_RETURN(
-      std::vector<RuleSketch> sketches,
-      SketchGen(setup.psi, source, target, AttributeValueSets(example.output, target),
-                gen_options));
-  setup.sketches = std::move(sketches);
+  setup.gen_options.enable_filtering = options.enable_filtering;
+  setup.gen_options.max_constants_per_hole = options.max_constants_per_hole;
+  setup.output_values = AttributeValueSets(example.output, target);
+  for (const std::string& rec : target.TopLevelRecords()) {
+    DYNAMITE_ASSIGN_OR_RETURN(SketchShapes shapes,
+                              SketchShapes::Create(setup.psi, source, target, rec,
+                                                   setup.output_values, setup.gen_options));
+    setup.shapes.push_back(std::move(shapes));
+  }
   uint64_t next_id = 1;
   DYNAMITE_ASSIGN_OR_RETURN(FactDatabase edb, ToFacts(example.input, source, &next_id, &ctx));
   setup.edb = std::move(edb);
@@ -308,11 +362,13 @@ Result<SynthesisResult> Synthesizer::Run(const Example& example, size_t limit,
     result.psi = setup.psi;
     // Each enumerator dies with its rule unless the alternatives re-enter it.
     std::vector<std::unique_ptr<RuleSynthesizer>> enumerators;
-    for (RuleSketch& sketch : setup.sketches) {
+    const std::vector<std::string>& records = target_.TopLevelRecords();
+    for (size_t r = 0; r < records.size(); ++r) {
       Timer rule_timer;
       DYNAMITE_TRACE_SPAN("synth.rule");
-      auto rs = std::make_unique<RuleSynthesizer>(target_, std::move(sketch), setup.edb,
-                                                  example, options_);
+      auto rs = std::make_unique<RuleSynthesizer>(source_, target_, setup, records[r],
+                                                  std::move(setup.shapes[r]), example,
+                                                  options_);
       DYNAMITE_RETURN_NOT_OK(rs->Init());
       DYNAMITE_RETURN_NOT_OK(ctx.Check("synthesis"));
       progress.StartRule(rs->search_space());

@@ -6,10 +6,14 @@
 //       if ⟦P⟧I = O: return P
 //       Φ ← Φ ∧ Analyze(σ, ⟦P⟧I, O)
 //
-// Synthesis proceeds per top-level target record (one rule sketch each; the
-// full program is their union, cf. Lemma 7/Theorem 3). Candidate programs
-// are executed with the in-repo Datalog engine and compared to the expected
-// output instance-structurally (record identifiers are existential).
+// Synthesis proceeds per top-level target record (one rule each; the full
+// program is their union, cf. Lemma 7/Theorem 3). Each rule is searched in
+// sketches of growing size, from the fewest chain copies that can cover its
+// head up to the paper's full sketch (copy-count deepening, see
+// sketch_gen.h), so the rule found comes from the first sketch in that
+// order that holds a consistent one. Candidate programs are executed with
+// the in-repo Datalog engine and compared to the expected output
+// instance-structurally (record identifiers are existential).
 
 #ifndef DYNAMITE_SYNTH_SYNTHESIZER_H_
 #define DYNAMITE_SYNTH_SYNTHESIZER_H_
@@ -55,8 +59,8 @@ struct SynthesisOptions {
 /// Per-rule synthesis statistics.
 struct RuleStats {
   std::string target_record;
-  double search_space = 1;  ///< possible completions of this rule's sketch
-  size_t iterations = 0;    ///< models sampled
+  double search_space = 1;  ///< possible completions of this rule's full sketch
+  size_t iterations = 0;    ///< models sampled, over every shape tried
   double seconds = 0;
   size_t body_predicates = 0;  ///< after simplification
 };

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "synth/sketch_gen.h"
 #include "synth/synthesizer.h"
 #include "migrate/migrator.h"
+#include "util/metrics.h"
 #include "testing.h"
 #include "workload/benchmarks.h"
 
@@ -348,6 +350,157 @@ TEST(SynthesizeDistinct, FirstIsSynthesizeResultOnBenchmark) {
                        workload::MakeExample(*bench, bench->example_seed, bench->example_scale));
   Synthesizer synth(bench->source, bench->target);
   ExpectDistinctFirstIsSynthesize(synth, e);
+}
+
+// ------------------------------------------------- copy-count deepening --
+
+/// Copies per leaf source record of a sketch's body.
+SketchShape ShapeOf(const RuleSketch& sketch) {
+  SketchShape shape;
+  for (const auto& [leaf, holes] : sketch.chain_copies) ++shape[leaf];
+  return shape;
+}
+
+/// The shapes SketchShapes visits for `record`, in order.
+std::vector<SketchShape> VisitedShapes(const Schema& src, const Schema& tgt,
+                                       const Example& e, const std::string& record) {
+  AttributeMapping psi = InferAttrMapping(src, tgt, e).ValueOrDie();
+  SketchShapes shapes =
+      SketchShapes::Create(psi, src, tgt, record, AttributeValueSets(e.output, tgt))
+          .ValueOrDie();
+  std::vector<SketchShape> visited = {shapes.Current()};
+  while (shapes.Advance()) visited.push_back(shapes.Current());
+  return visited;
+}
+
+TEST(Deepening, SketchGenGivesBike1TheGoldenCopyCounts) {
+  const workload::Benchmark& b = *workload::FindBenchmark("Bike-1");
+  ASSERT_OK_AND_ASSIGN(Example e, workload::MakeExample(b, b.example_seed, b.example_scale));
+  ASSERT_OK_AND_ASSIGN(AttributeMapping psi, InferAttrMapping(b.source, b.target, e));
+  ASSERT_OK_AND_ASSIGN(std::vector<RuleSketch> sketches,
+                       SketchGen(psi, b.source, b.target, AttributeValueSets(e.output, b.target)));
+  ASSERT_EQ(sketches.size(), 1u);
+  EXPECT_EQ(ShapeOf(sketches[0]), (SketchShape{{"stations", 1}, {"trips", 1}}));
+  // The full sketch, which no option restores, is the last shape visited.
+  ASSERT_OK_AND_ASSIGN(RuleSketch full, GenRuleSketch(psi, b.source, b.target, "StationDoc",
+                                                      AttributeValueSets(e.output, b.target)));
+  EXPECT_EQ(ShapeOf(full),
+            (SketchShape{{"bikes", 1}, {"stations", 2}, {"trips", 2}, {"weather", 1}}));
+  std::vector<SketchShape> visited = VisitedShapes(b.source, b.target, e, "StationDoc");
+  EXPECT_EQ(visited.back(), ShapeOf(full));
+  // Fewest copies first; equal totals in ascending lexicographic order of
+  // the count vector over the records sorted by name.
+  auto key = [&](const SketchShape& s) {
+    std::vector<int> counts = {0};
+    for (const auto& [rec, max] : ShapeOf(full)) {
+      auto it = s.find(rec);
+      counts.push_back(it == s.end() ? 0 : it->second);
+      counts[0] += counts.back();
+    }
+    return counts;
+  };
+  for (size_t i = 1; i < visited.size(); ++i) {
+    EXPECT_LT(key(visited[i - 1]), key(visited[i]));
+  }
+}
+
+TEST(Deepening, MatchingRejectsAShapeWhereOneHoleFeedsTwoHeadAttributes) {
+  // Tencent-1's FollowT takes both user names from TUser: with one TUser
+  // copy, its single name hole would have to carry two head variables.
+  const workload::Benchmark& b = *workload::FindBenchmark("Tencent-1");
+  ASSERT_OK_AND_ASSIGN(Example e, workload::MakeExample(b, b.example_seed, b.example_scale));
+  std::vector<SketchShape> visited = VisitedShapes(b.source, b.target, e, "FollowT");
+  const SketchShape rejected = {{"TFollow", 1}, {"TUser", 1}};
+  const SketchShape kept = {{"TFollow", 1}, {"TUser", 2}};
+  EXPECT_EQ(std::count(visited.begin(), visited.end(), rejected), 0);
+  EXPECT_EQ(visited.front(), kept);
+
+  // Skipping it is exact: its encoding is unsatisfiable.
+  ASSERT_OK_AND_ASSIGN(AttributeMapping psi, InferAttrMapping(b.source, b.target, e));
+  ASSERT_OK_AND_ASSIGN(RuleSketch sketch,
+                       GenRuleSketch(psi, b.source, b.target, "FollowT",
+                                     AttributeValueSets(e.output, b.target), {}, &rejected));
+  EXPECT_EQ(ShapeOf(sketch), rejected);
+  FdSolver solver;
+  ASSERT_OK(EncodeSketch(sketch, &solver).status());
+  ASSERT_OK_AND_ASSIGN(bool sat, solver.Solve());
+  EXPECT_FALSE(sat);
+}
+
+/// Emp(eid, ename, mgr) and Reports(worker, boss_id): boss_id is the id of
+/// the worker's manager's manager, a self-join that one Emp copy cannot
+/// express although its holes cover both head attributes.
+struct GrandBossFixture {
+  Schema src = RelationalSchemaBuilder()
+                   .AddTable("Emp", {{"eid", PrimitiveType::kInt},
+                                     {"ename", PrimitiveType::kString},
+                                     {"mgr", PrimitiveType::kInt}})
+                   .Build()
+                   .ValueOrDie();
+  Schema tgt = RelationalSchemaBuilder()
+                   .AddTable("Reports", {{"worker", PrimitiveType::kString},
+                                         {"boss_id", PrimitiveType::kInt}})
+                   .Build()
+                   .ValueOrDie();
+
+  static RecordNode Emp(int id, const char* name, int mgr) {
+    return testing::FlatRecord("Emp", {{"eid", Value::Int(id)},
+                                       {"ename", Value::String(name)},
+                                       {"mgr", Value::Int(mgr)}});
+  }
+  static RecordNode Reports(const char* worker, int boss) {
+    return testing::FlatRecord(
+        "Reports", {{"worker", Value::String(worker)}, {"boss_id", Value::Int(boss)}});
+  }
+
+  Example MakeExample() const {
+    Example e;
+    e.input.roots = {Emp(1, "ann", 1), Emp(2, "bob", 1), Emp(3, "cat", 2), Emp(4, "dan", 3)};
+    e.output.roots = {Reports("ann", 1), Reports("bob", 1), Reports("cat", 1),
+                      Reports("dan", 2)};
+    return e;
+  }
+};
+
+TEST(Deepening, ExhaustedSmallestShapeFallsThroughToALargerOne) {
+  GrandBossFixture f;
+  const Example e = f.MakeExample();
+  std::vector<SketchShape> visited = VisitedShapes(f.src, f.tgt, e, "Reports");
+  ASSERT_GT(visited.size(), 1u);
+  EXPECT_EQ(visited.front(), (SketchShape{{"Emp", 1}}));
+
+  Synthesizer synth(f.src, f.tgt);
+  const uint64_t before = metrics::Snapshot().counter("synth.shapes_tried");
+  ASSERT_OK_AND_ASSIGN(SynthesisResult result, synth.Synthesize(e));
+  EXPECT_GE(metrics::Snapshot().counter("synth.shapes_tried") - before, 2u);
+  ASSERT_EQ(result.program.rules.size(), 1u);
+  EXPECT_EQ(result.program.rules[0].body.size(), 2u) << result.program.ToString();
+  ASSERT_OK_AND_ASSIGN(Program golden,
+                       Program::Parse("Reports(w, g) :- Emp(_, w, m), Emp(m, _, g)."));
+  EXPECT_TRUE(RuleEquivalent(result.program.rules[0], golden.rules[0]))
+      << result.program.ToString();
+  // The reported space is the full sketch's, not the shape's.
+  AttributeMapping psi = InferAttrMapping(f.src, f.tgt, e).ValueOrDie();
+  ASSERT_OK_AND_ASSIGN(RuleSketch full,
+                       GenRuleSketch(psi, f.src, f.tgt, "Reports", {}));
+  EXPECT_EQ(result.search_space, full.SearchSpaceSize());
+}
+
+TEST(Deepening, InconsistentExampleExhaustsEveryShape) {
+  GrandBossFixture f;
+  Example e = f.MakeExample();
+  // No program of the full sketch gives bob boss 2 alongside the other
+  // three rows, so every shape is searched to exhaustion.
+  e.output.roots[1] = GrandBossFixture::Reports("bob", 2);
+  const size_t shapes = VisitedShapes(f.src, f.tgt, e, "Reports").size();
+  ASSERT_GT(shapes, 1u);
+
+  Synthesizer synth(f.src, f.tgt);
+  const uint64_t before = metrics::Snapshot().counter("synth.shapes_tried");
+  auto result = synth.Synthesize(e);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kSynthesisFailure);
+  EXPECT_EQ(metrics::Snapshot().counter("synth.shapes_tried") - before, shapes);
 }
 
 // ---------------------------------------------------------- progress events --
