@@ -14,10 +14,12 @@
 // its round budget while candidates still disagree accepts one of them
 // anyway, so Unique below 5/5 is where wrong answers can come from.
 //
-// Manual arm (model-replayed): per the paper's observations, manual
-// scripting took 6.2x longer on average and produced subtle quoting /
-// newline bugs in 50% of attempts. We replay those calibrated parameters
-// rather than measuring humans; this arm is marked [model] in the output.
+// Manual arm (from the paper): the participants who scripted each
+// migration by hand took 1800 s on Tencent-1 and 2907 s on Retina-1 on
+// average, and 3 and 2 of their 5 scripts were correct (the others had
+// subtle quoting / newline bugs). A reproduction cannot rerun those
+// humans, so the harness prints the paper's per-benchmark figures; this
+// arm is marked [paper] in the output.
 //
 // A Dynamite run that fails prints its error, and the harness then exits 1.
 
@@ -34,11 +36,14 @@ int main() {
   using namespace dynamite::workload;
 
   constexpr double kQueryReviewSeconds = 30.0;
-  constexpr double kManualSlowdown = 6.2;   // paper-calibrated
-  constexpr double kManualCorrectRate = 0.5;  // paper: 5/10 manual solutions buggy
+  struct Study {
+    const char* name;
+    double manual_seconds;  // the paper's mean manual completion time
+    int manual_correct;     // correct scripts of the paper's 5 manual participants
+  };
 
-  std::printf("Figure 8: user study (simulated participants; manual arm replayed from\n"
-              "the paper's calibrated parameters)\n\n");
+  std::printf("Figure 8: user study (simulated participants; manual arm from the\n"
+              "paper's per-benchmark figures)\n\n");
   bench::TablePrinter table({{"Benchmark", 12},
                              {"Arm", 18},
                              {"Queries", 9},
@@ -49,7 +54,8 @@ int main() {
 
   std::string wall_clock;  // printed after the table: varies run to run
   int failed = 0;
-  for (const char* name : {"Tencent-1", "Retina-1"}) {
+  for (const Study& study : {Study{"Tencent-1", 1800, 3}, Study{"Retina-1", 2907, 2}}) {
+    const char* name = study.name;
     const Benchmark* b = FindBenchmark(name);
     if (b == nullptr) continue;
     auto user_session = Session::Create(b->source, b->target);
@@ -97,13 +103,14 @@ int main() {
     table.PrintRow({name, "Dynamite", bench::Fmt("%.1f", avg_queries),
                     bench::Fmt("%.1f", modelled), std::to_string(correct) + "/5",
                     std::to_string(unique) + "/5"});
-    table.PrintRow({name, "Manual [model]", "-", bench::Fmt("%.1f", kManualSlowdown * modelled),
-                    bench::Fmt("%.0f", kManualCorrectRate * kUsers) + "/5", "-"});
+    table.PrintRow({name, "Manual [paper]", "-", bench::Fmt("%.1f", study.manual_seconds),
+                    std::to_string(study.manual_correct) + "/5", "-"});
     wall_clock += std::string("  ") + name + ": " +
                   bench::Fmt("%.3f s per user\n", wall_seconds / kUsers);
   }
-  std::printf("\nAvgTime is modelled: %.0fs of review per query (Queries is the mean\n"
-              "per user). Measured interactive synthesis wall clock (host-dependent):\n%s",
+  std::printf("\nDynamite's AvgTime is modelled: %.0fs of review per query (Queries is\n"
+              "the mean per user); the manual rows are the paper's. Measured interactive\n"
+              "synthesis wall clock (host-dependent):\n%s",
               kQueryReviewSeconds, wall_clock.c_str());
   std::printf("\nPaper reference: Dynamite 184s/579s with 5/5 correct; manual\n"
               "1800s/2907s with 3/5 and 2/5 correct (6.2x productivity factor).\n");

@@ -151,80 +151,18 @@ void BM_DatalogExistentialAtom(benchmark::State& state) {
 }
 BENCHMARK(BM_DatalogExistentialAtom)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
 
-void BM_DatalogHeadFreeComponent(benchmark::State& state) {
-  // The DBLP-2 AuthNode shape: the rule keeps an Article-ArtAuthor join
-  // that shares no variable with the head or the copy the head reads. It
-  // only decides whether the rule fires, and is matched once per Eval.
-  const int n = static_cast<int>(state.range(0));
-  FactDatabase db;
-  db.DeclareRelation("Article", {"id", "title", "venue", "year", "aid"}).ValueOrDie();
-  db.DeclareRelation("ArtAuthor", {"aid", "author", "name", "pos"}).ValueOrDie();
-  for (int i = 0; i < n; ++i) {
-    db.AddFact("Article", Tuple({Value::Int(i), Value::String(UserName(i)),
-                                 Value::String(CityName(i % 30)), Value::Int(1990 + i % 30),
-                                 Value::Int((i * 7919) % n)}));
-    db.AddFact("ArtAuthor", Tuple({Value::Int(i), Value::Int(i % 500),
-                                   Value::String(UserName(i % 500)), Value::Int(i % 5)}));
-  }
-  Program p = Program::Parse(
-                  "AuthNode(a, name) :- Article(_, _, _, _, v1), ArtAuthor(v1, _, _, _), "
-                  "Article(_, _, _, _, v2), ArtAuthor(v2, a, name, _).")
-                  .ValueOrDie();
-  DatalogEngine engine;
-  size_t derived = 0;
-  for (auto _ : state) {
-    auto out = engine.EvalAutoSignatures(p, db);
-    derived = out.ValueOrDie().TotalFacts();
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(derived));
-}
-BENCHMARK(BM_DatalogHeadFreeComponent)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
-
-void BM_DatalogSkewedKeyJoin(benchmark::State& state) {
-  // The synthesized DBLP-1 AuthorshipT rule over n articles in 10 venues.
-  // Once the first Article atom is placed, the second Article (keyed on
-  // the venue, n / 10 rows per key), the ArtAuthor copy and the title
-  // probe each have one bound position. Placing the venue probe next costs
-  // n^2 / 10 candidates; placing the least fan-out first stays linear in n.
-  const int n = static_cast<int>(state.range(0));
-  FactDatabase db;
-  db.DeclareRelation("Article", {"id", "title", "year", "venue", "aid"}).ValueOrDie();
-  db.DeclareRelation("ArtAuthor", {"aid", "author", "name", "pos"}).ValueOrDie();
-  int authors = 0;
-  for (int i = 0; i < n; ++i) {
-    db.AddFact("Article", Tuple({Value::Int(i), Value::String(UserName(i)), Value::Int(1990 + i % 30),
-                                 Value::String(CityName(i % 10)), Value::Int(n + i)}));
-    for (int pos = 1; pos <= 1 + i % 2; ++pos, ++authors) {
-      db.AddFact("ArtAuthor", Tuple({Value::Int(n + i), Value::Int(authors),
-                                     Value::String(UserName(authors % 500)), Value::Int(pos)}));
-    }
-  }
-  Program p = Program::Parse(
-                  "AuthorshipT(a, n, p) :- Article(_, t3, _, ven, v1), ArtAuthor(v1, id, _, _), "
-                  "Article(_, _, _, ven, v2), ArtAuthor(v2, id, n, p), Article(a, t3, _, _, _).")
-                  .ValueOrDie();
-  DatalogEngine engine;
-  size_t derived = 0;
-  for (auto _ : state) {
-    auto out = engine.EvalAutoSignatures(p, db);
-    derived = out.ValueOrDie().TotalFacts();
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(derived));
-}
-BENCHMARK(BM_DatalogSkewedKeyJoin)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
-
 void BM_FailpointOverhead(benchmark::State& state) {
-  // Cost of the fault-injection sites on the engine path: identical
-  // workload to BM_DatalogStringSelfJoin/1000, so comparing against that
-  // entry measures the failpoint tax directly. Arg 0 runs disarmed — the
-  // shipping configuration, where each site is one relaxed atomic load
-  // (claim: <2% vs BM_DatalogStringSelfJoin/1000, i.e. within run-to-run
-  // noise). Arg 1 arms every engine-path site with an unreachable hit
-  // target, forcing the armed slow path (counter increment, trigger check)
-  // on every execution without ever firing — an upper bound on what a
-  // fully armed but quiet production binary would pay.
+  // Cost of arming the fault-injection sites on the engine path. The sites
+  // are always compiled in, so Arg 0 (disarmed, the shipping configuration:
+  // one relaxed atomic load per site) runs the same code as
+  // BM_DatalogStringSelfJoin/1000 and is the baseline. Arg 1 arms every
+  // engine-path site with an unreachable hit target, forcing the armed slow
+  // path (counter increment, trigger check) on every execution without ever
+  // firing: an upper bound on what an armed but quiet binary pays. Claim:
+  // /1 reads within run-to-run noise of /0. Compare them in one run with
+  // --benchmark_enable_random_interleaving=true and repetitions; run in
+  // file order, the later of two arms running identical code reads up to
+  // 25% slower from run order alone.
   const bool armed = state.range(0) != 0;
   if (armed) {
     failpoint::Spec never;
@@ -247,16 +185,16 @@ void BM_FailpointOverhead(benchmark::State& state) {
 BENCHMARK(BM_FailpointOverhead)->Arg(0)->Arg(1);
 
 void BM_TraceOverhead(benchmark::State& state) {
-  // Cost of the trace spans on the engine path: identical workload to
-  // BM_DatalogStringSelfJoin/1000, so comparing against that entry measures
-  // the span tax directly. Arg 0 runs disarmed — the shipping
-  // configuration, where each span site is one relaxed atomic load (claim:
-  // <2% vs BM_DatalogStringSelfJoin/1000, i.e. within run-to-run noise; the
-  // acceptance number recorded in BENCH_micro.json). Arg 1 arms tracing, so
-  // every span pays two steady_clock reads and a ring-buffer write — the
-  // upper bound for a run with DYNAMITE_TRACE set. Ring contents are
-  // cleared around the armed arm so the fixed-capacity rings never skew a
-  // later dump.
+  // Cost of arming the trace spans on the engine path. The spans are
+  // always compiled in, so Arg 0 (disarmed, the shipping configuration: one
+  // relaxed atomic load per span site) runs the same code as
+  // BM_DatalogStringSelfJoin/1000 and is the baseline. Arg 1 arms tracing,
+  // so every span pays two steady_clock reads and a ring-buffer write: the
+  // cost of a run with DYNAMITE_TRACE set. Claim: /1 reads within
+  // run-to-run noise of /0. Compare them in one run with
+  // --benchmark_enable_random_interleaving=true and repetitions, as for
+  // BM_FailpointOverhead. Ring contents are cleared around the armed arm so
+  // the fixed-capacity rings never skew a later dump.
   const bool armed = state.range(0) != 0;
   if (armed) {
     trace::Clear();

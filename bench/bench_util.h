@@ -99,9 +99,9 @@ class JsonWriter {
 
   /// Adds a name→value pair to the "metrics" section of the output — the
   /// run's metrics::Snapshot() lands here so perf numbers carry their own
-  /// workload annotation (how many plan refreshes, memo hits, fallbacks the
-  /// measured runs actually did). Kept as plain pairs so this header stays
-  /// free of a util/metrics.h dependency.
+  /// workload annotation (how many join candidates, SAT solves and sketch
+  /// shapes the measured runs actually did). Kept as plain pairs so this
+  /// header stays free of a util/metrics.h dependency.
   void RecordMetric(std::string name, uint64_t value) {
     metrics_.emplace_back(std::move(name), value);
   }

@@ -47,15 +47,8 @@ struct JoinPlan {
   std::vector<PlanAtom> atoms;
 };
 
-/// A rule compiled to join plans that share one variable-slot numbering. A
-/// compiled rule lives for one Eval and reads that Eval's EDB.
-///
-/// Body atoms that share a variable, directly or through other atoms, form
-/// a component. A component that holds no head variable is a guard: it
-/// shares no variable with the rest of the body, so it only decides whether
-/// the rule fires at all, and the EDB it reads is fixed for the Eval. Each
-/// guard is a plan of its own, run once per Eval up to its first match; the
-/// full plan holds the other atoms only.
+/// A rule compiled to one join plan over its whole body. A compiled rule
+/// lives for one Eval and reads that Eval's EDB.
 struct CompiledRule {
   struct Head {
     const std::string* relation = nullptr;  // names live in the evaluated Program
@@ -63,8 +56,7 @@ struct CompiledRule {
   };
   std::vector<Head> heads;
   int num_slots = 0;
-  std::vector<JoinPlan> guards;
-  JoinPlan full;
+  JoinPlan plan;
 };
 
 /// Uncompiled body atom with its variable slots resolved.
@@ -78,37 +70,10 @@ struct RawAtom {
 /// its rules, and on small inputs compiling is a visible share of the call.
 using SlotSet = std::vector<bool>;
 
-/// Every join index of one Eval, by relation, then by key positions. Each
-/// indexed relation is an EDB relation, unchanged for the whole call, and
-/// so is its address (the EDB is const); map nodes keep each JoinIndex in
-/// place while later plans add entries. The planner reads distinct-key
-/// counts from it before the matcher probes, so an estimate and the probe
-/// it chose share one index.
-class IndexMap {
- public:
-  /// The index of `rel` on `keys`, built on first use.
-  const JoinIndex& Get(const Relation& rel, const std::vector<size_t>& keys) {
-    return indexes_[&rel].try_emplace(keys, rel, keys).first->second;
-  }
-
-  /// One fan-out estimate: the distinct keys of `rel` on `keys`.
-  size_t DistinctKeys(const Relation& rel, const std::vector<size_t>& keys) {
-    ++fanout_estimates_;
-    return Get(rel, keys).num_keys();
-  }
-
-  size_t fanout_estimates() const { return fanout_estimates_; }
-
- private:
-  std::map<const Relation*, std::map<std::vector<size_t>, JoinIndex>> indexes_;
-  size_t fanout_estimates_ = 0;
-};
-
 /// Builds the PlanAtom sequence for the given atom order. Key, check, and
 /// bind positions depend on which variables earlier atoms bound, and an
 /// atom's existence-only flag on which variables later atoms and the heads
-/// (`head_vars`) read, so they are recomputed per order; slot numbering is
-/// shared across plans.
+/// (`head_vars`) read.
 JoinPlan MakePlan(const std::vector<RawAtom>& raws, const std::vector<size_t>& order,
                   const SlotSet& head_vars) {
   JoinPlan plan;
@@ -153,83 +118,35 @@ JoinPlan MakePlan(const std::vector<RawAtom>& raws, const std::vector<size_t>& o
   return plan;
 }
 
-/// Greedy join order. Each step places one of the atoms not yet placed. An
-/// atom's bound positions, its constants and the variables of the atoms
-/// already placed, are the key it will be probed on.
-///
-///   * When two or more atoms have bound positions, the one whose probe
-///     fans out least goes next: its relation's rows per distinct key on
-///     those positions, counted by the Eval's index on them. That is the
-///     index the matcher probes for the atom placed, so estimating builds
-///     no index for it that the match would not.
-///   * Otherwise, and among equal fan-outs, the atom with the most bound
-///     positions goes next, then the one over the smaller relation, then
-///     the earlier one in the body.
-std::vector<size_t> SelectivityOrder(const std::vector<RawAtom>& raws, size_t num_slots,
-                                     IndexMap* indexes) {
+/// Greedy join order. Each step places one of the atoms not yet placed:
+/// the one with the most bound positions (its constants and the variables
+/// of the atoms already placed, the key it will be probed on), then the one
+/// over the smaller relation, then the earlier one in the body.
+std::vector<size_t> SelectivityOrder(const std::vector<RawAtom>& raws, size_t num_slots) {
   std::vector<size_t> order;
   order.reserve(raws.size());
   SlotSet bound(num_slots, false);
   std::vector<bool> used(raws.size(), false);
-  auto take = [&](size_t ai) {
-    used[ai] = true;
-    order.push_back(ai);
-    for (const Slot& s : raws[ai].slots) {
+  while (order.size() < raws.size()) {
+    size_t best = raws.size();
+    size_t best_keys = 0;
+    for (size_t ai = 0; ai < raws.size(); ++ai) {
+      if (used[ai]) continue;
+      size_t keys = 0;
+      for (const Slot& s : raws[ai].slots) {
+        if (s.is_const || (!s.is_wildcard && bound[s.var])) ++keys;
+      }
+      if (best == raws.size() || keys > best_keys ||
+          (keys == best_keys && raws[ai].edb->size() < raws[best].edb->size())) {
+        best = ai;
+        best_keys = keys;
+      }
+    }
+    used[best] = true;
+    order.push_back(best);
+    for (const Slot& s : raws[best].slots) {
       if (!s.is_const && !s.is_wildcard) bound[s.var] = true;
     }
-  };
-  // Per atom, its bound positions in ascending order: the key positions
-  // MakePlan gives it when it is placed next.
-  std::vector<std::vector<size_t>> keys(raws.size());
-  while (order.size() < raws.size()) {
-    size_t keyed = 0;
-    for (size_t ai = 0; ai < raws.size(); ++ai) {
-      if (used[ai]) continue;
-      keys[ai].clear();
-      const std::vector<Slot>& slots = raws[ai].slots;
-      for (size_t i = 0; i < slots.size(); ++i) {
-        if (slots[i].is_const || (!slots[i].is_wildcard && bound[slots[i].var])) {
-          keys[ai].push_back(i);
-        }
-      }
-      if (!keys[ai].empty()) ++keyed;
-    }
-    const bool estimate = keyed >= 2;
-    // Without estimates every atom's fan-out reads 0 / 1, so they all tie.
-    size_t best = raws.size();
-    size_t best_rows = 0;
-    size_t best_distinct = 1;
-    for (size_t ai = 0; ai < raws.size(); ++ai) {
-      if (used[ai]) continue;
-      const RawAtom& raw = raws[ai];
-      size_t rows = 0;
-      size_t distinct = 1;
-      if (estimate) {
-        if (keys[ai].empty()) continue;
-        rows = raw.edb->size();
-        distinct = std::max<size_t>(1, indexes->DistinctKeys(*raw.edb, keys[ai]));
-      }
-      bool better = best == raws.size();
-      if (!better) {
-        // rows / distinct against best_rows / best_distinct, cross-multiplied:
-        // row counts fit in 32 bits (JoinIndex row ids), the products in 64.
-        const size_t lhs = rows * best_distinct;
-        const size_t rhs = best_rows * distinct;
-        if (lhs != rhs) {
-          better = lhs < rhs;
-        } else if (keys[ai].size() != keys[best].size()) {
-          better = keys[ai].size() > keys[best].size();
-        } else {
-          better = raw.edb->size() < raws[best].edb->size();
-        }
-      }
-      if (better) {
-        best = ai;
-        best_rows = rows;
-        best_distinct = distinct;
-      }
-    }
-    take(best);
   }
   return order;
 }
@@ -240,36 +157,12 @@ std::vector<size_t> IdentityOrder(size_t n) {
   return order;
 }
 
-/// Labels each atom with its component: atoms that share a variable,
-/// directly or through other atoms, get the same label (an atom index).
-std::vector<size_t> Components(const std::vector<RawAtom>& raws, size_t num_slots) {
-  std::vector<size_t> parent = IdentityOrder(raws.size());
-  auto find = [&](size_t a) {
-    while (parent[a] != a) a = parent[a] = parent[parent[a]];
-    return a;
-  };
-  std::vector<size_t> first_user(num_slots, raws.size());
-  for (size_t ai = 0; ai < raws.size(); ++ai) {
-    for (const Slot& s : raws[ai].slots) {
-      if (s.is_const || s.is_wildcard) continue;
-      size_t& first = first_user[static_cast<size_t>(s.var)];
-      if (first == raws.size()) {
-        first = ai;
-      } else {
-        parent[find(ai)] = find(first);
-      }
-    }
-  }
-  for (size_t ai = 0; ai < raws.size(); ++ai) parent[ai] = find(ai);
-  return parent;
-}
-
-/// Compiles `rule` into join plans over `edb`, estimating its probes'
-/// fan-outs from `indexes` when `reorder` is set. The rule must have passed
-/// EvalImpl's checks: every head term is a constant or a variable of the
-/// body, and every body atom names an EDB relation of its arity.
-CompiledRule CompileRule(const Rule& rule, const FactDatabase& edb, bool reorder,
-                         IndexMap* indexes) {
+/// Compiles `rule` into one join plan over `edb`, its atoms in
+/// SelectivityOrder when `reorder` is set and as written otherwise. The
+/// rule must have passed EvalImpl's checks: every head term is a constant
+/// or a variable of the body, and every body atom names an EDB relation of
+/// its arity.
+CompiledRule CompileRule(const Rule& rule, const FactDatabase& edb, bool reorder) {
   CompiledRule out;
   // Variable names in slot order; a rule has few, so a linear scan is the
   // cheapest lookup.
@@ -325,55 +218,18 @@ CompiledRule CompileRule(const Rule& rule, const FactDatabase& edb, bool reorder
   }
   out.num_slots = static_cast<int>(num_slots);
 
-  // Split the body into its guards and the atoms the other plans join.
-  // Guards share no variable with those atoms, so the plans derive the
-  // same head rows without them.
-  const std::vector<size_t> component = Components(raws, num_slots);
-  std::vector<bool> is_guard(raws.size(), true);  // by component label
-  for (size_t ai = 0; ai < raws.size(); ++ai) {
-    bool reads_head = false;
-    for (const Slot& s : raws[ai].slots) {
-      reads_head = reads_head || (!s.is_const && !s.is_wildcard && head_vars[s.var]);
-    }
-    if (reads_head) is_guard[component[ai]] = false;
-  }
-  std::vector<RawAtom> joined;
-  std::vector<std::vector<RawAtom>> guards;
-  std::vector<size_t> guard_of(raws.size(), raws.size());  // by component label
-  for (size_t ai = 0; ai < raws.size(); ++ai) {
-    if (!is_guard[component[ai]]) {
-      joined.push_back(std::move(raws[ai]));
-      continue;
-    }
-    size_t& g = guard_of[component[ai]];
-    if (g == raws.size()) {
-      g = guards.size();
-      guards.emplace_back();
-    }
-    guards[g].push_back(std::move(raws[ai]));
-  }
-
-  auto plan = [&](const std::vector<RawAtom>& atoms, const SlotSet& live) {
-    return MakePlan(atoms,
-                    reorder ? SelectivityOrder(atoms, num_slots, indexes)
-                            : IdentityOrder(atoms.size()),
-                    live);
-  };
-  for (const std::vector<RawAtom>& guard : guards) {
-    out.guards.push_back(plan(guard, SlotSet(num_slots, false)));
-  }
-  out.full = plan(joined, head_vars);
+  out.plan = MakePlan(raws,
+                      reorder ? SelectivityOrder(raws, num_slots) : IdentityOrder(raws.size()),
+                      head_vars);
   return out;
 }
 
 class Evaluator {
  public:
   /// `ctx` (may be null) supplies the deadline, cancel token and byte
-  /// budget, all polled at the same stride. `indexes` holds the indexes
-  /// the rules' planning built; the Eval's other indexes join them.
-  Evaluator(const DatalogEngine::Options& options, const RunContext* ctx, IndexMap* indexes)
+  /// budget, all polled at the same stride.
+  Evaluator(const DatalogEngine::Options& options, const RunContext* ctx)
       : options_(options),
-        indexes_(indexes),
         deadline_(Deadline::Earliest(
             Deadline::AfterOrInfinite(options.timeout_seconds),
             ctx != nullptr ? ctx->deadline : Deadline::Infinite())),
@@ -388,26 +244,9 @@ class Evaluator {
       (void)rel;
     }
 
-    // Guards read only the EDB, which is fixed for the call: one run each,
-    // to its first match, decides whether the rule fires in this Eval.
-    std::vector<bool> fires(rules.size(), true);
-    for (size_t r = 0; r < rules.size(); ++r) {
-      for (const JoinPlan& guard : rules[r].guards) {
-        bool matched = false;
-        DYNAMITE_RETURN_NOT_OK(EvalPlan(rules[r], guard, out, &matched));
-        if (!matched) {
-          fires[r] = false;
-          break;
-        }
-      }
-    }
-
     // One pass: bodies read only the EDB, so each rule's plan runs once.
     DYNAMITE_TRACE_SPAN("engine.pass0");
-    for (size_t r = 0; r < rules.size(); ++r) {
-      if (!fires[r]) continue;
-      DYNAMITE_RETURN_NOT_OK(EvalPlan(rules[r], rules[r].full, out));
-    }
+    for (const CompiledRule& rule : rules) DYNAMITE_RETURN_NOT_OK(EvalPlan(rule, out));
     return Status::OK();
   }
 
@@ -442,34 +281,27 @@ class Evaluator {
   /// The matcher's sink: inserts head rows directly into the output
   /// relations (immediate dedup, derived budget checked per successful
   /// insert) and polls interruption once per candidate and per match.
-  /// Without head relations it runs a guard: the first match sets
-  /// `matched` and stops the matcher.
   struct DirectSink {
     Evaluator* ev;
     const CompiledRule* rule;
-    const std::vector<Relation*>* head_rels;  // nullptr for a guard
+    const std::vector<Relation*>& head_rels;
     std::vector<Value> head_buf;
     Status status;
-    bool matched = false;
 
-    bool Stopped() const { return matched || !status.ok(); }
+    bool Stopped() const { return !status.ok(); }
     bool OnCandidate() {
       ++ev->candidates_;
       return ev->Interrupted(&status);
     }
 
     void OnMatch(const std::vector<Value>& env) {
-      if (head_rels == nullptr) {
-        matched = true;
-        return;
-      }
       for (size_t h = 0; h < rule->heads.size(); ++h) {
         const auto& head = rule->heads[h];
         head_buf.clear();
         for (const Slot& s : head.slots) {
           head_buf.push_back(s.is_const ? s.constant : env[static_cast<size_t>(s.var)]);
         }
-        if ((*head_rels)[h]->InsertRow(head_buf.data(), head_buf.size())) {
+        if (head_rels[h]->InsertRow(head_buf.data(), head_buf.size())) {
           if (++ev->derived_ > ev->options_.max_derived_tuples) {
             status = Status::EvalBudget("derived tuple limit exceeded");
             return;
@@ -533,13 +365,9 @@ class Evaluator {
     match(match, 0);
   }
 
-  /// Matches `plan`, one of `rule`'s plans, inserting head rows. With
-  /// `guard_matched`, `plan` is one of the rule's guards: nothing is
-  /// inserted, and the match stops at its first result, which sets
-  /// `*guard_matched`.
-  Status EvalPlan(const CompiledRule& rule, const JoinPlan& plan, FactDatabase* out,
-                  bool* guard_matched = nullptr) {
-    if (guard_matched != nullptr) *guard_matched = false;
+  /// Matches `rule`'s plan, inserting head rows into `out`.
+  Status EvalPlan(const CompiledRule& rule, FactDatabase* out) {
+    const JoinPlan& plan = rule.plan;
     DYNAMITE_FAILPOINT("engine.plan.entry");
     DYNAMITE_TRACE_SPAN("engine.plan");
     // Build every index the plan probes up front: no index is ever built
@@ -548,7 +376,10 @@ class Evaluator {
     for (size_t i = 0; i < plan.atoms.size(); ++i) {
       const PlanAtom& pa = plan.atoms[i];
       if (pa.rel->size() == 0) return Status::OK();  // no matches possible
-      if (!pa.key_positions.empty()) indexes[i] = &indexes_->Get(*pa.rel, pa.key_positions);
+      if (!pa.key_positions.empty()) {
+        indexes[i] = &indexes_[pa.rel].try_emplace(pa.key_positions, *pa.rel, pa.key_positions)
+                          .first->second;
+      }
     }
 
     // Head relations are fixed for the plan; resolve them once, not per
@@ -566,15 +397,17 @@ class Evaluator {
     for (size_t i = 0; i < plan.atoms.size(); ++i) {
       key_bufs[i].reserve(plan.atoms[i].key_positions.size());
     }
-    DirectSink sink{this, &rule, guard_matched == nullptr ? &head_rels : nullptr, {},
-                    Status::OK()};
+    DirectSink sink{this, &rule, head_rels, {}, Status::OK()};
     MatchPlan(plan, indexes, env, key_bufs, sink);
-    if (guard_matched != nullptr) *guard_matched = sink.matched;
     return sink.status;
   }
 
   DatalogEngine::Options options_;
-  IndexMap* indexes_;
+  // Every join index of this Eval, by relation, then by key positions. Each
+  // indexed relation is an EDB relation, unchanged for the whole call, and
+  // so is its address (the EDB is const); map nodes keep each JoinIndex in
+  // place while later plans add entries.
+  std::map<const Relation*, std::map<std::vector<size_t>, JoinIndex>> indexes_;
   Deadline deadline_;         // options timeout composed with RunContext
   CancelToken cancel_;
   MemoryBudget* budget_ = nullptr;  // run-wide byte budget (may be null)
@@ -636,18 +469,16 @@ Result<FactDatabase> DatalogEngine::EvalImpl(
     }
   }
 
-  IndexMap indexes;
   std::vector<CompiledRule> rules;
   rules.reserve(program.rules.size());
   for (const Rule& rule : program.rules) {
-    rules.push_back(CompileRule(rule, edb, options_.reorder_joins, &indexes));
+    rules.push_back(CompileRule(rule, edb, options_.reorder_joins));
   }
 
   compile_span.End();
   FactDatabase out;
-  Evaluator evaluator(options_, ctx, &indexes);
+  Evaluator evaluator(options_, ctx);
   const Status status = evaluator.Run(rules, idb_signatures, &out);
-  DYNAMITE_METRIC_ADD("engine.plan.fanout_estimates", indexes.fanout_estimates());
   DYNAMITE_METRIC_ADD("engine.join_candidates", evaluator.candidates());
   DYNAMITE_RETURN_NOT_OK(status);
   return out;

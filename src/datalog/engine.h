@@ -12,13 +12,11 @@
 //
 // Performance architecture (see src/datalog/README.md for the full picture):
 //
-//   * Rules compile to join plans whose body atoms are ordered greedily:
-//     when two or more atoms can be probed on bound positions, the one
-//     with the fewest rows per distinct key on them goes next, counted by
-//     the Eval's own index on those positions; otherwise the one with the
-//     most bound positions, then the smaller relation. Each plan step is a
-//     hash-index lookup on the positions bound by constants or earlier
-//     atoms.
+//   * Each rule compiles to one join plan over its whole body, its atoms
+//     ordered greedily: the one with the most bound positions goes next,
+//     then the one over the smaller relation, then the earlier one in the
+//     body. Each plan step is a hash-index lookup on the positions bound
+//     by constants or earlier atoms.
 //   * One matcher evaluates every plan: a left-to-right recursion over the
 //     plan's atoms, one candidate row at a time, inserting head rows
 //     straight into the output relations. An atom none of whose variables
@@ -28,13 +26,6 @@
 //     continuation and derive only duplicates, so outputs, row order,
 //     stats and error codes are unchanged; the cut only ends the
 //     cross-product blow-up of padded synthesized programs.
-//   * Body atoms that share a variable form a component. A component with
-//     no head variable is a guard: it shares no variable with the other
-//     atoms, and the EDB it reads is fixed for the call, so each Eval
-//     matches it once, up to its first match, before any rule's plan runs.
-//     A rule with an unmatched guard is skipped; the other atoms are planned
-//     without the guards, in the same relative order, so outputs, row
-//     order, stats and error codes are unchanged.
 //   * Join indexes (src/datalog/index.h) are built once per Eval over the
 //     EDB relations they index, which stay unchanged for the whole call.
 //   * Every Eval compiles the rules of the program it is given, with the
@@ -42,8 +33,8 @@
 //     program once (a blocked model never comes back), so neither compiled
 //     plans nor indexes are kept across calls.
 //
-// Each Eval is sequential, and all of its state (compiled plans, guard
-// answers, join indexes, derived relations) belongs to that call. An engine
+// Each Eval is sequential, and all of its state (compiled plans, join
+// indexes, derived relations) belongs to that call. An engine
 // holds only its Options: it is an ordinary copyable value, and several
 // threads may call Eval on one const engine at once.
 
@@ -67,7 +58,7 @@ class DatalogEngine {
  public:
   struct Options {
     /// Hard cap on total derived tuples; evaluation aborts with kEvalBudget
-    /// when exceeded (guards against pathological joins, cf. §6.2 of the
+    /// when exceeded (protects against pathological joins, cf. §6.2 of the
     /// paper where random examples cause very large intermediate outputs).
     size_t max_derived_tuples = 20'000'000;
     /// Per-Eval wall-clock budget in seconds; <= 0 disables the check.
@@ -76,11 +67,9 @@ class DatalogEngine {
     /// join-candidate inspections (a fixed stride independent of how many
     /// tuples happen to be derived).
     double timeout_seconds = 0;
-    /// Order each rule's body atoms greedily at compile time: by measured
-    /// key fan-out (rows per distinct key, read from the Eval's join
-    /// indexes) when two or more EDB atoms are keyed, else by bound
-    /// positions, then cardinality. When false, every plan joins the atoms in the order written and no
-    /// estimate is made.
+    /// Order each rule's body atoms greedily at compile time: most bound
+    /// positions first, then the smaller relation, then body order. When
+    /// false, every plan joins the atoms in the order written.
     bool reorder_joins = true;
     /// Ignored: evaluation is always sequential. Kept only because
     /// perfbench/replay.cc still assigns it; it goes together with

@@ -105,9 +105,6 @@ class JoinIndex {
     return PostingList();
   }
 
-  /// Distinct keys among the indexed rows.
-  size_t num_keys() const { return groups_.size(); }
-
  private:
   static constexpr uint32_t kEmptySlot = UINT32_MAX;
 

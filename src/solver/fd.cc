@@ -247,16 +247,7 @@ Status FdSolver::AddConstraint(const FdExpr& e) {
 Result<bool> FdSolver::Solve() {
   DYNAMITE_TRACE_SPAN("solver.solve");
   DYNAMITE_METRIC_INC("solver.solves");
-  sat::SatSolver::Outcome outcome = sat_.Solve();
-  switch (outcome) {
-    case sat::SatSolver::Outcome::kSat:
-      return true;
-    case sat::SatSolver::Outcome::kUnsat:
-      return false;
-    case sat::SatSolver::Outcome::kUnknown:
-      return Status::Timeout("SAT conflict budget exhausted");
-  }
-  return Status::Internal("unreachable SAT outcome");
+  return sat_.Solve() == sat::SatSolver::Outcome::kSat;
 }
 
 int64_t FdSolver::ModelValue(FdVar v) const {

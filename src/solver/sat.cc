@@ -359,7 +359,7 @@ int64_t SatSolver::Luby(int64_t i) {
   return 1LL << (k - 1);
 }
 
-SatSolver::Outcome SatSolver::Solve(int64_t conflict_budget) {
+SatSolver::Outcome SatSolver::Solve() {
   if (unsat_) return Outcome::kUnsat;
   Backtrack(0);
   if (Propagate() != -1) {
@@ -370,14 +370,12 @@ SatSolver::Outcome SatSolver::Solve(int64_t conflict_budget) {
 
   int64_t restart_round = 1;
   int64_t conflicts_until_restart = Luby(restart_round) * 128;
-  int64_t budget_used = 0;
   std::vector<Lit> learnt;
 
   for (;;) {
     int conflict = Propagate();
     if (conflict != -1) {
       ++conflicts_;
-      ++budget_used;
       if (DecisionLevel() == 0) {
         unsat_ = true;
         return Outcome::kUnsat;
@@ -397,10 +395,6 @@ SatSolver::Outcome SatSolver::Solve(int64_t conflict_budget) {
         ++restart_round;
         conflicts_until_restart = Luby(restart_round) * 128;
         Backtrack(0);
-      }
-      if (conflict_budget >= 0 && budget_used >= conflict_budget) {
-        Backtrack(0);
-        return Outcome::kUnknown;
       }
     } else {
       Lit next = Decide();

@@ -69,7 +69,7 @@ inline LBool Flip(LBool b, bool flip) {
 /// CDCL SAT solver.
 class SatSolver {
  public:
-  enum class Outcome { kSat, kUnsat, kUnknown };
+  enum class Outcome { kSat, kUnsat };
 
   SatSolver() = default;
 
@@ -93,9 +93,8 @@ class SatSolver {
   /// trivially unsatisfiable (empty clause or top-level conflict).
   bool AddClause(std::vector<Lit> lits);
 
-  /// Solves the current formula. `conflict_budget` < 0 means unbounded;
-  /// otherwise the solver gives up with kUnknown after that many conflicts.
-  Outcome Solve(int64_t conflict_budget = -1);
+  /// Solves the current formula.
+  Outcome Solve();
 
   /// Value of a variable in the model; valid after Solve() == kSat.
   bool ModelValue(Var v) const { return model_[static_cast<size_t>(v)] == LBool::kTrue; }

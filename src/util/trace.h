@@ -5,9 +5,9 @@
 // Design, mirroring the failpoint standard (util/failpoint.h):
 //
 //   * DISARMED (the default) a span costs one relaxed atomic load — the
-//     same budget as a disarmed failpoint, pinned by BM_TraceOverhead
-//     against BM_DatalogStringSelfJoin (<2%). No allocation, no
-//     clock read, no branch beyond the flag test.
+//     same budget as a disarmed failpoint. No allocation, no clock read,
+//     no branch beyond the flag test. BM_TraceOverhead compares the armed
+//     arm against the disarmed one (see src/util/README.md).
 //   * ARMED, every span costs two steady_clock reads plus one 64-byte write
 //     into the calling thread's private ring buffer. Rings are
 //     single-producer (the owning thread) and fixed-size; when a thread

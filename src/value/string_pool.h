@@ -14,7 +14,7 @@
 // every thread):
 //
 //   * Intern / TryIntern are safe to call concurrently from any thread. One
-//     mutex guards the string -> id map, the id counter and the storage
+//     mutex protects the string -> id map, the id counter and the storage
 //     append. Every stage runs on its caller's thread, so interns contend
 //     only when Sessions on several threads intern at once.
 //   * Get and size() are LOCK-FREE and safe concurrently with interning.

@@ -10,7 +10,6 @@
 #include "datalog/ast.h"
 #include "datalog/engine.h"
 #include "datalog/simplify.h"
-#include "util/metrics.h"
 #include "util/rng.h"
 #include "testing.h"
 #include "value/database.h"
@@ -347,8 +346,8 @@ std::map<std::string, std::set<std::vector<Value>>> NaiveEval(const Program& pro
 /// Random non-recursive programs over 2-4 small EDB relations (one of them
 /// sometimes empty), padded with dead atoms: all-wildcard atoms, atoms with
 /// constants, and atoms repeating a variable nothing else reads. Some rules
-/// also get a head-free component of two atoms joined on a variable `g` of
-/// their own, which the engine runs as a guard.
+/// also get two atoms joined on a variable `g` of their own that share no
+/// variable with the head or the other atoms.
 class ExistentialCutProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExistentialCutProperty, MatchesNaiveNestedLoops) {
@@ -544,11 +543,12 @@ TEST(ExistentialCut, CrossProductOfDeadAtomsStaysLinear) {
   EXPECT_EQ(out.Find("H").ValueOrDie()->size(), static_cast<size_t>(kRows));
 }
 
-// ------------------------------------------------ head-free components ---
+// ---------------------------------------------------- disconnected bodies ---
 // Body atoms that share no variable, directly or through other atoms, with
-// a head form a guard: the engine runs it once per Eval, to
-// its first match, instead of inside the loops of the atoms that derive
-// rows. These tests pin that guards change nothing observable.
+// a head only decide whether the rule derives anything: they join like any
+// other atoms, and once they match, every further match of theirs replays
+// the rows already derived, which InsertRow rejects as duplicates. These
+// tests pin that such atoms change neither the rows nor their order.
 
 /// A(id, v) and B(v, a, n) of `rows` rows each: B row i carries v = i,
 /// A rows visit the v values in a scrambled order.
@@ -563,7 +563,7 @@ FactDatabase ArticleAuthorDb(int rows) {
   return db;
 }
 
-TEST(HeadFreeComponent, KeepsRowsAndTheirOrderWherePlaced) {
+TEST(DisconnectedBody, KeepsRowsAndTheirOrderWherePlaced) {
   FactDatabase db = ArticleAuthorDb(500);
   db.DeclareRelation("C", {"p", "q"}).ValueOrDie();
   for (int i = 0; i < 50; ++i) db.AddFact("C", Tuple({Value::Int(i % 11), Value::Int(i)}));
@@ -590,20 +590,7 @@ TEST(HeadFreeComponent, KeepsRowsAndTheirOrderWherePlaced) {
   }
 }
 
-TEST(HeadFreeComponent, DblpShapeStaysLinear) {
-  // With the component inside the loop of the output atoms this is
-  // |A|^2 = 10^10 candidates.
-  constexpr int kRows = 100'000;
-  const FactDatabase db = ArticleAuthorDb(kRows);
-  ASSERT_OK_AND_ASSIGN(Program p, Program::Parse(
-                                      "H(a, n) :- A(_, v1), B(v1, _, _), A(_, v2), B(v2, a, n)."));
-  DatalogEngine engine;
-  const RunContext ctx = RunContext::WithTimeout(30);
-  ASSERT_OK_AND_ASSIGN(FactDatabase out, engine.EvalAutoSignatures(p, db, &ctx));
-  EXPECT_EQ(out.Find("H").ValueOrDie()->size(), 97u * 13u);
-}
-
-TEST(HeadFreeComponent, UnmatchedGuardInMultiRuleProgram) {
+TEST(DisconnectedBody, UnmatchedAtomsInMultiRuleProgram) {
   FactDatabase db = EdgeDb({{1, 2}, {2, 3}, {3, 4}, {4, 5}});
   db.DeclareRelation("E", {"g"}).ValueOrDie();
   db.DeclareRelation("F", {"g"}).ValueOrDie();
@@ -614,36 +601,37 @@ TEST(HeadFreeComponent, UnmatchedGuardInMultiRuleProgram) {
     p(x, y) :- edge(x, y).
     p(x, y) :- edge(x, z), edge(z, y).
   )"));
-  ASSERT_OK_AND_ASSIGN(FactDatabase unguarded, engine.EvalAutoSignatures(plain, db));
+  ASSERT_OK_AND_ASSIGN(FactDatabase plain_rows, engine.EvalAutoSignatures(plain, db));
 
-  // The second rule's guard fails: p holds the first rule's edges only.
-  ASSERT_OK_AND_ASSIGN(Program one_guarded, Program::Parse(R"(
+  // The second rule's E(g), F(g) match nothing: p holds the first rule's
+  // edges only.
+  ASSERT_OK_AND_ASSIGN(Program one_padded, Program::Parse(R"(
     p(x, y) :- edge(x, y).
     p(x, y) :- edge(x, z), E(g), edge(z, y), F(g).
   )"));
-  ASSERT_OK_AND_ASSIGN(FactDatabase out, engine.EvalAutoSignatures(one_guarded, db));
+  ASSERT_OK_AND_ASSIGN(FactDatabase out, engine.EvalAutoSignatures(one_padded, db));
   EXPECT_EQ(RowsInOrder(*out.Find("p").ValueOrDie()), RowsInOrder(*db.Find("edge").ValueOrDie()));
 
-  // Guarding both rules leaves p empty.
-  ASSERT_OK_AND_ASSIGN(Program all_guarded, Program::Parse(R"(
+  // Padding both rules leaves p empty.
+  ASSERT_OK_AND_ASSIGN(Program all_padded, Program::Parse(R"(
     p(x, y) :- E(g), F(g), edge(x, y).
     p(x, y) :- edge(x, z), E(g), edge(z, y), F(g).
   )"));
-  ASSERT_OK_AND_ASSIGN(out, engine.EvalAutoSignatures(all_guarded, db));
+  ASSERT_OK_AND_ASSIGN(out, engine.EvalAutoSignatures(all_padded, db));
   EXPECT_EQ(out.Find("p").ValueOrDie()->size(), 0u);
 
-  // Once the guard holds, both programs derive the unguarded rows, row for
+  // Once E(g), F(g) match, both programs derive the plain rows, row for
   // row.
   db.AddFact("F", Tuple({Value::Int(1)}));
-  for (const Program* p : {&one_guarded, &all_guarded}) {
+  for (const Program* p : {&one_padded, &all_padded}) {
     ASSERT_OK_AND_ASSIGN(out, engine.EvalAutoSignatures(*p, db));
     EXPECT_EQ(RowsInOrder(*out.Find("p").ValueOrDie()),
-              RowsInOrder(*unguarded.Find("p").ValueOrDie()));
+              RowsInOrder(*plain_rows.Find("p").ValueOrDie()));
   }
-  EXPECT_EQ(unguarded.Find("p").ValueOrDie()->size(), 7u);  // 4 edges + 3 two-hop paths
+  EXPECT_EQ(plain_rows.Find("p").ValueOrDie()->size(), 7u);  // 4 edges + 3 two-hop paths
 }
 
-TEST(HeadFreeComponent, AllGuardBodyWithConstantHeadEmitsOneRow) {
+TEST(DisconnectedBody, ConstantHeadEmitsOneRow) {
   const FactDatabase db = ArticleAuthorDb(300);
   ASSERT_OK_AND_ASSIGN(Program p,
                        Program::Parse("H(1, 2) :- A(_, v), B(v, _, _), B(_, 3, _)."));
@@ -655,48 +643,6 @@ TEST(HeadFreeComponent, AllGuardBodyWithConstantHeadEmitsOneRow) {
   ASSERT_OK_AND_ASSIGN(Program unmatched, Program::Parse("H(1, 2) :- A(_, v), B(v, 99, _)."));
   ASSERT_OK_AND_ASSIGN(out, engine.EvalAutoSignatures(unmatched, db));
   EXPECT_EQ(out.Find("H").ValueOrDie()->size(), 0u);
-}
-
-// ----------------------------------------------------------- join order ---
-// When two or more EDB atoms can be probed on bound positions, the planner
-// places the one whose key fans out least (rows per distinct key), so a
-// probe on a low-distinct column waits until a selective one has bound
-// the row.
-
-TEST(JoinOrder, SkewedKeyPicksSelectiveAtom) {
-  // The synthesized DBLP-1 AuthorshipT rule. After the first Article atom,
-  // three atoms have one bound position each; ordered by bound-position
-  // count and cardinality, the second Article, keyed on one of 10 venues,
-  // goes next: |Article|^2 / 10 = 2.5 * 10^8 candidates.
-  constexpr int kArticles = 50'000;
-  constexpr int kVenues = 10;
-  FactDatabase db;
-  db.DeclareRelation("Article", {"id", "title", "year", "venue", "aid"}).ValueOrDie();
-  db.DeclareRelation("ArtAuthor", {"aid", "author", "name", "pos"}).ValueOrDie();
-  int authors = 0;
-  for (int i = 0; i < kArticles; ++i) {
-    db.AddFact("Article", Tuple({Value::Int(i), Value::Int(1'000'000 + i), Value::Int(i % 20),
-                                 Value::Int(i % kVenues), Value::Int(2'000'000 + i)}));
-    for (int pos = 1; pos <= 1 + i % 2; ++pos, ++authors) {
-      db.AddFact("ArtAuthor", Tuple({Value::Int(2'000'000 + i), Value::Int(authors),
-                                     Value::Int(authors % 1000), Value::Int(pos)}));
-    }
-  }
-  ASSERT_OK_AND_ASSIGN(
-      Program p,
-      Program::Parse("AuthorshipT(a, n, p) :- Article(_, t3, _, ven, v1), ArtAuthor(v1, id, _, _), "
-                     "Article(_, _, _, ven, v2), ArtAuthor(v2, id, n, p), "
-                     "Article(a, t3, _, _, _)."));
-  const uint64_t before = metrics::Snapshot().counter("engine.join_candidates");
-  DatalogEngine engine;
-  const RunContext ctx = RunContext::WithTimeout(30);
-  ASSERT_OK_AND_ASSIGN(FactDatabase out, engine.EvalAutoSignatures(p, db, &ctx));
-  const uint64_t candidates = metrics::Snapshot().counter("engine.join_candidates") - before;
-  // Author ids are unique, so every author row yields one (article, name,
-  // position) row of its own article.
-  EXPECT_EQ(out.Find("AuthorshipT").ValueOrDie()->size(), static_cast<size_t>(authors));
-  const uint64_t input_rows = static_cast<uint64_t>(kArticles + authors);
-  EXPECT_LE(candidates, 4 * input_rows);
 }
 
 }  // namespace

@@ -17,8 +17,8 @@
 //     Every round also migrates the source again with each record's prims
 //     shuffled: the target forest and the migration counts must not change.
 //     Golden rounds also pad one random rule with an all-wildcard atom or a
-//     self-joined pair R(g, _, ...), R(g, _, ...) on a variable of its own
-//     (a head-free component, which the engine runs as a guard). Over
+//     self-joined pair R(g, _, ...), R(g, _, ...) on a variable of its own,
+//     which shares no variable with the head or the other atoms. Over
 //     a non-empty source relation the padded program must reproduce the
 //     baseline, also under the armed failpoint (the engine output row for
 //     row, in insertion order); over an empty one the

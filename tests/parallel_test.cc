@@ -197,17 +197,17 @@ TEST(SkewedInputs, TwoWayJoinMatchesReference) {
 TEST(SharedEngine, ConcurrentEvalsMatchSoloRuns) {
   // An engine keeps no state between Evals, so two threads may call Eval on
   // one const engine at once over one EDB; each must derive exactly the
-  // rows, in the order, that the same call derives alone. The guarded
-  // program's head-free components (one that matches, one that does not)
-  // are decided inside each Eval, never on the engine.
+  // rows, in the order, that the same call derives alone. The padded
+  // program's rules carry atoms that share no variable with their heads
+  // (one pair that matches, one that does not).
   const DatalogEngine engine;
   const FactDatabase db = EdgeFacts(SkewedEdges(150));
   const std::vector<std::pair<const char*, Program>> programs = {
       {"j", Program::Parse("j(x, z) :- edge(x, y), edge(y, z).").ValueOrDie()},
       {"j3", ThreeHopProgram()},
-      {"guarded", Program::Parse(R"(
-         guarded(x, z) :- edge(_, v), edge(x, y), edge(v, _), edge(y, z).
-         guarded(x, x) :- edge(x, _), edge(w, -1), edge(_, w).
+      {"padded", Program::Parse(R"(
+         padded(x, z) :- edge(_, v), edge(x, y), edge(v, _), edge(y, z).
+         padded(x, x) :- edge(x, _), edge(w, -1), edge(_, w).
        )").ValueOrDie()},
   };
   for (const auto& named : programs) {
